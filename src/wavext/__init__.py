@@ -16,8 +16,7 @@ from .fem import (FEFunction, LagrangeSpace, assemble, broken_laplacian,
                   build_space, evaluate, interpolate_nodal,
                   l2_project_interior, load_vector, ritz_project,
                   spatial_norm)
-from .linalg import (CompressedMatrix, Factorization, compressed,
-                     solve_general, solve_spd)
+from .linalg import Factorization, compressed, solve_general, solve_spd
 from .mesh import Mesh, build_structured_mesh, cell_areas, mesh_size
 from .postprocess import (ErrorReport, compute_error_report, convergence_rates,
                           energy_trace, error_C0, postprocessed_solution)
@@ -26,9 +25,9 @@ from .problem import (Discretization, ProblemData, dirichlet_cos,
                       standing_wave)
 from .solver import (Lifting, SpaceTimeSolution, build_lifting,
                      discrete_initial_data, solve, solve_slab)
-from .timebasis import (SlabBasis, SlabPoly, TimePartition,
-                        endpoint_exact_project, gauss_rule, graded_gauss_rule,
-                        l2_project_time, lagrange_time_interp, legendre_eval,
+from .timebasis import (SlabPoly, TimePartition, endpoint_exact_project,
+                        gauss_rule, graded_gauss_rule, l2_project_time,
+                        lagrange_time_interp, legendre_eval,
                         slab_temporal_matrices, uniform_time_partition)
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
-"""Sparse storage and the two linear-solve capabilities the solver needs.
+"""Sparse LU factorization and the residual contract every solve keeps.
 
-Both entry points are direct factorizations (SuperLU through scipy) wrapped
-with an explicit residual contract: a solve that does not meet its relative
-residual raises :class:`SolverFailure` instead of returning silently.
+Solves are direct factorizations (SuperLU through scipy) held to an explicit
+relative residual by :func:`checked_solve`: a solve that misses it after one
+step of iterative refinement raises :class:`SolverFailure` instead of
+returning silently.
 """
 
 import numpy as np
@@ -10,9 +11,6 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure
-
-#: Alias for the storage format used throughout: compressed sparse rows.
-CompressedMatrix = sparse.csr_matrix
 
 
 def compressed(A):
@@ -23,20 +21,25 @@ def compressed(A):
     return A
 
 
-def _factorize(A):
+def factorize(A):
+    """SuperLU factors of a square sparse matrix, real or complex."""
     try:
         return splu(sparse.csc_matrix(A))
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SolverFailure(f"factorization failed: {exc}") from exc
 
 
-def _checked(lu, A, b, tol, label):
-    x = lu.solve(b)
+def checked_solve(solve, apply, b, tol, label):
+    """x = solve(b), held to |apply(x) - b| <= tol * |b| (norms over all entries).
+
+    One step of iterative refinement runs when the first residual misses.
+    """
+    x = solve(b)
     bnorm = np.linalg.norm(b)
-    res = np.linalg.norm(A @ x - b)
+    res = np.linalg.norm(apply(x) - b)
     if res > tol * max(bnorm, 1e-300):
-        x = x + lu.solve(b - A @ x)  # one step of iterative refinement
-        res = np.linalg.norm(A @ x - b)
+        x = x + solve(b - apply(x))  # one step of iterative refinement
+        res = np.linalg.norm(apply(x) - b)
         if res > tol * max(bnorm, 1e-300):
             raise SolverFailure(
                 f"{label} solve residual {res:.3e} exceeds {tol:.1e} * |b|",
@@ -50,7 +53,7 @@ def _checked(lu, A, b, tol, label):
 def solve_spd(A, b, tol=1e-12):
     """Solve a symmetric positive definite system to relative residual tol."""
     A = compressed(A)
-    return _checked(_factorize(A), A, np.asarray(b, dtype=float), tol, "spd")
+    return checked_solve(factorize(A).solve, A.dot, np.asarray(b, dtype=float), tol, "spd")
 
 
 def solve_general(A, b, tol=1e-11):
@@ -58,7 +61,8 @@ def solve_general(A, b, tol=1e-11):
     A = compressed(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    return _checked(_factorize(A), A, np.asarray(b, dtype=float), tol, "general")
+    return checked_solve(factorize(A).solve, A.dot, np.asarray(b, dtype=float), tol,
+                         "general")
 
 
 class Factorization:
@@ -67,7 +71,8 @@ class Factorization:
     def __init__(self, A, tol=1e-11):
         self.A = compressed(A)
         self.tol = tol
-        self._lu = _factorize(self.A)
+        self._lu = factorize(self.A)
 
     def solve(self, b):
-        return _checked(self._lu, self.A, np.asarray(b, dtype=float), self.tol, "factorized")
+        return checked_solve(self._lu.solve, self.A.dot, np.asarray(b, dtype=float),
+                             self.tol, "factorized")

@@ -101,8 +101,8 @@ def compute_error_report(sol, problem, samples_per_slab=11):
 
 def energy_trace(sol, c=1.0, mass=None, stiffness=None):
     """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes."""
-    M = mass if mass is not None else getattr(sol, "_mass", None)
-    K = stiffness if stiffness is not None else getattr(sol, "_stiffness", None)
+    M = mass if mass is not None else sol.mass
+    K = stiffness if stiffness is not None else sol.stiffness
     if M is None:
         M = assemble(sol.space, "mass")
     if K is None:

@@ -7,28 +7,44 @@ boundary rows by the Dirichlet lifting, so the unknowns per slab are the
 interior rows of U_j, V_j for j = 1..q.  Testing against L_i phi_k
 (i < q, phi_k interior) gives, per temporal test index i,
 
-    sum_j N[i,j] (C V_j)_k - sum_j D[i,j] (C U_j)_k = 0
-    sum_j D[i,j] (M V_j)_k + sum_j N[i,j] (K U_j)_k = int (f, L_i phi_k) dt
+    sum_j N[i,j] (C V_j)_k - sum_j D[i,j] (C U_j)_k = r1_i
+    sum_j D[i,j] (M V_j)_k + sum_j N[i,j] (K U_j)_k = r2_i
 
-with C = K for the gradient coupling and C = M for the mass coupling.
-Known terms move to the right-hand side; nothing is enforced by penalties,
-so interface continuity and boundary traces hold exactly.
+with C = K for the gradient coupling and C = M for the mass coupling, and
+the known terms and the load int (f, L_i phi_k) dt in r1, r2.  Nothing is
+enforced by penalties, so interface continuity and boundary traces hold
+exactly.
+
+The 2q n_I block system is never assembled.  With this trial/test pair
+D[:, 1:] = I exactly, so the first block row gives U = Nq V - C^{-1} r1
+(Nq = N[:, 1:], rows of U and V indexed by j) and the second leaves
+
+    (I (x) M + Nq^2 (x) K) V = r2 + Nq (K C^{-1} r1),
+
+where K C^{-1} r1 = r1 for the gradient coupling.  Nq is tau times a fixed
+matrix, so Nq^2 = S diag(tau^2 lam) S^{-1} with S independent of tau
+(:func:`~wavext.timebasis.temporal_eigensplit`), and the system splits into
+q spatial systems (M + tau^2 lam_k K) W_k = (S^{-1} R)_k.  Conjugate
+eigenvalues give conjugate solutions, so a slab length costs one complex
+LU per conjugate pair (a real one for the real eigenvalue at odd q), on top
+of one real LU of C for the whole run.  Each solve is held to its residual
+on the block operator itself, applied matrix-free.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError, SolverFailure
 from .fem import (FEFunction, assemble, interpolate_nodal, load_vector,
                   ritz_project)
-from .linalg import Factorization, solve_spd
+from .linalg import Factorization, checked_solve, factorize, solve_spd
 from .timebasis import (endpoint_exact_project, gauss_rule, graded_gauss_rule,
                         lagrange_time_interp, legendre_matrix,
-                        slab_temporal_matrices, to_normalized, trial_matrix,
-                        trial_to_legendre)
+                        slab_temporal_matrices, temporal_eigensplit,
+                        to_normalized, trial_matrix, trial_to_legendre)
 
 
 @dataclass
@@ -38,6 +54,8 @@ class SpaceTimeSolution:
     ``v`` may be None for derived fields that only carry a u-component (the
     postprocessed approximation).  Values at the right slab endpoint are the
     sum of the first two coefficient rows; at the left endpoint, row 0.
+    ``mass`` and ``stiffness`` carry the assembled operators of the solve,
+    when known, so that energy and estimator evaluations reuse them.
     """
 
     space: object
@@ -47,6 +65,8 @@ class SpaceTimeSolution:
     v: Optional[np.ndarray] = None
     method: str = "gradient"
     bc_mode: str = "projection"
+    mass: Optional[object] = None
+    stiffness: Optional[object] = None
 
     def coeffs_on_slab(self, n, xnorm, component="u"):
         """Spatial coefficient vectors at normalized times on slab n,
@@ -159,8 +179,55 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
     return u0h, FEFunction(space, v0h)
 
 
+class SlabSystem:
+    """The interior block system of one slab of length tau, factorized by
+    the temporal eigen-split (see the module docstring).
+
+    Holds the interior operators M, K, C and the factorization of C, but
+    nothing that caches it.
+    """
+
+    def __init__(self, q, tau, M, K, C, C_fact, tol=1e-11):
+        self.Nm, self.Dm = slab_temporal_matrices(q, (0.0, tau))
+        self.M, self.K, self.C, self.tol = M, K, C, tol
+        self._C_fact = C_fact
+        lam, self._S, self._Sinv = temporal_eigensplit(q)
+        self._real = lam.imag == 0
+        self._modes = [factorize(M + tau ** 2 * (lk.real if real else lk) * K)
+                       for lk, real in zip(lam, self._real)]
+
+    def apply(self, U, V):
+        """The block operator on (q, n_I) coefficient rows U, V -> (r1, r2)."""
+        Nq, Dq = self.Nm[:, 1:], self.Dm[:, 1:]
+        r1 = self.C @ (V.T @ Nq.T - U.T @ Dq.T)
+        r2 = self.M @ (V.T @ Dq.T) + self.K @ (U.T @ Nq.T)
+        return r1.T, r2.T
+
+    def _eliminate(self, r1, r2):
+        Nq = self.Nm[:, 1:]
+        Cr1 = self._C_fact.solve(r1.T).T
+        KCr1 = r1 if self.C is self.K else (self.K @ Cr1.T).T
+        G = self._Sinv @ (r2 + Nq @ KCr1)
+        W = np.stack([lu.solve(g.real) if real else lu.solve(g)
+                      for lu, g, real in zip(self._modes, G, self._real)])
+        V = (self._S @ W).real
+        return Nq @ V - Cr1, V
+
+    def solve(self, r1, r2):
+        """Interior coefficient rows (U, V), each (q, n_I), held to the
+        relative residual tol on the block operator."""
+        x = checked_solve(lambda b: np.stack(self._eliminate(*b)),
+                          lambda x: np.stack(self.apply(*x)),
+                          np.stack([r1, r2]), self.tol, "slab")
+        return x[0], x[1]
+
+
 class SlabWorkspace:
-    """Assembled operators, temporal matrices, and reusable factorizations."""
+    """Assembled operators, the factorization of C, and the slab systems of
+    the most recently used slab lengths."""
+
+    #: Slab systems kept at once; a graded partition needs one per slab.
+    MAX_SYSTEMS = 4
 
     def __init__(self, problem, disc):
         space = disc.space
@@ -171,43 +238,28 @@ class SlabWorkspace:
         self.q = disc.q
         self.M = assemble(space, "mass")
         self.K = assemble(space, "stiffness", problem.c)
-        self.C = self.K if disc.method == "gradient" else self.M
         I, B = space.interior_dofs, space.boundary_dofs
         self.I, self.B = I, B
-        self.M_II = self.M[np.ix_(I, I)].tocsr()
-        self.K_II = self.K[np.ix_(I, I)].tocsr()
+        # interior rows over all columns, for the known terms of the rhs
+        self.M_I = self.M[I].tocsr()
+        self.K_I = self.K[I].tocsr()
+        self.C_I = self.K_I if disc.method == "gradient" else self.M_I
+        self.M_II = self.M_I[:, I].tocsr()
+        self.K_II = self.K_I[:, I].tocsr()
         self.C_II = self.K_II if disc.method == "gradient" else self.M_II
-        self.M_IB = self.M[np.ix_(I, B)].tocsr()
-        self.K_IB = self.K[np.ix_(I, B)].tocsr()
-        self.C_IB = self.K_IB if disc.method == "gradient" else self.M_IB
-        self._systems = {}
+        self._C_fact = Factorization(self.C_II)
+        self._systems = OrderedDict()
 
     def system(self, tau):
         key = round(float(tau), 14)
-        if key not in self._systems:
-            Nm, Dm = slab_temporal_matrices(self.q, (0.0, float(tau)))
-            A = self._build_matrix(Nm, Dm)
-            self._systems[key] = (Nm, Dm, Factorization(A, tol=1e-11))
+        if key in self._systems:
+            self._systems.move_to_end(key)
+            return self._systems[key]
+        while len(self._systems) >= self.MAX_SYSTEMS:
+            self._systems.popitem(last=False)
+        self._systems[key] = SlabSystem(self.q, float(tau), self.M_II, self.K_II,
+                                        self.C_II, self._C_fact)
         return self._systems[key]
-
-    def _build_matrix(self, Nm, Dm):
-        q = self.q
-        drop = 1e-14 * max(np.abs(Nm).max(), np.abs(Dm).max())
-        blocks = [[None] * (2 * q) for _ in range(2 * q)]
-
-        def put(r, c, scalar, op):
-            if abs(scalar) <= drop:
-                return
-            blocks[r][c] = scalar * op if blocks[r][c] is None else blocks[r][c] + scalar * op
-
-        for i in range(q):
-            for j in range(1, q + 1):
-                cu, cv = 2 * (j - 1), 2 * (j - 1) + 1
-                put(2 * i, cu, -Dm[i, j], self.C_II)
-                put(2 * i, cv, Nm[i, j], self.C_II)
-                put(2 * i + 1, cu, Nm[i, j], self.K_II)
-                put(2 * i + 1, cv, Dm[i, j], self.M_II)
-        return sparse.bmat(blocks, format="csr")
 
     def load_moments(self, n):
         """Temporal moments of the interior load: (q, n_interior) array of
@@ -239,9 +291,9 @@ def solve_slab(prev_u, prev_v, n, problem, disc, lifting=None, workspace=None):
     if lifting is None and problem.g_d is not None:
         lifting = build_lifting(problem, ws.space, ws.partition, ws.q, disc.bc_mode)
     q, I, B = ws.q, ws.I, ws.B
-    nI = len(I)
     tau = float(ws.partition.lengths[n])
-    Nm, Dm, fact = ws.system(tau)
+    system = ws.system(tau)
+    Nm, Dm = system.Nm, system.Dm
 
     nB = len(B)
     UB = lifting.u_trial[n] if lifting is not None else np.zeros((q + 1, nB))
@@ -253,41 +305,22 @@ def solve_slab(prev_u, prev_v, n, problem, disc, lifting=None, workspace=None):
                 f"slab {n + 1}: previous {label} state disagrees with the "
                 "lifting at the left endpoint")
 
-    KU0 = (ws.K @ prev_u)[I]
-    CV0 = (ws.C @ prev_v)[I]
-    MV0 = (ws.M @ prev_v)[I]
-    CU0 = (ws.C @ prev_u)[I]
-    KUB = ws.K_IB @ UB[1:].T  # (nI, q)
-    CUB = ws.C_IB @ UB[1:].T
-    CVB = ws.C_IB @ VB[1:].T
-    MVB = ws.M_IB @ VB[1:].T
-    F = ws.load_moments(n)
-
-    rhs = np.zeros(2 * q * nI)
-    for i in range(q):
-        r1 = -Nm[i, 0] * CV0 + Dm[i, 0] * CU0
-        r2 = -Nm[i, 0] * KU0 - Dm[i, 0] * MV0
-        for j in range(1, q + 1):
-            r1 += Dm[i, j] * CUB[:, j - 1] - Nm[i, j] * CVB[:, j - 1]
-            r2 -= Nm[i, j] * KUB[:, j - 1] + Dm[i, j] * MVB[:, j - 1]
-        if F is not None:
-            r2 += F[i]
-        rhs[2 * i * nI:(2 * i + 1) * nI] = r1
-        rhs[(2 * i + 1) * nI:(2 * i + 2) * nI] = r2
-
-    try:
-        X = fact.solve(rhs)
-    except SolverFailure as exc:
-        raise SolverFailure(f"slab {n + 1}: {exc}", residual=exc.residual) from exc
-
+    # the known parts of the coefficients: row 0 from the previous slab,
+    # boundary rows from the lifting; the solve fills in the interior rows
     U = np.zeros((q + 1, ws.space.n_dofs))
     V = np.zeros((q + 1, ws.space.n_dofs))
     U[0], V[0] = prev_u, prev_v
-    for j in range(1, q + 1):
-        U[j, I] = X[2 * (j - 1) * nI:(2 * j - 1) * nI]
-        V[j, I] = X[(2 * j - 1) * nI:2 * j * nI]
-        U[j, B] = UB[j]
-        V[j, B] = VB[j]
+    U[1:, B], V[1:, B] = UB[1:], VB[1:]
+    r1 = (ws.C_I @ (U.T @ Dm.T - V.T @ Nm.T)).T
+    r2 = -(ws.K_I @ (U.T @ Nm.T) + ws.M_I @ (V.T @ Dm.T)).T
+    F = ws.load_moments(n)
+    if F is not None:
+        r2 += F
+
+    try:
+        U[1:, I], V[1:, I] = system.solve(r1, r2)
+    except SolverFailure as exc:
+        raise SolverFailure(f"slab {n + 1}: {exc}", residual=exc.residual) from exc
     return U, V
 
 
@@ -306,8 +339,5 @@ def solve(problem, disc):
         U[n], V[n] = solve_slab(prev_u, prev_v, n, problem, disc, lifting, ws)
         prev_u = U[n, 0] + U[n, 1]
         prev_v = V[n, 0] + V[n, 1]
-    sol = SpaceTimeSolution(space, partition, q, U, V,
-                            method=disc.method, bc_mode=disc.bc_mode)
-    sol._mass = ws.M
-    sol._stiffness = ws.K
-    return sol
+    return SpaceTimeSolution(space, partition, q, U, V, method=disc.method,
+                             bc_mode=disc.bc_mode, mass=ws.M, stiffness=ws.K)

@@ -278,27 +278,6 @@ def lagrange_time_interp(q, f, partition):
     return SlabPoly(partition, coeffs)
 
 
-@dataclass(frozen=True)
-class SlabBasis:
-    """Trial/test basis bundle for one slab."""
-
-    index: int
-    slab: tuple
-    q: int
-
-    @property
-    def tau(self):
-        return self.slab[1] - self.slab[0]
-
-    def trial_values(self, t, derivative_order=0):
-        x = to_normalized(self.slab, t)
-        vals = trial_matrix(self.q, x, derivative=derivative_order)
-        return vals * (2.0 / self.tau) if derivative_order else vals
-
-    def test_values(self, t):
-        return legendre_matrix(self.q - 1, to_normalized(self.slab, t))
-
-
 def slab_temporal_matrices(q, slab):
     """Temporal coupling matrices N[i,j] = int sigma_j L_i dt and
     D[i,j] = int sigma_j' L_i dt for i < q, j <= q (Gauss, exact)."""
@@ -314,6 +293,36 @@ def slab_temporal_matrices(q, slab):
     N = np.einsum("g,ig,jg->ij", wt, tst, sig)
     D = np.einsum("g,ig,jg->ij", wt, tst, dsig)
     return N, D
+
+
+@lru_cache(maxsize=None)
+def temporal_eigensplit(q):
+    """Eigen-split of the slab's reduced temporal operator Nq^2, Nq = N[:, 1:].
+
+    Nq scales with the slab length, Nq(tau) = tau Nq(1), so
+    Nq(tau)^2 = S diag(tau^2 lam) S^{-1} with S independent of tau.  The
+    eigenvalues of the real matrix Nq(1) come in conjugate pairs plus, at odd
+    q, one real one; only one member of each pair is kept.  Returns
+    (lam, S, Sinv): lam (m,) the kept eigenvalues of Nq(1)^2, S (q, m) their
+    eigenvectors and Sinv (m, q) the matching left eigenvectors, scaled so
+    that x = Re(S @ (Sinv @ x)) for real x.  A solve along each kept mode
+    thereby stands for its conjugate mode too.
+    """
+    N, _ = slab_temporal_matrices(q, (0.0, 1.0))
+    nu, vecs = np.linalg.eig(N[:, 1:])
+    # LAPACK returns real eigenvalues with an imaginary part of exactly zero
+    keep = nu.imag >= 0
+    S = vecs[:, keep]
+    pairs = nu[keep].imag > 0
+    # Sinv from the coordinates (c, d) in the real basis [Re s_k, Im s_k]:
+    # x = Re(sum_k s_k z_k) with z_k = c_k - i d_k.  Inverting this real
+    # basis keeps Re(S @ Sinv) = I to 1e-13 at q = 8, where the rows of the
+    # inverted complex eigenvector matrix leave errors of 1e-10.
+    m = S.shape[1]
+    Tinv = np.linalg.inv(np.concatenate([S.real, S.imag[:, pairs]], axis=1))
+    Sinv = Tinv[:m].astype(complex)
+    Sinv[pairs] -= 1j * Tinv[m:]
+    return nu[keep] ** 2, S, Sinv
 
 
 def abs_legendre_integral(q, tau):

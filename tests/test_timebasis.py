@@ -7,8 +7,8 @@ from wavext.timebasis import (TimePartition, abs_legendre_integral,
                               graded_gauss_rule, l2_project_time,
                               lagrange_time_interp, legendre_eval,
                               legendre_matrix, legendre_to_trial,
-                              slab_temporal_matrices, to_normalized,
-                              trial_matrix, trial_to_legendre,
+                              slab_temporal_matrices, temporal_eigensplit,
+                              to_normalized, trial_matrix, trial_to_legendre,
                               uniform_time_partition)
 
 
@@ -248,6 +248,32 @@ def test_slab_matrices_scaling_and_structure():
     # unisolvence of the slab blocks
     assert abs(np.linalg.det(N1[:, 1:])) > 0
     assert abs(np.linalg.det(D1[:, 1:])) > 0
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_velocity_block_is_identity(q):
+    # the slab solver's elimination of U rests on D[:, 1:] = I
+    for slab in ((0.0, 1.0), (0.3, 0.3 + 1.0 / 64)):
+        _, D = slab_temporal_matrices(q, slab)
+        assert np.abs(D[:, 1:] - np.eye(q)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_temporal_eigensplit(q):
+    lam, S, Sinv = temporal_eigensplit(q)
+    N, _ = slab_temporal_matrices(q, (0.0, 1.0))
+    Nq2 = N[:, 1:] @ N[:, 1:]
+    assert len(lam) == (q + 1) // 2
+    assert np.count_nonzero(lam.imag == 0) == q % 2
+    # Re(S diag(lam) Sinv) reproduces Nq^2 and Re(S Sinv x) = x for real x,
+    # although cond(S) reaches about 1e4 at q = 8
+    assert np.abs(((S * lam) @ Sinv).real - Nq2).max() <= 1e-12 * np.abs(Nq2).max()
+    assert np.abs((S @ Sinv).real - np.eye(q)).max() <= 1e-12
+    # eigenpairs of Nq^2 at every slab length, scaled by tau^2
+    tau = 0.37
+    N, _ = slab_temporal_matrices(q, (1.0, 1.0 + tau))
+    Nq2 = N[:, 1:] @ N[:, 1:]
+    assert np.abs(Nq2 @ S - S * (tau ** 2 * lam)).max() <= 1e-12 * np.abs(S).max()
 
 
 def test_trial_legendre_roundtrip():
