@@ -14,6 +14,12 @@ from .errors import ConfigurationError
 from .fem import LagrangeSpace
 from .timebasis import TimePartition
 
+#: Largest temporal degree.  The slab solve's eigen-split of the temporal
+#: coupling loses accuracy with cond(S), about 3.6x per degree; up to this
+#: degree one refinement step meets the solve's residual contract, at q = 20
+#: it does not.
+MAX_TEMPORAL_DEGREE = 12
+
 
 def _zero(x, y):
     return np.zeros(np.broadcast(x, y).shape)
@@ -80,6 +86,9 @@ class Discretization:
     def __post_init__(self):
         if self.space.degree < 1 or self.q < 1:
             raise ConfigurationError("spatial and temporal degrees must be >= 1")
+        if self.q > MAX_TEMPORAL_DEGREE:
+            raise ConfigurationError(
+                f"temporal degree must be <= {MAX_TEMPORAL_DEGREE}, got {self.q}")
         if self.method not in ("gradient", "mass"):
             raise ConfigurationError(f"unknown coupling method {self.method!r}")
         if self.bc_mode not in ("projection", "interpolation"):

@@ -179,6 +179,20 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
     return u0h, FEFunction(space, v0h)
 
 
+#: Relative residual every slab solve is held to, on the block operator.
+SLAB_TOL = 1e-11
+
+
+def _block(C, M, K, N, D, U, V):
+    """The slab's block equations (r1, r2) on coefficient rows U, V, with
+    the rows of U, V indexed by the columns of N, D (see the module
+    docstring).  The solve applies them to the unknown rows, the
+    right-hand side to the known ones."""
+    r1 = C @ (V.T @ N.T - U.T @ D.T)
+    r2 = M @ (V.T @ D.T) + K @ (U.T @ N.T)
+    return r1.T, r2.T
+
+
 class SlabSystem:
     """The interior block system of one slab of length tau, factorized by
     the temporal eigen-split (see the module docstring).
@@ -187,21 +201,18 @@ class SlabSystem:
     nothing that caches it.
     """
 
-    def __init__(self, q, tau, M, K, C, C_fact, tol=1e-11):
+    def __init__(self, q, tau, M, K, C, C_fact):
         self.Nm, self.Dm = slab_temporal_matrices(q, (0.0, tau))
-        self.M, self.K, self.C, self.tol = M, K, C, tol
+        self.M, self.K, self.C = M, K, C
         self._C_fact = C_fact
-        lam, self._S, self._Sinv = temporal_eigensplit(q)
-        self._real = lam.imag == 0
+        lam, self._S, self._Sinv, pairs = temporal_eigensplit(q)
+        self._real = ~pairs
         self._modes = [factorize(M + tau ** 2 * (lk.real if real else lk) * K)
                        for lk, real in zip(lam, self._real)]
 
     def apply(self, U, V):
         """The block operator on (q, n_I) coefficient rows U, V -> (r1, r2)."""
-        Nq, Dq = self.Nm[:, 1:], self.Dm[:, 1:]
-        r1 = self.C @ (V.T @ Nq.T - U.T @ Dq.T)
-        r2 = self.M @ (V.T @ Dq.T) + self.K @ (U.T @ Nq.T)
-        return r1.T, r2.T
+        return _block(self.C, self.M, self.K, self.Nm[:, 1:], self.Dm[:, 1:], U, V)
 
     def _eliminate(self, r1, r2):
         Nq = self.Nm[:, 1:]
@@ -215,10 +226,10 @@ class SlabSystem:
 
     def solve(self, r1, r2):
         """Interior coefficient rows (U, V), each (q, n_I), held to the
-        relative residual tol on the block operator."""
+        relative residual SLAB_TOL on the block operator."""
         x = checked_solve(lambda b: np.stack(self._eliminate(*b)),
                           lambda x: np.stack(self.apply(*x)),
-                          np.stack([r1, r2]), self.tol, "slab")
+                          np.stack([r1, r2]), SLAB_TOL, "slab")
         return x[0], x[1]
 
 
@@ -311,8 +322,8 @@ def solve_slab(prev_u, prev_v, n, problem, disc, lifting=None, workspace=None):
     V = np.zeros((q + 1, ws.space.n_dofs))
     U[0], V[0] = prev_u, prev_v
     U[1:, B], V[1:, B] = UB[1:], VB[1:]
-    r1 = (ws.C_I @ (U.T @ Dm.T - V.T @ Nm.T)).T
-    r2 = -(ws.K_I @ (U.T @ Nm.T) + ws.M_I @ (V.T @ Dm.T)).T
+    r1, r2 = _block(ws.C_I, ws.M_I, ws.K_I, Nm, Dm, U, V)
+    r1, r2 = -r1, -r2
     F = ws.load_moments(n)
     if F is not None:
         r2 += F

@@ -303,10 +303,11 @@ def temporal_eigensplit(q):
     Nq(tau)^2 = S diag(tau^2 lam) S^{-1} with S independent of tau.  The
     eigenvalues of the real matrix Nq(1) come in conjugate pairs plus, at odd
     q, one real one; only one member of each pair is kept.  Returns
-    (lam, S, Sinv): lam (m,) the kept eigenvalues of Nq(1)^2, S (q, m) their
-    eigenvectors and Sinv (m, q) the matching left eigenvectors, scaled so
-    that x = Re(S @ (Sinv @ x)) for real x.  A solve along each kept mode
-    thereby stands for its conjugate mode too.
+    (lam, S, Sinv, pairs): lam (m,) the kept eigenvalues of Nq(1)^2, S (q, m)
+    their eigenvectors, Sinv (m, q) the matching left eigenvectors, scaled
+    so that x = Re(S @ (Sinv @ x)) for real x, and pairs (m,) true where the
+    kept mode stands for a conjugate pair.  A solve along each such mode
+    thereby stands for its conjugate mode too; the other modes are real.
     """
     N, _ = slab_temporal_matrices(q, (0.0, 1.0))
     nu, vecs = np.linalg.eig(N[:, 1:])
@@ -322,7 +323,7 @@ def temporal_eigensplit(q):
     Tinv = np.linalg.inv(np.concatenate([S.real, S.imag[:, pairs]], axis=1))
     Sinv = Tinv[:m].astype(complex)
     Sinv[pairs] -= 1j * Tinv[m:]
-    return nu[keep] ** 2, S, Sinv
+    return nu[keep] ** 2, S, Sinv, pairs
 
 
 def abs_legendre_integral(q, tau):

@@ -10,7 +10,8 @@ from scipy.sparse.linalg import splu
 import wavext as wx
 import wavext.solver as solver_module
 from conftest import small_homogeneous_run, txy_problem
-from wavext.solver import SlabWorkspace
+from wavext.problem import MAX_TEMPORAL_DEGREE
+from wavext.solver import SLAB_TOL, SlabWorkspace
 from wavext.timebasis import slab_temporal_matrices, trial_matrix
 
 
@@ -309,7 +310,7 @@ def _oracle_workspace(method, q, p=2, nx=3):
 
 
 @settings(max_examples=48, deadline=None)
-@given(q=st.integers(1, 8), method=st.sampled_from(["gradient", "mass"]),
+@given(q=st.integers(1, MAX_TEMPORAL_DEGREE), method=st.sampled_from(["gradient", "mass"]),
        log_tau=st.floats(-3.0, 0.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_slab_solve_matches_monolithic_oracle(q, method, log_tau, seed):
     ws = _oracle_workspace(method, q)
@@ -328,19 +329,29 @@ def test_slab_solve_matches_monolithic_oracle(q, method, log_tau, seed):
     assert np.linalg.norm(_interleave(a1, a2) - A @ x) <= 1e-14 * scale
 
 
-def test_slab_solve_refinement_runs_and_succeeds():
-    # mass coupling at q = 8: the eliminated solve alone misses the contract
-    # (about 2.7e-10), the refinement step recovers it
-    ws = _oracle_workspace("mass", 8, p=4)
+@pytest.mark.parametrize("q, p", [(8, 4), (MAX_TEMPORAL_DEGREE, 8)])
+def test_slab_solve_refinement_runs_and_succeeds(q, p):
+    # mass coupling at high q: the eliminated solve alone misses the contract
+    # (about 2.7e-10 at q = 8, p = 4; 2e-6 at q = 12, p = 8), the refinement
+    # step recovers it
+    ws = _oracle_workspace("mass", q, p=p)
     system = ws.system(1.0)
     A = _oracle_matrix(ws, system.Nm, system.Dm)
-    r1, r2 = np.random.default_rng(5).normal(size=(2, 8, len(ws.I)))
+    r1, r2 = np.random.default_rng(5).normal(size=(2, q, len(ws.I)))
     b = _interleave(r1, r2)
-    assert _block_residual(A, b, *system._eliminate(r1, r2)) > 1e-11
+    assert _block_residual(A, b, *system._eliminate(r1, r2)) > SLAB_TOL
     U, V = system.solve(r1, r2)
-    assert _block_residual(A, b, U, V) <= 1e-11
+    assert _block_residual(A, b, U, V) <= SLAB_TOL
     x_ref = splu(A.tocsc()).solve(b)
     assert np.linalg.norm(_interleave(U, V) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_temporal_degree_bounded():
+    space = _oracle_space(2, 3)
+    part = wx.uniform_time_partition(1.0, 4)
+    wx.Discretization(space, part, q=MAX_TEMPORAL_DEGREE)
+    with pytest.raises(wx.ConfigurationError, match="temporal degree"):
+        wx.Discretization(space, part, q=MAX_TEMPORAL_DEGREE + 1)
 
 
 def test_slab_system_probe_residual():
