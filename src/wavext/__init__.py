@@ -13,11 +13,10 @@ from .estimator import (EstimatorBreakdown, best_approx_constant,
                         compute_estimator, effectivity_index,
                         estimator_constants, gap_constant)
 from .fem import (FEFunction, LagrangeSpace, assemble, broken_laplacian,
-                  build_space, evaluate, interpolate_nodal,
-                  l2_project_interior, load_vector, ritz_project,
-                  spatial_norm)
-from .linalg import Factorization, compressed, solve_general, solve_spd
-from .mesh import Mesh, build_structured_mesh, cell_areas, mesh_size
+                  build_space, evaluate, interpolate_nodal, load_vector,
+                  ritz_project, spatial_norm)
+from .linalg import Factorization, compressed, solve_spd
+from .mesh import Mesh, build_structured_mesh, mesh_size
 from .postprocess import (ErrorReport, compute_error_report, convergence_rates,
                           energy_trace, error_C0, postprocessed_solution)
 from .problem import (Discretization, ProblemData, dirichlet_cos,
@@ -27,7 +26,7 @@ from .solver import (Lifting, SpaceTimeSolution, build_lifting,
                      discrete_initial_data, solve, solve_slab)
 from .timebasis import (SlabPoly, TimePartition, endpoint_exact_project,
                         gauss_rule, graded_gauss_rule, l2_project_time,
-                        lagrange_time_interp, legendre_eval,
-                        slab_temporal_matrices, uniform_time_partition)
+                        lagrange_time_interp, slab_temporal_matrices,
+                        uniform_time_partition)
 
 __version__ = "0.1.0"

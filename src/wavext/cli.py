@@ -8,6 +8,7 @@ produce byte-identical ``results.csv``.
 """
 
 import argparse
+import copy
 import csv
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverFailure
 from .estimator import compute_estimator, effectivity_index
-from .fem import build_space
+from .fem import MAX_SPATIAL_DEGREE, build_space
 from .mesh import build_structured_mesh, mesh_size
 from .postprocess import (compute_error_report, convergence_rates,
                           energy_trace)
@@ -28,21 +29,16 @@ from .problem import Discretization, inline_problem, make_preset
 from .solver import solve
 from .timebasis import uniform_time_partition
 
-EXPERIMENTS = ("converge-h", "converge-tau", "converge-pq", "estimate",
-               "solve", "energy")
-
 CSV_COLUMNS = ("run_id", "experiment", "method", "bc_mode", "p", "q", "h",
                "tau", "err_u", "err_ustar", "err_v", "err_gradu", "eta",
                "osc_f", "effectivity", "energy_drift")
 
-_LIST_KEYS = {"p", "q", "mesh", "tau"}
-_SCALAR_KEYS = {"experiment", "problem", "psi", "method", "bc_mode",
-                "initial_mode", "samples_per_slab", "T", "out", "u", "c",
-                "bbox"}
-
 
 @dataclass
 class ExperimentConfig:
+    """A study's run matrix and settings; ``_DEFAULTS`` holds the defaults
+    that differ by experiment.  An empty psi keeps the preset's profile."""
+
     experiment: str
     problem: str = ""
     psi: str = ""
@@ -52,7 +48,7 @@ class ExperimentConfig:
     tau: list = field(default_factory=list)
     method: str = "gradient"
     bc_mode: str = "projection"
-    initial_mode: str = ""
+    initial_mode: str = "projection"
     samples_per_slab: int = 11
     t_final: float = 1.0
     out: str = "results"
@@ -72,8 +68,10 @@ _DEFAULTS = {
                      tau=[0.125, 0.0625, 0.03125, 0.015625]),
     "solve": dict(problem="dirichlet-cos", p=[2], q=[2], mesh=[8], tau=[0.125]),
     "energy": dict(problem="standing-wave", p=[2], q=[2], mesh=[8],
-                   tau=[0.03125]),
+                   tau=[0.03125], initial_mode="interpolation"),
 }
+
+EXPERIMENTS = tuple(_DEFAULTS)
 
 _METHOD_ALIASES = {"gradient": "gradient", "gradientcoupling": "gradient",
                    "i": "gradient", "mass": "mass", "masscoupling": "mass",
@@ -84,10 +82,44 @@ _BC_ALIASES = {"projection": "projection", "ptau": "projection",
                "naivelagrangeintime": "interpolation"}
 
 
+def _bbox(value):
+    parts = value.split()
+    if len(parts) != 4:
+        raise ConfigurationError("bbox needs four numbers: x_min x_max y_min y_max")
+    return tuple(float(v) for v in parts)
+
+
+#: Config key -> (ExperimentConfig field, parser of one value).
+_KEYS = {
+    "experiment": ("experiment", str),
+    "problem": ("problem", str),
+    "psi": ("psi", str),
+    "p": ("p", int),
+    "q": ("q", int),
+    "mesh": ("mesh", int),
+    "tau": ("tau", float),
+    "method": ("method", lambda v: _METHOD_ALIASES[v.lower()]),
+    "bc_mode": ("bc_mode", lambda v: _BC_ALIASES[v.lower()]),
+    "initial_mode": ("initial_mode", str),
+    "samples_per_slab": ("samples_per_slab", int),
+    "T": ("t_final", float),
+    "out": ("out", str),
+    "u": ("inline_u", str),
+    "c": ("inline_c", float),
+    "bbox": ("inline_bbox", _bbox),
+}
+#: Keys that form a list by repetition; every other key is given at most once.
+_LIST_KEYS = {"p", "q", "mesh", "tau"}
+
+
 def parse_config(path, experiment):
-    """Read a ``key = value`` config file (lists by key repetition)."""
+    """The experiment's defaults, overwritten by the keys a ``key = value``
+    config file sets (lists by key repetition)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     raw = {}
-    text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -95,82 +127,57 @@ def parse_config(path, experiment):
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _LIST_KEYS | _SCALAR_KEYS:
+        if key not in _KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        raw.setdefault(key, []).append(value)
-    for key in _SCALAR_KEYS:
-        if key in raw and len(raw[key]) > 1:
+        if key in raw and key not in _LIST_KEYS:
             raise ConfigurationError(f"{path}: key {key!r} given more than once")
-
-    def scalar(key, default=None):
-        return raw[key][0] if key in raw else default
-
-    if scalar("experiment") and scalar("experiment") != experiment:
+        raw.setdefault(key, []).append(value)
+    if raw.get("experiment", [experiment]) != [experiment]:
         raise ConfigurationError(
-            f"config names experiment {scalar('experiment')!r}, "
+            f"config names experiment {raw['experiment'][0]!r}, "
             f"but {experiment!r} was requested")
 
-    cfg = ExperimentConfig(experiment=experiment)
-    defaults = _DEFAULTS[experiment]
-    cfg.problem = scalar("problem", defaults["problem"])
-    cfg.psi = scalar("psi", "cos4t" if cfg.problem == "estimator-poly" else "")
-    try:
-        cfg.p = [int(v) for v in raw.get("p", defaults["p"])]
-        cfg.q = [int(v) for v in raw.get("q", defaults["q"])]
-        cfg.mesh = [int(v) for v in raw.get("mesh", defaults["mesh"])]
-        cfg.tau = [float(v) for v in raw.get("tau", defaults["tau"])]
-        cfg.samples_per_slab = int(scalar("samples_per_slab", "11"))
-        cfg.t_final = float(scalar("T", "1.0"))
-        cfg.inline_c = float(scalar("c", "1.0"))
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-    method = scalar("method", "gradient").lower()
-    if method not in _METHOD_ALIASES:
-        raise ConfigurationError(f"unknown method {method!r}")
-    cfg.method = _METHOD_ALIASES[method]
-    bc = scalar("bc_mode", "projection").lower()
-    if bc not in _BC_ALIASES:
-        raise ConfigurationError(f"unknown bc_mode {bc!r}")
-    cfg.bc_mode = _BC_ALIASES[bc]
-    cfg.initial_mode = scalar(
-        "initial_mode", "interpolation" if experiment == "energy" else "projection")
-    if cfg.initial_mode not in ("projection", "interpolation"):
-        raise ConfigurationError(f"unknown initial_mode {cfg.initial_mode!r}")
-    cfg.out = scalar("out", "results")
-    cfg.inline_u = scalar("u", "")
-    if "bbox" in raw:
-        parts = raw["bbox"][0].split()
-        if len(parts) != 4:
-            raise ConfigurationError("bbox needs four numbers: x_min x_max y_min y_max")
-        cfg.inline_bbox = tuple(float(v) for v in parts)
+    cfg = default_config(experiment)
+    for key, values in raw.items():
+        name, parse = _KEYS[key]
+        try:
+            parsed = [parse(v) for v in values]
+        except (KeyError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: invalid {key} value: {exc}") from exc
+        setattr(cfg, name, parsed if key in _LIST_KEYS else parsed[0])
     _validate(cfg)
     return cfg
 
 
 def default_config(experiment):
-    cfg = ExperimentConfig(experiment=experiment, **{
-        k: (list(v) if isinstance(v, list) else v)
-        for k, v in _DEFAULTS[experiment].items()})
-    cfg.psi = "cos4t" if cfg.problem == "estimator-poly" else ""
-    cfg.initial_mode = "interpolation" if experiment == "energy" else "projection"
+    if experiment not in _DEFAULTS:
+        raise ConfigurationError(f"unknown experiment {experiment!r}")
+    cfg = ExperimentConfig(experiment, **copy.deepcopy(_DEFAULTS[experiment]))
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg):
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigurationError(f"unknown experiment {cfg.experiment!r}")
     if cfg.experiment != "converge-pq" and not cfg.q:
         raise ConfigurationError("q list must not be empty")
     for name, values in (("p", cfg.p), ("mesh", cfg.mesh), ("tau", cfg.tau)):
         if not values:
             raise ConfigurationError(f"{name} list must not be empty")
-    if any(v <= 0 for v in cfg.tau):
-        raise ConfigurationError("tau values must be positive")
-    if any(v < 1 for v in cfg.p + cfg.mesh):
-        raise ConfigurationError("p and mesh values must be >= 1")
+    if not all(0 < v < math.inf for v in cfg.tau + [cfg.t_final]):
+        raise ConfigurationError("tau and T values must be positive and finite")
+    if not all(1 <= v <= MAX_SPATIAL_DEGREE for v in cfg.p):
+        raise ConfigurationError(f"p values must be in [1, {MAX_SPATIAL_DEGREE}]")
+    if any(v < 1 for v in cfg.mesh):
+        raise ConfigurationError("mesh values must be >= 1")
     if cfg.samples_per_slab < 3:
         raise ConfigurationError("samples_per_slab must be >= 3")
+    if cfg.initial_mode not in ("projection", "interpolation"):
+        raise ConfigurationError(f"unknown initial_mode {cfg.initial_mode!r}")
+    if not 0 < cfg.inline_c < math.inf:
+        raise ConfigurationError("c must be positive and finite")
+    x_min, x_max, y_min, y_max = cfg.inline_bbox
+    if not (all(map(math.isfinite, cfg.inline_bbox)) and x_min < x_max and y_min < y_max):
+        raise ConfigurationError(f"bbox {cfg.inline_bbox} is not a finite nondegenerate box")
     if cfg.problem == "inline" and not cfg.inline_u:
         raise ConfigurationError("inline problems need a u = <expression> line")
 

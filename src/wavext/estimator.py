@@ -160,8 +160,7 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
 
     f_defect = _source_defects(sol, f, singular_at_zero) if f is not None else np.zeros(N)
 
-    cq = gap_constant(q)
-    cpi = best_approx_constant(q - 1)
+    cq, cpi, weight = estimator_constants(q, q - 1)
     lengths = partition.lengths
     term_post = float(np.max(np.sqrt(cq * lengths) * v_defect))
     tau_m = float(lengths[m])
@@ -174,11 +173,7 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
     for n in range(m):
         tau_n = float(lengths[n])
         term_f += 2.0 * cpi * tau_n * f_defect[n]
-        if q == 1:
-            bullet = float(partition.nodes[m + 1] - partition.nodes[n])
-        else:
-            bullet = best_approx_constant(q - 2) * tau_n / 2.0
-        term_lap_v += 2.0 * csq * bullet * tau_n * lap_v[n]
+        term_lap_v += 2.0 * csq * weight(n, m, partition) * tau_n * lap_v[n]
         term_lap_u += 2.0 * csq * cpi * tau_n * lap_u[n]
 
     eta = term_post + term_lap_v + term_lap_u

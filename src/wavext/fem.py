@@ -16,13 +16,17 @@ from . import reference
 from .errors import OutOfDomainError
 from .linalg import solve_spd
 
+#: Largest polynomial degree of a Lagrange space.
+MAX_SPATIAL_DEGREE = 10
+
 
 class LagrangeSpace:
     """Continuous degree-p Lagrange space on a structured mesh."""
 
     def __init__(self, mesh, degree):
-        if not 1 <= degree <= 10:
-            raise ValueError(f"polynomial degree must be in [1, 10], got {degree}")
+        if not 1 <= degree <= MAX_SPATIAL_DEGREE:
+            raise ValueError(f"polynomial degree must be in [1, {MAX_SPATIAL_DEGREE}], "
+                             f"got {degree}")
         self.mesh = mesh
         self.degree = int(degree)
 
@@ -117,15 +121,16 @@ def build_space(mesh, p):
     return LagrangeSpace(mesh, p)
 
 
-def _coefficient_samples(coefficient, pts):
-    if coefficient is None:
-        return 1.0
-    if callable(coefficient):
-        return np.broadcast_to(coefficient(pts[..., 0], pts[..., 1]), pts.shape[:-1])
-    return float(coefficient)
+def _wavespeed_sq(c, pts):
+    """c^2 at the points pts (..., 2) for a positive callable or scalar c."""
+    c = np.broadcast_to(c(pts[..., 0], pts[..., 1]), pts.shape[:-1]) if callable(c) \
+        else float(c)
+    if not np.all(c > 0):
+        raise ValueError("wavespeed coefficient must be strictly positive")
+    return c ** 2
 
 
-def local_matrices(space, kind, coefficient=None):
+def local_matrices(space, kind, coefficient=1.0):
     """Per-cell element matrices, shape (nc, nloc, nloc)."""
     p = space.degree
     if kind == "mass":
@@ -135,22 +140,13 @@ def local_matrices(space, kind, coefficient=None):
     if kind == "stiffness":
         degree = 2 * p - 2 if not callable(coefficient) else 2 * p + 2
         qd = space.quad_data(max(degree, 0))
-        csq = _coefficient_samples(coefficient, qd["pts"])
-        if callable(coefficient):
-            if np.any(csq <= 0):
-                raise ValueError("wavespeed coefficient must be strictly positive")
-            csq = csq ** 2
-        else:
-            if csq <= 0:
-                raise ValueError("wavespeed coefficient must be strictly positive")
-            csq = csq ** 2
-        w = csq * qd["wdet"]
+        w = _wavespeed_sq(coefficient, qd["pts"]) * qd["wdet"]
         return np.einsum("cq,cqik,cqjk->cij", np.broadcast_to(w, qd["wdet"].shape),
                          qd["grad"], qd["grad"])
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def assemble(space, kind, coefficient=None):
+def assemble(space, kind, coefficient=1.0):
     """Assemble the global mass or (wavespeed-weighted) stiffness matrix.
 
     Parameters
@@ -169,9 +165,9 @@ def assemble(space, kind, coefficient=None):
     return A
 
 
-def load_vector(space, g, degree=None):
+def load_vector(space, g):
     """Moment vector (g, phi_i) for a spatial callback g(x, y)."""
-    qd = space.quad_data(degree if degree is not None else space.norm_degree())
+    qd = space.quad_data(space.norm_degree())
     gv = np.broadcast_to(g(qd["pts"][..., 0], qd["pts"][..., 1]), qd["wdet"].shape)
     loc = np.einsum("cq,qi->ci", gv * qd["wdet"], qd["val"])
     return np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(),
@@ -197,9 +193,7 @@ def ritz_project(space, f, grad_f, c=1.0, stiffness=None):
     K = assemble(space, "stiffness", c) if stiffness is None else stiffness
     qd = space.quad_data(space.norm_degree())
     gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
-    csq = _coefficient_samples(c, qd["pts"])
-    csq = csq ** 2 if not np.isscalar(csq) else float(csq) ** 2
-    w = qd["wdet"] * csq
+    w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
     loc = np.einsum("cq,cqi->ci", np.broadcast_to(gx, qd["wdet"].shape) * w, qd["grad"][..., 0])
     loc += np.einsum("cq,cqi->ci", np.broadcast_to(gy, qd["wdet"].shape) * w, qd["grad"][..., 1])
     rhs = np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dofs)
@@ -210,24 +204,6 @@ def ritz_project(space, f, grad_f, c=1.0, stiffness=None):
     out[B] = np.broadcast_to(f(xb, yb), B.shape)
     rhs_I = rhs[I] - K[np.ix_(I, B)] @ out[B]
     out[I] = solve_spd(K[np.ix_(I, I)].tocsr(), rhs_I)
-    return FEFunction(space, out)
-
-
-def l2_project_interior(space, f, mass=None):
-    """L2-orthogonal projection onto the zero-trace subspace.
-
-    Boundary coefficients are zero; interior coefficients solve the interior
-    mass system against the moments of f.  f may be a callback or an
-    FEFunction (whose moments are then computed exactly).
-    """
-    M = assemble(space, "mass") if mass is None else mass
-    if isinstance(f, FEFunction):
-        rhs = M @ f.values
-    else:
-        rhs = load_vector(space, f)
-    I = space.interior_dofs
-    out = np.zeros(space.n_dofs)
-    out[I] = solve_spd(M[np.ix_(I, I)].tocsr(), rhs[I])
     return FEFunction(space, out)
 
 
@@ -267,49 +243,30 @@ def evaluate(fn, points):
     return float(out[0]) if single else out
 
 
-def evaluate_on_cell(fn, cell, points):
-    """Evaluate the local polynomial of one cell (no containment check)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    space = fn.space
-    rs = np.einsum("km,pm->pk", space.jacinv[cell], pts - space.cell_origin[cell])
-    vals, _, _ = reference.tabulate(space.degree, rs, order=0)
-    return vals @ fn.values[space.cell_dofs[cell]]
-
-
 # ---------------------------------------------------------------------------
 # broken (elementwise) Laplacian
 
 
 class BrokenField:
-    """Per-cell polynomial field Delta(fn|_K), scaled by a constant weight."""
+    """Per-cell polynomial field Delta(fn|_K)."""
 
-    def __init__(self, fn, weight=1.0):
+    def __init__(self, fn):
         self.fn = fn
-        self.weight = float(weight)
-
-    def evaluate(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        space = self.fn.space
-        cell, rs = _locate(space.mesh, pts)
-        _, _, hess = reference.tabulate(space.degree, rs, order=2)
-        G = np.einsum("cka,cma->ckm", space.jacinv[cell], space.jacinv[cell])
-        lap = np.einsum("pkm,pikm->pi", G, hess)
-        return self.weight * np.einsum("pi,pi->p", self.fn.values[space.cell_dofs[cell]], lap)
 
     def l2_norm(self):
         space = self.fn.space
         qd = space.quad_data(space.norm_degree(), order=2)
         coeffs = self.fn.values[space.cell_dofs]
         vals = np.einsum("ci,cqi->cq", coeffs, qd["lap"])
-        return abs(self.weight) * float(np.sqrt(np.sum(qd["wdet"] * vals ** 2)))
+        return float(np.sqrt(np.sum(qd["wdet"] * vals ** 2)))
 
 
-def broken_laplacian(fn, csq=1.0):
-    """Elementwise Laplacian of an FE function times the constant csq."""
+def broken_laplacian(fn):
+    """Elementwise Laplacian of an FE function."""
     if fn.space.degree < 2:
         warnings.warn("broken Laplacian of a degree-1 space is identically zero",
                       stacklevel=2)
-    return BrokenField(fn, csq)
+    return BrokenField(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +307,6 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0):
         if coeffs is not None:
             dx = dx - np.einsum("ci,cqi->cq", coeffs[space.cell_dofs], qd["grad"][..., 0])
             dy = dy - np.einsum("ci,cqi->cq", coeffs[space.cell_dofs], qd["grad"][..., 1])
-        csq = _coefficient_samples(c, qd["pts"])
-        csq = csq ** 2 if not np.isscalar(csq) else float(csq) ** 2
+        csq = _wavespeed_sq(c, qd["pts"])
         return float(np.sqrt(np.sum(qd["wdet"] * csq * (np.square(dx) + np.square(dy)))))
     raise ValueError(f"unknown norm kind {kind!r}")

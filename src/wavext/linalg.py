@@ -50,29 +50,19 @@ def checked_solve(solve, apply, b, tol, label):
     return x
 
 
-def solve_spd(A, b, tol=1e-12):
-    """Solve a symmetric positive definite system to relative residual tol."""
+def solve_spd(A, b):
+    """Solve a symmetric positive definite system to relative residual 1e-12."""
     A = compressed(A)
-    return checked_solve(factorize(A).solve, A.dot, np.asarray(b, dtype=float), tol, "spd")
-
-
-def solve_general(A, b, tol=1e-11):
-    """Solve a general square nonsingular system to relative residual tol."""
-    A = compressed(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    return checked_solve(factorize(A).solve, A.dot, np.asarray(b, dtype=float), tol,
-                         "general")
+    return checked_solve(factorize(A).solve, A.dot, np.asarray(b, dtype=float), 1e-12, "spd")
 
 
 class Factorization:
-    """Reusable LU factorization with the same residual contract per solve."""
+    """Reusable LU factorization; each solve is held to relative residual 1e-11."""
 
-    def __init__(self, A, tol=1e-11):
+    def __init__(self, A):
         self.A = compressed(A)
-        self.tol = tol
         self._lu = factorize(self.A)
 
     def solve(self, b):
         return checked_solve(self._lu.solve, self.A.dot, np.asarray(b, dtype=float),
-                             self.tol, "factorized")
+                             1e-11, "factorized")

@@ -88,26 +88,9 @@ def build_structured_mesh(nx, ny, bbox=(0.0, 1.0, 0.0, 1.0)):
     return Mesh(vertices, cells, boundary_edges, (x_min, x_max, y_min, y_max), int(nx), int(ny))
 
 
-def cell_areas(mesh):
-    """Signed areas of all cells (positive for valid meshes)."""
-    p = mesh.vertices[mesh.cells]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
 def mesh_size(mesh):
     """Largest cell diameter (max vertex-pair distance over all cells)."""
     p = mesh.vertices[mesh.cells]
     d = [np.linalg.norm(p[:, a] - p[:, b], axis=1) for a, b in ((0, 1), (1, 2), (0, 2))]
     return float(np.max(d))
 
-
-def edge_use_counts(mesh):
-    """Map from sorted vertex-index pair to the number of cells sharing it."""
-    counts = {}
-    for tri in mesh.cells:
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            counts[key] = counts.get(key, 0) + 1
-    return counts

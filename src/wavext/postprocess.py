@@ -32,8 +32,7 @@ def postprocessed_solution(sol):
         U[n, 0] = left
         U[n, 1:] = (lengths[n] / scale)[:, None] * v_leg
         left = U[n, 0] + U[n, 1]
-    return SpaceTimeSolution(sol.space, sol.partition, q + 1, U, None,
-                             method=sol.method, bc_mode=sol.bc_mode)
+    return SpaceTimeSolution(sol.space, sol.partition, q + 1, U, None)
 
 
 def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
@@ -99,10 +98,13 @@ def compute_error_report(sol, problem, samples_per_slab=11):
                        samples_per_slab=samples_per_slab)
 
 
-def energy_trace(sol, c=1.0, mass=None, stiffness=None):
-    """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes."""
-    M = mass if mass is not None else sol.mass
-    K = stiffness if stiffness is not None else sol.stiffness
+def energy_trace(sol, c=1.0):
+    """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes.
+
+    Uses the operators the solution carries; c enters only when it carries
+    no stiffness matrix.
+    """
+    M, K = sol.mass, sol.stiffness
     if M is None:
         M = assemble(sol.space, "mass")
     if K is None:

@@ -55,7 +55,6 @@ class ProblemData:
     exact_v: Optional[Callable] = None
     exact_grad_u: Optional[Callable] = None
     singular_at_zero: bool = False
-    check_v_compatibility: bool = True
 
     def has_exact(self):
         return self.exact_u is not None
@@ -81,7 +80,6 @@ class Discretization:
     method: str = "gradient"
     bc_mode: str = "projection"
     initial_mode: str = "projection"
-    time_quad_points: Optional[int] = None
 
     def __post_init__(self):
         if self.space.degree < 1 or self.q < 1:
@@ -95,10 +93,6 @@ class Discretization:
             raise ConfigurationError(f"unknown bc_mode {self.bc_mode!r}")
         if self.initial_mode not in ("projection", "interpolation"):
             raise ConfigurationError(f"unknown initial_mode {self.initial_mode!r}")
-
-    def rhs_time_points(self):
-        return self.time_quad_points if self.time_quad_points is not None \
-            else max(self.q + 3, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +253,14 @@ def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0), t_final=1.0):
     import sympy as sp
 
     x, y, t = sp.symbols("x y t")
-    u_sym = sp.sympify(u_expr, locals={"x": x, "y": y, "t": t})
+    try:
+        u_sym = sp.sympify(u_expr, locals={"x": x, "y": y, "t": t})
+    except (AttributeError, SyntaxError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"cannot parse u = {u_expr!r}") from exc
+    if not isinstance(u_sym, sp.Expr) or u_sym.free_symbols - {x, y, t} \
+            or u_sym.atoms(sp.core.function.AppliedUndef) \
+            or u_sym.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+        raise ConfigurationError(f"u = {u_expr!r} is not a finite expression in x, y, t")
     v_sym = sp.diff(u_sym, t)
     f_sym = sp.diff(u_sym, t, 2) - float(c) ** 2 * (sp.diff(u_sym, x, 2) + sp.diff(u_sym, y, 2))
     ux_sym = sp.diff(u_sym, x)
@@ -301,7 +302,7 @@ def make_preset(name, psi=None):
     if name not in PRESETS:
         raise ConfigurationError(f"unknown problem preset {name!r}")
     if name == "estimator-poly":
-        return estimator_poly(psi or "cos4t")
+        return estimator_poly(psi) if psi else estimator_poly()
     if psi is not None:
         raise ConfigurationError(f"preset {name!r} takes no psi option")
     return PRESETS[name]()

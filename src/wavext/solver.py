@@ -63,8 +63,6 @@ class SpaceTimeSolution:
     degree: int
     u: np.ndarray
     v: Optional[np.ndarray] = None
-    method: str = "gradient"
-    bc_mode: str = "projection"
     mass: Optional[object] = None
     stiffness: Optional[object] = None
 
@@ -154,12 +152,11 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
         if gap > 1e-8 * (1.0 + np.max(np.abs(u0b))):
             raise ConfigurationError(
                 f"initial/boundary data incompatible: |g_d(.,0) - u0| = {gap:.3e} on the boundary")
-        if problem.check_v_compatibility:
-            v0b = np.broadcast_to(problem.v0(xb, yb), B.shape)
-            gap = np.max(np.abs(np.broadcast_to(problem.dt_g_d(xb, yb, 0.0), B.shape) - v0b))
-            if gap > 1e-8 * (1.0 + np.max(np.abs(v0b))):
-                raise ConfigurationError(
-                    f"initial/boundary data incompatible: |dt g_d(.,0) - v0| = {gap:.3e}")
+        v0b = np.broadcast_to(problem.v0(xb, yb), B.shape)
+        gap = np.max(np.abs(np.broadcast_to(problem.dt_g_d(xb, yb, 0.0), B.shape) - v0b))
+        if gap > 1e-8 * (1.0 + np.max(np.abs(v0b))):
+            raise ConfigurationError(
+                f"initial/boundary data incompatible: |dt g_d(.,0) - v0| = {gap:.3e}")
 
     if initial_mode == "interpolation":
         return interpolate_nodal(space, problem.u0), interpolate_nodal(space, problem.v0)
@@ -243,7 +240,6 @@ class SlabWorkspace:
     def __init__(self, problem, disc):
         space = disc.space
         self.problem = problem
-        self.disc = disc
         self.space = space
         self.partition = disc.partition
         self.q = disc.q
@@ -275,11 +271,11 @@ class SlabWorkspace:
     def load_moments(self, n):
         """Temporal moments of the interior load: (q, n_interior) array of
         int (f, L_i phi_k) dt over slab n, or None for a zero source."""
-        problem, disc = self.problem, self.disc
+        problem = self.problem
         if problem.f is None:
             return None
         slab = self.partition.slab(n)
-        npts = disc.rhs_time_points()
+        npts = max(self.q + 3, 6)
         if problem.singular_at_zero and n == 0:
             ts, ws = graded_gauss_rule(npts, slab)
         else:
@@ -350,5 +346,4 @@ def solve(problem, disc):
         U[n], V[n] = solve_slab(prev_u, prev_v, n, problem, disc, lifting, ws)
         prev_u = U[n, 0] + U[n, 1]
         prev_v = V[n, 0] + V[n, 1]
-    return SpaceTimeSolution(space, partition, q, U, V, method=disc.method,
-                             bc_mode=disc.bc_mode, mass=ws.M, stiffness=ws.K)
+    return SpaceTimeSolution(space, partition, q, U, V, mass=ws.M, stiffness=ws.K)

@@ -24,8 +24,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .errors import OutOfDomainError
-
 
 @dataclass(frozen=True)
 class TimePartition:
@@ -74,23 +72,6 @@ def uniform_time_partition(t_final, n_slabs):
 def to_normalized(slab, t):
     a, b = slab
     return 2.0 * (np.asarray(t, dtype=float) - a) / (b - a) - 1.0
-
-
-def legendre_eval(s, slab, t, derivative_order=0):
-    """Shifted Legendre polynomial L_s on the slab (value or d/dt)."""
-    a, b = slab
-    t = np.asarray(t, dtype=float)
-    tol = 1e-12 * (b - a)
-    if np.any(t < a - tol) or np.any(t > b + tol):
-        raise OutOfDomainError(f"time outside slab [{a}, {b}]")
-    x = to_normalized(slab, t)
-    c = np.zeros(s + 1)
-    c[s] = 1.0
-    if derivative_order == 0:
-        return npleg.legval(x, c)
-    if derivative_order == 1:
-        return npleg.legval(x, npleg.legder(c)) * 2.0 / (b - a)
-    raise ValueError("only values and first derivatives are provided")
 
 
 def legendre_matrix(deg, x, derivative=0):
@@ -160,14 +141,15 @@ def gauss_rule(npts, slab):
     return a + (x + 1.0) * (b - a) / 2.0, w * (b - a) / 2.0
 
 
-def graded_gauss_rule(npts, slab, levels=10, ratio=0.15):
-    """Composite Gauss rule geometrically graded toward the left endpoint.
+def graded_gauss_rule(npts, slab):
+    """Composite Gauss rule on 11 panels graded geometrically (ratio 0.15)
+    toward the left endpoint.
 
     For data with an algebraic singularity at the left end of the slab, where
     a single Gauss rule loses accuracy.
     """
     a, b = slab
-    cuts = [a] + [a + (b - a) * ratio ** k for k in range(levels, 0, -1)] + [b]
+    cuts = [a] + [a + (b - a) * 0.15 ** k for k in range(10, 0, -1)] + [b]
     ts, ws = [], []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         t, w = gauss_rule(npts, (lo, hi))
@@ -176,18 +158,15 @@ def graded_gauss_rule(npts, slab, levels=10, ratio=0.15):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def l2_project_time(r, f, slab, npts=None, rule=None):
+def l2_project_time(r, f, slab, npts=None):
     """Legendre coefficients of the slabwise L2 projection onto degree r.
 
-    Coefficient k is (2k+1)/tau * int f L_k dt.  The default Gauss rule uses
-    r + 6 points; pass ``rule`` = (nodes, weights) to override entirely.
+    Coefficient k is (2k+1)/tau * int f L_k dt, by an npts-point Gauss rule
+    (r + 6 points by default).
     """
     a, b = slab
     tau = b - a
-    if rule is None:
-        ts, ws = gauss_rule(npts if npts is not None else r + 6, slab)
-    else:
-        ts, ws = rule
+    ts, ws = gauss_rule(npts if npts is not None else r + 6, slab)
     fv = np.asarray(f(ts), dtype=float)
     P = legendre_matrix(r, to_normalized(slab, ts))
     moments = np.tensordot(P * ws, fv, axes=(1, 0))
@@ -213,23 +192,12 @@ class SlabPoly:
         P = legendre_matrix(self.degree, to_normalized(self.partition.slab(n), t))
         return np.tensordot(P, self.coeffs[n], axes=(0, 0))
 
-    def __call__(self, t):
-        n = self.partition.containing_slab(float(t))
-        return self.eval_slab(n, float(t))
-
     def trial_coeffs(self, n):
         """Slab-n coefficients in the trial (integrated Legendre) basis."""
         return legendre_to_trial(self.coeffs[n])
 
-    def left_values(self, n):
-        signs = (-1.0) ** np.arange(self.degree + 1)
-        return np.tensordot(signs, self.coeffs[n], axes=(0, 0))
 
-    def right_values(self, n):
-        return self.coeffs[n].sum(axis=0)
-
-
-def endpoint_exact_project(q, f, partition, npts=None):
+def endpoint_exact_project(q, f, partition):
     """Continuous piecewise degree-q projection matching f at every partition
     node, with slabwise defect L2-orthogonal to polynomials of degree q - 2.
 
@@ -248,8 +216,7 @@ def endpoint_exact_project(q, f, partition, npts=None):
         slab = partition.slab(n)
         low = np.zeros((q + 1,) + channels)
         if q >= 2:
-            low[: q - 1] = l2_project_time(q - 2, f, slab,
-                                           npts=npts if npts is not None else q + 6)
+            low[: q - 1] = l2_project_time(q - 2, f, slab, npts=q + 6)
         f_left = np.asarray(f(np.asarray([slab[0]])), dtype=float)[0]
         f_right = np.asarray(f(np.asarray([slab[1]])), dtype=float)[0]
         delta_left = f_left - np.tensordot(signs, low, axes=(0, 0))

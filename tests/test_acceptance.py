@@ -18,7 +18,7 @@ import wavext as wx
 from test_timebasis import _assemble_global_endpoint_projection
 from wavext.cli import parse_config, run_experiment
 from wavext.estimator import gap_constant
-from wavext.timebasis import gauss_rule, legendre_eval, to_normalized
+from wavext.timebasis import gauss_rule, legendre_matrix, to_normalized
 
 
 def report(criterion, ok, detail):
@@ -223,7 +223,7 @@ def _gap_bound_ratios(space, sols):
             sup_bound = math.sqrt(gap_constant(q) * tau) * defect_l2
             l1_gap = float(np.sum(ws * gaps))
             l1_bound = tau * float(np.sum(
-                ws * np.abs(legendre_eval(q, slab, ts)))) * top_norm
+                ws * np.abs(legendre_matrix(q, xs)[q]))) * top_norm
             worst = worst_by_q.get(q, 0.0)
             if sup_bound > 0:
                 worst = max(worst, gaps.max() / sup_bound)
@@ -247,8 +247,9 @@ def test_criterion_7_projection_oracles(tau_study):
         for tau in (1.0, 0.3):
             slab = (0.0, tau)
             ts, ws = gauss_rule(q + 4, slab)
-            val = np.sum(ws * (ts - slab[0]) * legendre_eval(q, slab, ts)
-                         * legendre_eval(q, slab, ts, 1))
+            xs = to_normalized(slab, ts)
+            val = np.sum(ws * (ts - slab[0]) * legendre_matrix(q, xs)[q]
+                         * legendre_matrix(q, xs, derivative=1)[q] * 2.0 / tau)
             gap_ii = max(gap_ii, abs(val - tau * q / (2 * q + 1)))
 
     # (iii) reconstruction gap bounds on every slab of the tau runs, where

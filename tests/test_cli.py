@@ -1,9 +1,14 @@
 import csv
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavext.cli import CSV_COLUMNS, default_config, main, parse_config
+from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _make_problem,
+                        default_config, main, parse_config)
 from wavext.errors import ConfigurationError
+from wavext.problem import make_preset
 
 
 def write(tmp_path, name, text):
@@ -57,6 +62,89 @@ def test_main_exit_codes(tmp_path):
     # tau that does not divide the final time
     nd = write(tmp_path, "nd.cfg", "tau = 0.3\n")
     assert main(["solve", "--config", nd, "--out", str(tmp_path / "nd")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "p = 11\n",
+    "problem = inline\nu = t*x\nbbox = a b c d\n",
+    "problem = inline\nu = t*x\nbbox = 1 0 0 1\n",
+    "problem = inline\nu = t*x\nc = -1\n",
+    "T = nan\n",
+    "tau = nan\n",
+    "problem = inline\nu = x*(\n",
+    "problem = inline\nu = z*t\n",
+    "problem = inline\nu = foo(x)*t\n",
+    "problem = inline\nu = 1/0\n",
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.cfg", "mesh = 2\n" + text)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+_KNOWN_KEYS = ("experiment", "problem", "psi", "p", "q", "mesh", "tau", "method",
+               "bc_mode", "initial_mode", "samples_per_slab", "T", "out", "u",
+               "c", "bbox")
+_NUMBERS = st.one_of(st.integers(-3, 40).map(str),
+                     st.floats(allow_nan=True, allow_infinity=True).map(str),
+                     st.sampled_from(["1e999", "-inf", "nan", "0x10", ""]))
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+#: Mostly valid values for the word-valued keys, so that a config often
+#: gets past its first lines.
+_WORDS = {"experiment": ["converge-h", "solve"],
+          "problem": ["dirichlet-cos", "estimator-poly", "inline"],
+          "psi": ["cos4t", "t2.25"], "method": ["gradient", "MassCoupling", "ii"],
+          "bc_mode": ["projection", "lagrange"],
+          "initial_mode": ["projection", "interpolation"],
+          "out": ["results"], "u": ["t*x", "x*("]}
+
+
+def _values(key):
+    if key == "bbox":
+        return st.lists(st.one_of(_NUMBERS, st.sampled_from(["a", "b"])),
+                        min_size=3, max_size=5).map(" ".join)
+    if key in _WORDS:
+        return st.one_of(st.sampled_from(_WORDS[key]), _TEXT)
+    return st.one_of(_NUMBERS, _TEXT)
+
+
+_KEYED = st.sampled_from(_KNOWN_KEYS + ("frobnicate", "P")).flatmap(
+    lambda key: _values(key).map(lambda value: f"{key} = {value}"))
+# three keyed lines to one line of free text, which rarely parses
+_LINES = st.one_of(_KEYED, _KEYED, _KEYED, _TEXT)
+
+
+@settings(max_examples=500, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENTS), lines=st.lists(_LINES, max_size=6))
+def test_parse_config_fuzz(tmp_path_factory, experiment, lines):
+    # whatever the file holds, the parser returns a config or raises
+    # ConfigurationError
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg = parse_config(str(path), experiment)
+    except ConfigurationError:
+        return
+    assert cfg.experiment == experiment
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_empty_config_gives_defaults(tmp_path, experiment):
+    assert parse_config(write(tmp_path, "e.cfg", ""), experiment) == \
+        default_config(experiment)
+
+
+def test_problem_only_config_builds_the_preset(tmp_path):
+    cfg = parse_config(write(tmp_path, "e.cfg", "problem = estimator-poly\n"),
+                       "converge-h")
+    built, preset = _make_problem(cfg), make_preset("estimator-poly")
+    assert built.name == preset.name == "estimator-poly-cos4t"
+    assert built.singular_at_zero == preset.singular_at_zero
+    x, y, t = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5),
+                          np.linspace(0, 1, 5))
+    for name in ("f", "exact_u", "exact_v"):
+        assert np.array_equal(getattr(built, name)(x, y, t),
+                              getattr(preset, name)(x, y, t))
 
 
 def test_solve_experiment_writes_outputs(tmp_path):

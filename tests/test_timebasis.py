@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from wavext.errors import OutOfDomainError
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.timebasis import (TimePartition, abs_legendre_integral,
                               endpoint_exact_project, gauss_rule,
                               graded_gauss_rule, l2_project_time,
-                              lagrange_time_interp, legendre_eval,
-                              legendre_matrix, legendre_to_trial,
+                              lagrange_time_interp, legendre_matrix, legendre_to_trial,
                               slab_temporal_matrices, temporal_eigensplit,
                               to_normalized, trial_matrix, trial_to_legendre,
                               uniform_time_partition)
+
+
+def _values(poly, ts):
+    """A SlabPoly at the times ts, each on the slab containing it."""
+    return np.array([poly.eval_slab(poly.partition.containing_slab(t), t) for t in ts])
 
 
 def test_partition_validation():
@@ -28,18 +31,20 @@ def test_partition_validation():
 def test_legendre_endpoint_values():
     slab = (0.3, 1.1)
     for s in range(7):
-        assert legendre_eval(s, slab, slab[1]) == pytest.approx(1.0, abs=1e-14)
-        assert legendre_eval(s, slab, slab[0]) == pytest.approx((-1.0) ** s, abs=1e-14)
-    assert legendre_eval(0, slab, 0.7) == 1.0
+        left, right = legendre_matrix(s, to_normalized(slab, np.array(slab)))[s]
+        assert right == pytest.approx(1.0, abs=1e-14)
+        assert left == pytest.approx((-1.0) ** s, abs=1e-14)
+    assert legendre_matrix(0, to_normalized(slab, 0.7))[0] == 1.0
 
 
 def test_legendre_orthogonality():
     slab = (0.2, 1.9)
     tau = slab[1] - slab[0]
     ts, ws = gauss_rule(20, slab)
+    xs = to_normalized(slab, ts)
     for i in range(9):
         for j in range(9):
-            val = np.sum(ws * legendre_eval(i, slab, ts) * legendre_eval(j, slab, ts))
+            val = np.sum(ws * legendre_matrix(i, xs)[i] * legendre_matrix(j, xs)[j])
             expect = tau / (2 * i + 1) if i == j else 0.0
             assert val == pytest.approx(expect, abs=1e-13)
 
@@ -50,14 +55,10 @@ def test_weighted_legendre_identity(q, tau):
     # int_slab (t - a) L_q L_q' dt = tau q / (2q + 1)
     slab = (0.4, 0.4 + tau)
     ts, ws = gauss_rule(q + 4, slab)
-    val = np.sum(ws * (ts - slab[0]) * legendre_eval(q, slab, ts)
-                 * legendre_eval(q, slab, ts, derivative_order=1))
+    xs = to_normalized(slab, ts)
+    val = np.sum(ws * (ts - slab[0]) * legendre_matrix(q, xs)[q]
+                 * legendre_matrix(q, xs, derivative=1)[q] * 2.0 / tau)
     assert val == pytest.approx(tau * q / (2 * q + 1), abs=1e-12)
-
-
-def test_legendre_out_of_slab():
-    with pytest.raises(OutOfDomainError):
-        legendre_eval(2, (0.0, 1.0), 1.5)
 
 
 def test_gauss_rule_basics():
@@ -154,8 +155,7 @@ def test_endpoint_projection_interpolates_nodes():
     f = lambda t: np.exp(-t) * np.cos(4 * t)
     for q in (1, 2, 3):
         proj = endpoint_exact_project(q, f, part)
-        for n, t in enumerate(part.nodes):
-            assert proj(float(t)) == pytest.approx(float(f(np.array([t]))[0]), abs=1e-13)
+        assert _values(proj, part.nodes) == pytest.approx(f(part.nodes), abs=1e-13)
 
 
 def test_endpoint_projection_interior_orthogonality():
@@ -181,7 +181,7 @@ def test_endpoint_projection_sup_stability():
     for q in range(1, 7):
         for f in corpus:
             proj = endpoint_exact_project(q, f, part)
-            vals = np.array([proj(t) for t in ts_dense])
+            vals = _values(proj, ts_dense)
             assert np.abs(vals).max() <= 4.0 * np.abs(f(ts_dense)).max()
 
 
@@ -193,7 +193,7 @@ def test_endpoint_projection_convergence_rate():
             part = uniform_time_partition(1.0, N)
             proj = endpoint_exact_project(q, f, part)
             ts = np.linspace(0, 1, 801)
-            vals = np.array([proj(t) for t in ts])
+            vals = _values(proj, ts)
             sups.append(np.abs(vals - f(ts)).max())
         rate = np.log2(sups[-2] / sups[-1])
         assert rate == pytest.approx(q + 1, abs=0.25)
@@ -207,7 +207,7 @@ def test_lagrange_interp_exact_on_polynomials():
         proj = endpoint_exact_project(q, f, part)
         assert np.abs(naive.coeffs - proj.coeffs).max() <= 1e-12
         ts = np.linspace(0, 1, 50)
-        vals = np.array([naive(t) for t in ts])
+        vals = _values(naive, ts)
         assert np.abs(vals - f(ts)).max() <= 1e-12
 
 
@@ -306,7 +306,7 @@ def test_abs_legendre_integral_against_quadrature(q):
     slab = (0.0, tau)
     roots = np.sort(np.polynomial.legendre.leggauss(q)[0])
     breaks = (roots + 1.0) * tau / 2.0
-    brute, _ = quad(lambda t: abs(legendre_eval(q, slab, t)), 0.0, tau,
+    brute, _ = quad(lambda t: abs(legendre_matrix(q, to_normalized(slab, t))[q]), 0.0, tau,
                     points=breaks, limit=200)
     assert abs_legendre_integral(q, tau) == pytest.approx(brute, rel=1e-10)
     assert abs_legendre_integral(0, tau) == pytest.approx(tau)
