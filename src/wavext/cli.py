@@ -165,6 +165,11 @@ def _validate(cfg):
             raise ConfigurationError(f"{name} list must not be empty")
     if not all(0 < v < math.inf for v in cfg.tau + [cfg.t_final]):
         raise ConfigurationError("tau and T values must be positive and finite")
+    for tau in cfg.tau:
+        n_slabs = cfg.t_final / tau  # inf when tau is tiny
+        if not (math.isfinite(n_slabs) and round(n_slabs) >= 1
+                and abs(round(n_slabs) * tau - cfg.t_final) <= 1e-9 * cfg.t_final):
+            raise ConfigurationError(f"tau = {tau} does not divide the final time {cfg.t_final}")
     if not all(1 <= v <= MAX_SPATIAL_DEGREE for v in cfg.p):
         raise ConfigurationError(f"p values must be in [1, {MAX_SPATIAL_DEGREE}]")
     if any(v < 1 for v in cfg.mesh):
@@ -216,9 +221,6 @@ def run_cell(cfg, cell):
     mesh = build_structured_mesh(cell["nx"], cell["nx"], problem.bbox)
     space = build_space(mesh, cell["p"])
     n_slabs = round(cfg.t_final / cell["tau"])
-    if n_slabs < 1 or abs(n_slabs * cell["tau"] - cfg.t_final) > 1e-9 * cfg.t_final:
-        raise ConfigurationError(
-            f"tau = {cell['tau']} does not divide the final time {cfg.t_final}")
     partition = uniform_time_partition(cfg.t_final, n_slabs)
     disc = Discretization(space, partition, cell["q"], method=cfg.method,
                           bc_mode=cfg.bc_mode, initial_mode=cfg.initial_mode)

@@ -11,7 +11,3 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class OutOfDomainError(ValueError):
-    """Raised when a point lies outside the computational domain."""

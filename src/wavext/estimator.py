@@ -89,16 +89,17 @@ def _source_defects(sol, f, singular_at_zero):
         graded = singular_at_zero and n == 0
         tp, wp = (graded_gauss_rule(q + 6, slab) if graded
                   else gauss_rule(q + 6, slab))
-        fv_p = np.stack([np.broadcast_to(f(X, Y, t), X.shape) for t in tp])
+        fv_p = np.broadcast_to(f(X, Y, tp[:, None]), (len(tp), X.size))
         Pp = legendre_matrix(q - 1, to_normalized(slab, tp))
         scale = (2.0 * np.arange(q) + 1.0) / tau
         proj = scale[:, None] * ((Pp * wp) @ fv_p)  # (q, n_space_pts)
         to_, wo = (graded_gauss_rule(n_outer, slab) if graded
                    else gauss_rule(n_outer, slab))
         Po = legendre_matrix(q - 1, to_normalized(slab, to_))
+        fv_o = np.broadcast_to(f(X, Y, to_[:, None]), (len(to_), X.size))
         acc = 0.0
-        for k, t in enumerate(to_):
-            defect = np.broadcast_to(f(X, Y, t), X.shape) - Po[:, k] @ proj
+        for k in range(len(to_)):
+            defect = fv_o[k] - Po[:, k] @ proj
             acc += wo[k] * math.sqrt(float(np.sum(wsp * defect ** 2)))
         out[n] = acc
     return out

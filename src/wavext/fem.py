@@ -6,6 +6,7 @@ global fine grid with (nx*p + 1) x (ny*p + 1) points, so DOF identification
 across cells is pure integer arithmetic.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -13,7 +14,6 @@ import numpy as np
 from scipy import sparse
 
 from . import reference
-from .errors import OutOfDomainError
 from .linalg import solve_spd
 
 #: Largest polynomial degree of a Lagrange space.
@@ -166,12 +166,20 @@ def assemble(space, kind, coefficient=1.0):
 
 
 def load_vector(space, g):
-    """Moment vector (g, phi_i) for a spatial callback g(x, y)."""
+    """Moment vector (g, phi_i) for a spatial callback g(x, y).
+
+    Callback values with a leading axis of nt times, shape (nt, nc, nq),
+    give the nt moment vectors at once, shape (nt, n_dofs).
+    """
     qd = space.quad_data(space.norm_degree())
-    gv = np.broadcast_to(g(qd["pts"][..., 0], qd["pts"][..., 1]), qd["wdet"].shape)
-    loc = np.einsum("cq,qi->ci", gv * qd["wdet"], qd["val"])
-    return np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(),
-                       minlength=space.n_dofs)
+    gw = g(qd["pts"][..., 0], qd["pts"][..., 1]) * qd["wdet"]
+    loc = np.einsum("...cq,qi->...ci", gw, qd["val"])
+    lead = loc.shape[:-2]
+    # one bincount over all times: time k owns the bins k*n_dofs ... and
+    # each bin sums its entries in the order of a single-time bincount
+    idx = space.cell_dofs.ravel() + space.n_dofs * np.arange(math.prod(lead))[:, None]
+    return np.bincount(idx.ravel(), weights=loc.ravel(),
+                       minlength=idx.shape[0] * space.n_dofs).reshape(*lead, space.n_dofs)
 
 
 def interpolate_nodal(space, f):
@@ -205,42 +213,6 @@ def ritz_project(space, f, grad_f, c=1.0, stiffness=None):
     rhs_I = rhs[I] - K[np.ix_(I, B)] @ out[B]
     out[I] = solve_spd(K[np.ix_(I, I)].tocsr(), rhs_I)
     return FEFunction(space, out)
-
-
-# ---------------------------------------------------------------------------
-# point evaluation
-
-
-def _locate(mesh, pts):
-    """Map physical points to (cell index, reference coords)."""
-    x_min, x_max, y_min, y_max = mesh.bbox
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    tol = 1e-12 * max(x_max - x_min, y_max - y_min)
-    if np.any(pts[:, 0] < x_min - tol) or np.any(pts[:, 0] > x_max + tol) or \
-       np.any(pts[:, 1] < y_min - tol) or np.any(pts[:, 1] > y_max + tol):
-        raise OutOfDomainError("point outside the meshed rectangle")
-    fx = np.clip((pts[:, 0] - x_min) / (x_max - x_min) * mesh.nx, 0.0, mesh.nx)
-    fy = np.clip((pts[:, 1] - y_min) / (y_max - y_min) * mesh.ny, 0.0, mesh.ny)
-    ix = np.minimum(fx.astype(np.int64), mesh.nx - 1)
-    iy = np.minimum(fy.astype(np.int64), mesh.ny - 1)
-    xi = fx - ix
-    eta = fy - iy
-    lower = eta <= xi
-    cell = 2 * (iy * mesh.nx + ix) + np.where(lower, 0, 1)
-    rs = np.empty_like(pts)
-    rs[:, 0] = np.where(lower, xi - eta, xi)
-    rs[:, 1] = np.where(lower, eta, eta - xi)
-    return cell, rs
-
-
-def evaluate(fn, points):
-    """Evaluate an FEFunction at one point or an array of points."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    cell, rs = _locate(fn.space.mesh, pts)
-    vals, _, _ = reference.tabulate(fn.space.degree, rs, order=0)
-    out = np.einsum("pi,pi->p", fn.values[fn.space.cell_dofs[cell]], vals)
-    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +251,41 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0):
     Parameters
     ----------
     kind : "l2" or "h1c" (the latter is sqrt(int c^2 |grad .|^2)).
-    fe : coefficient vector or FEFunction, or None.
+    fe : coefficient vector or FEFunction, a stack (S, n_dofs) of S
+        coefficient vectors, or None.
     exact : callback exact(x, y), or None; the norm is of the difference.
+        Its values may carry a leading axis of S samples, (S, nc, nq).
     exact_grad : callback (x, y) -> (dx, dy), required for "h1c" with exact.
+
+    Returns a float, or the S norms when fe or the callback values carry a
+    sample axis.
     """
     qd = space.quad_data(space.norm_degree())
-    coeffs = None
-    if fe is not None:
-        coeffs = fe.values if isinstance(fe, FEFunction) else np.asarray(fe, dtype=float)
+    X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
     if kind == "l2":
-        diff = 0.0
-        if exact is not None:
-            diff = diff + np.broadcast_to(exact(qd["pts"][..., 0], qd["pts"][..., 1]),
-                                          qd["wdet"].shape)
-        if coeffs is not None:
-            diff = diff - np.einsum("ci,qi->cq", coeffs[space.cell_dofs], qd["val"])
-        return float(np.sqrt(np.sum(qd["wdet"] * np.square(diff))))
-    if kind == "h1c":
-        dx = 0.0
-        dy = 0.0
-        if exact is not None:
-            if exact_grad is None:
-                raise ValueError("h1c norm against a callback needs exact_grad")
-            gx, gy = exact_grad(qd["pts"][..., 0], qd["pts"][..., 1])
-            dx = dx + np.broadcast_to(gx, qd["wdet"].shape)
-            dy = dy + np.broadcast_to(gy, qd["wdet"].shape)
-        if coeffs is not None:
-            dx = dx - np.einsum("ci,cqi->cq", coeffs[space.cell_dofs], qd["grad"][..., 0])
-            dy = dy - np.einsum("ci,cqi->cq", coeffs[space.cell_dofs], qd["grad"][..., 1])
-        csq = _wavespeed_sq(c, qd["pts"])
-        return float(np.sqrt(np.sum(qd["wdet"] * csq * (np.square(dx) + np.square(dy)))))
-    raise ValueError(f"unknown norm kind {kind!r}")
+        w = qd["wdet"]
+        parts = [(None if exact is None else exact(X, Y), "...ci,qi->...cq", qd["val"])]
+    elif kind == "h1c":
+        if exact is not None and exact_grad is None:
+            raise ValueError("h1c norm against a callback needs exact_grad")
+        w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
+        gx, gy = (None, None) if exact is None else exact_grad(X, Y)
+        parts = [(gx, "...ci,cqi->...cq", qd["grad"][..., 0]),
+                 (gy, "...ci,cqi->...cq", qd["grad"][..., 1])]
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if fe is None:
+        fe = np.zeros(space.n_dofs)
+    coeffs = fe.values if isinstance(fe, FEFunction) else np.asarray(fe, dtype=float)
+    # C-contiguous, so that each sample is contracted as a single one is
+    coeffs = np.ascontiguousarray(coeffs[..., space.cell_dofs])
+    sq = None
+    for target, spec, table in parts:
+        diff = np.einsum(spec, coeffs, table)
+        if target is not None:
+            diff = np.subtract(target, diff, out=diff if diff.ndim >= np.ndim(target) else None)
+        np.square(diff, out=diff)
+        sq = diff if sq is None else np.add(sq, diff, out=sq)
+    sq *= w
+    norms = np.sqrt(np.sum(sq, axis=(-2, -1)))
+    return float(norms) if norms.ndim == 0 else norms

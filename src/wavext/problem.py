@@ -39,6 +39,11 @@ class ProblemData:
     (x, y, t) evaluated at boundary nodes; g_d = None means homogeneous.
     ``singular_at_zero`` marks sources with an algebraic singularity at t = 0
     so time quadrature on the first slab switches to a graded rule.
+
+    The space-time callbacks (f, g_d, dt_g_d and the exact fields) take t as
+    a float or as an array that broadcasts against x and y: error sampling,
+    the load moments and the estimator pass all times of a slab at once, as
+    ts[:, None, None], and expect one leading row per time.
     """
 
     name: str = "custom"

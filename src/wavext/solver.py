@@ -73,11 +73,6 @@ class SpaceTimeSolution:
         sig = trial_matrix(self.degree, np.asarray(xnorm, dtype=float))
         return np.tensordot(sig, tensor[n], axes=(0, 0))
 
-    def coeffs_at(self, t, component="u"):
-        n = self.partition.containing_slab(float(t))
-        x = to_normalized(self.partition.slab(n), float(t))
-        return self.coeffs_on_slab(n, np.asarray([x]), component)[0]
-
     def endpoint(self, n, component="u"):
         """Coefficients at partition node t_n, n = 0..n_slabs."""
         tensor = self.u if component == "u" else self.v
@@ -142,19 +137,28 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
     In projection mode u starts from the Dirichlet-aware Ritz projection of
     u0 and v from nodal boundary values of v0 plus the interior L2 projection
     of v0 minus the lifting velocity at t = 0.  Interpolation mode takes
-    plain nodal interpolants of both.
+    plain nodal interpolants of both.  Data that is not finite at a boundary
+    node, or boundary data that disagrees with the initial data at t = 0,
+    raises ConfigurationError.
     """
     B = space.boundary_dofs
     xb, yb = space.dof_coords[B, 0], space.dof_coords[B, 1]
-    u0b = np.broadcast_to(problem.u0(xb, yb), B.shape)
+    data = {"u0": problem.u0(xb, yb), "v0": problem.v0(xb, yb)}
     if problem.g_d is not None:
-        gap = np.max(np.abs(np.broadcast_to(problem.g_d(xb, yb, 0.0), B.shape) - u0b))
-        if gap > 1e-8 * (1.0 + np.max(np.abs(u0b))):
+        data.update({"g_d(.,0)": problem.g_d(xb, yb, 0.0),
+                     "dt_g_d(.,0)": problem.dt_g_d(xb, yb, 0.0)})
+    for name, values in data.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ConfigurationError(f"{name} is not finite at the boundary node "
+                                     f"({xb[bad[0]]:g}, {yb[bad[0]]:g})")
+    if problem.g_d is not None:
+        gap = np.max(np.abs(data["g_d(.,0)"] - data["u0"]))
+        if gap > 1e-8 * (1.0 + np.max(np.abs(data["u0"]))):
             raise ConfigurationError(
                 f"initial/boundary data incompatible: |g_d(.,0) - u0| = {gap:.3e} on the boundary")
-        v0b = np.broadcast_to(problem.v0(xb, yb), B.shape)
-        gap = np.max(np.abs(np.broadcast_to(problem.dt_g_d(xb, yb, 0.0), B.shape) - v0b))
-        if gap > 1e-8 * (1.0 + np.max(np.abs(v0b))):
+        gap = np.max(np.abs(data["dt_g_d(.,0)"] - data["v0"]))
+        if gap > 1e-8 * (1.0 + np.max(np.abs(data["v0"]))):
             raise ConfigurationError(
                 f"initial/boundary data incompatible: |dt g_d(.,0) - v0| = {gap:.3e}")
 
@@ -168,7 +172,7 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
     if lifting is not None:
         lift_v0[B] = lifting.v_trial[0, 0]
     v0h = np.zeros(space.n_dofs)
-    v0h[B] = np.broadcast_to(problem.v0(xb, yb), B.shape)
+    v0h[B] = data["v0"]
     # interior L2 projection of (v0 - lifting velocity at t = 0)
     rhs = load_vector(space, problem.v0) - M @ lift_v0
     I = space.interior_dofs
@@ -281,11 +285,10 @@ class SlabWorkspace:
         else:
             ts, ws = gauss_rule(npts, slab)
         tst = legendre_matrix(self.q - 1, to_normalized(slab, ts))
-        loads = np.empty((len(ts), len(self.I)))
-        for k, t in enumerate(ts):
-            loads[k] = load_vector(self.space,
-                                   lambda xx, yy: problem.f(xx, yy, t))[self.I]
-        return (tst * ws) @ loads
+        loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts[:, None, None]))
+        loads = np.broadcast_to(loads, (len(ts), self.space.n_dofs))[:, self.I]
+        # C order: BLAS then sums the product as it does for stacked rows
+        return (tst * ws) @ np.ascontiguousarray(loads)
 
 
 def solve_slab(prev_u, prev_v, n, problem, disc, lifting=None, workspace=None):

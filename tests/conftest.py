@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import wavext as wx
+from wavext import reference
+from wavext.timebasis import to_normalized
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +37,29 @@ def small_homogeneous_run(q=2, n_slabs=8, nx=4, p=2, method="gradient"):
     disc = wx.Discretization(space, wx.uniform_time_partition(1.0, n_slabs),
                              q=q, method=method)
     return prob, wx.solve(prob, disc)
+
+
+def evaluate(fn, points):
+    """An FEFunction at one point or an array of points of its mesh's
+    rectangle, through the cell that contains each point."""
+    mesh = fn.space.mesh
+    x_min, x_max, y_min, y_max = mesh.bbox
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    fx = np.clip((pts[:, 0] - x_min) / (x_max - x_min) * mesh.nx, 0.0, mesh.nx)
+    fy = np.clip((pts[:, 1] - y_min) / (y_max - y_min) * mesh.ny, 0.0, mesh.ny)
+    ix = np.minimum(fx.astype(np.int64), mesh.nx - 1)
+    iy = np.minimum(fy.astype(np.int64), mesh.ny - 1)
+    xi, eta = fx - ix, fy - iy
+    lower = eta <= xi
+    cell = 2 * (iy * mesh.nx + ix) + np.where(lower, 0, 1)
+    rs = np.column_stack([np.where(lower, xi - eta, xi), np.where(lower, eta, eta - xi)])
+    vals, _, _ = reference.tabulate(fn.space.degree, rs, order=0)
+    out = np.einsum("pi,pi->p", fn.values[fn.space.cell_dofs[cell]], vals)
+    return float(out[0]) if np.ndim(points) == 1 else out
+
+
+def coeffs_at(sol, t, component="u"):
+    """Spatial coefficients of a space-time solution at time t."""
+    n = sol.partition.containing_slab(float(t))
+    x = to_normalized(sol.partition.slab(n), float(t))
+    return sol.coeffs_on_slab(n, np.asarray([x]), component)[0]

@@ -82,6 +82,26 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["1e-320", "0.3"])
+def test_tau_checked_before_any_output(tmp_path, capsys, tau):
+    # 1/1e-320 overflows to inf; 0.3 leaves a partial slab
+    path = write(tmp_path, "tau.cfg", f"tau = {tau}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "does not divide the final time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonfinite_boundary_data_exit_2(tmp_path, capsys):
+    # log(0) * 0 is NaN at the x = 0 side; the solve must not start
+    path = write(tmp_path, "log.cfg",
+                 "problem = inline\nu = log(x)*t\np = 1\nq = 1\nmesh = 2\ntau = 0.5\n")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "u0 is not finite at the boundary node (0, 0)" in capsys.readouterr().err
+
+
 _KNOWN_KEYS = ("experiment", "problem", "psi", "p", "q", "mesh", "tau", "method",
                "bc_mode", "initial_mode", "samples_per_slab", "T", "out", "u",
                "c", "bbox")

@@ -5,10 +5,12 @@ import pytest
 
 import wavext as wx
 from conftest import small_homogeneous_run
-from wavext.estimator import (best_approx_constant, compute_estimator,
-                              effectivity_index, estimator_constants,
-                              gap_constant)
+from wavext.estimator import (_source_defects, best_approx_constant,
+                              compute_estimator, effectivity_index,
+                              estimator_constants, gap_constant)
 from wavext.solver import SpaceTimeSolution
+from wavext.timebasis import (gauss_rule, graded_gauss_rule, legendre_matrix,
+                              to_normalized)
 
 
 def test_constant_values():
@@ -123,3 +125,37 @@ def test_reliability_on_nonuniform_partition():
     br = compute_estimator(sol, prob.f, prob.c)
     assert err <= br.total
     assert br.total == br.eta + br.osc_f
+
+
+def _source_defects_per_time(sol, f, singular_at_zero):
+    """The loop _source_defects replaces: f evaluated at one time per call."""
+    q = sol.degree
+    qd = sol.space.quad_data(sol.space.norm_degree())
+    X, Y = qd["pts"][..., 0].ravel(), qd["pts"][..., 1].ravel()
+    wsp = qd["wdet"].ravel()
+    out = np.zeros(sol.partition.n_slabs)
+    for n in range(sol.partition.n_slabs):
+        slab = sol.partition.slab(n)
+        rule = graded_gauss_rule if singular_at_zero and n == 0 else gauss_rule
+        tp, wp = rule(q + 6, slab)
+        fv_p = np.stack([np.broadcast_to(f(X, Y, t), X.shape) for t in tp])
+        Pp = legendre_matrix(q - 1, to_normalized(slab, tp))
+        scale = (2.0 * np.arange(q) + 1.0) / (slab[1] - slab[0])
+        proj = scale[:, None] * ((Pp * wp) @ fv_p)
+        to_, wo = rule(max(q + 4, 8), slab)
+        Po = legendre_matrix(q - 1, to_normalized(slab, to_))
+        for k, t in enumerate(to_):
+            defect = np.broadcast_to(f(X, Y, t), X.shape) - Po[:, k] @ proj
+            out[n] += wo[k] * math.sqrt(float(np.sum(wsp * defect ** 2)))
+    return out
+
+
+@pytest.mark.parametrize("psi", ["t2.25", "cos4t"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_source_defects_equal_per_time_loop(psi, q):
+    prob = wx.estimator_poly(psi)
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
+    part = wx.uniform_time_partition(1.0, 4)
+    sol = SpaceTimeSolution(space, part, q, np.zeros((4, q + 1, space.n_dofs)))
+    assert np.array_equal(_source_defects(sol, prob.f, prob.singular_at_zero),
+                          _source_defects_per_time(sol, prob.f, prob.singular_at_zero))

@@ -1,23 +1,55 @@
-"""The benchmark's layer trace resolves against the package.
+"""The benchmark's layer trace and correctness gate hold for the package.
 
 ``perfbench/layers.py`` wraps named functions and methods of wavext and
 skips a name that no longer exists, so a change that deletes or renames a
 traced layer would still run the benchmark, with that layer silently absent
-from the per-layer split.
+from the per-layer split.  ``perfbench/run.py`` compares every row of a
+pass with its reference CSV and counts a miss as a failed cell.
 """
 
 import importlib.util
+import os
+import sys
+from dataclasses import replace
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+RUN = PERFBENCH / "run.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_benchmark_span_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("perfbench_layers", LAYERS)
     tracer = layers.Tracer()
     try:
         assert tracer.install() == []
     finally:
         tracer.uninstall()
+
+
+def test_smoke_workloads_pass_the_correctness_gate(tmp_path, monkeypatch):
+    # the benchmark refuses a pass whose rows leave its reference CSV; run
+    # that gate on the reduced workloads here rather than only in a full
+    # benchmark run.  run.py pins BLAS threads and extends sys.path on load.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = _load("perfbench_run", RUN)
+    from wavext.cli import run_experiment
+
+    missed = {}
+    for name in sorted(run.WORKLOADS):
+        workload = run.Workload(name, smoke=True)
+        workload.load()
+        out = tmp_path / name
+        assert run_experiment(replace(workload.cfg, out=str(out)), check=True) == 0
+        missed[name] = run.compare_rows(workload.reference,
+                                        run._read_rows(out / "results.csv"))[0]
+    assert missed == {name: 0 for name in run.WORKLOADS}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import small_homogeneous_run, txy_problem
+from conftest import coeffs_at, evaluate, small_homogeneous_run, txy_problem
 from wavext.estimator import gap_constant
 from wavext.postprocess import postprocessed_solution
 from wavext.solver import SpaceTimeSolution
@@ -19,7 +19,7 @@ def test_reconstruction_constant_when_velocity_vanishes():
     sol = SpaceTimeSolution(space, part, 1, U, np.zeros_like(U))
     star = postprocessed_solution(sol)
     for t in (0.0, 0.3, 0.99):
-        assert np.abs(star.coeffs_at(t) - u0).max() <= 1e-14
+        assert np.abs(coeffs_at(star, t) - u0).max() <= 1e-14
 
 
 def test_reconstruction_derivative_identity():
@@ -79,9 +79,10 @@ def test_error_sampling_consistency():
     space = sol.space
 
     def exact(x, y, t):
+        # one evaluation per time; t is a number or an array of times
         pts = np.column_stack([np.ravel(x), np.ravel(y)])
-        fn = wx.FEFunction(space, sol.coeffs_at(float(np.ravel(t)[0])))
-        return wx.evaluate(fn, pts).reshape(np.shape(x))
+        vals = [evaluate(wx.FEFunction(space, coeffs_at(sol, tk)), pts) for tk in np.ravel(t)]
+        return np.reshape(vals, np.broadcast_shapes(np.shape(t), np.shape(x)))
 
     err, per_slab = wx.error_C0(sol, exact, "l2", samples_per_slab=5)
     assert err <= 1e-12
@@ -144,3 +145,43 @@ def test_galerkin_probe_error_report():
     disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 2), q=1)
     rep = wx.compute_error_report(wx.solve(prob, disc), prob, 5)
     assert max(rep.err_u, rep.err_ustar, rep.err_v, rep.err_gradu) <= 1e-9
+
+
+def _error_C0_per_sample(field, exact, kind, samples, c=1.0, exact_grad=None,
+                         component="u"):
+    """The loop error_C0 replaces: one single-time spatial_norm per sample."""
+    xs = np.linspace(-1.0, 1.0, samples)
+    per_slab = np.zeros(field.partition.n_slabs)
+    for n in range(field.partition.n_slabs):
+        a, b = field.partition.slab(n)
+        coeffs = field.coeffs_on_slab(n, xs, component)
+        for k, t in enumerate(a + (xs + 1.0) * (b - a) / 2.0):
+            grad = None if exact_grad is None else (lambda xx, yy: exact_grad(xx, yy, t))
+            err = wx.spatial_norm(field.space, kind, fe=coeffs[k],
+                                  exact=lambda xx, yy: exact(xx, yy, t),
+                                  exact_grad=grad, c=c)
+            per_slab[n] = max(per_slab[n], err)
+    return per_slab
+
+
+@pytest.mark.parametrize("make", [wx.dirichlet_cos, lambda: wx.estimator_poly("t2.25"),
+                                  lambda: wx.inline_problem("x*y*t")],
+                         ids=["dirichlet-cos", "estimator-poly-t2.25", "inline-xyt"])
+def test_error_C0_equals_per_sample_loop(make):
+    # batching a slab's sample times must not move a bit; the inline v = x*y
+    # carries no t
+    prob = make()
+    space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 3)
+    sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
+    star = postprocessed_solution(sol)
+    for field, kind, component, exact in ((sol, "l2", "u", prob.exact_u),
+                                          (star, "l2", "u", prob.exact_u),
+                                          (sol, "l2", "v", prob.exact_v),
+                                          (sol, "h1c", "u", prob.exact_u),
+                                          (star, "h1c", "u", prob.exact_u)):
+        grad = prob.exact_grad_u if kind == "h1c" else None
+        err, per_slab = wx.error_C0(field, exact, kind, 11, c=prob.c,
+                                    exact_grad=grad, component=component)
+        expect = _error_C0_per_sample(field, exact, kind, 11, prob.c, grad, component)
+        assert np.array_equal(per_slab, expect)
+        assert err == expect.max()

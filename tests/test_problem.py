@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavext as wx
 from wavext.problem import make_preset
@@ -102,3 +104,51 @@ def test_power_profile_rate_t25():
         errs.append(err)
     rate = math.log2(errs[0] / errs[1]) / 2.0
     assert rate == pytest.approx(2.5, abs=0.25)
+
+
+def _space_time_callbacks(prob):
+    """The problem's (x, y, t) callbacks, one array-valued callback each."""
+    out = {"exact_u": prob.exact_u, "exact_v": prob.exact_v,
+           "exact_grad_u[0]": lambda x, y, t: prob.exact_grad_u(x, y, t)[0],
+           "exact_grad_u[1]": lambda x, y, t: prob.exact_grad_u(x, y, t)[1]}
+    if prob.f is not None:
+        out["f"] = prob.f
+    return out
+
+
+def _assert_time_batched_equals_stack(prob):
+    # the post-processing calls each callback once per slab, with
+    # t = ts[:, None, None]; that must be the per-time stack, bit for bit
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
+    pts = space.quad_data(space.norm_degree())["pts"]
+    X, Y = pts[..., 0], pts[..., 1]
+    ts = np.array([0.0, 0.0123, 0.37, 0.5, 1.0])
+    for name, cb in _space_time_callbacks(prob).items():
+        batched = cb(X, Y, ts[:, None, None])
+        assert np.shape(batched) == (len(ts),) + X.shape, name
+        stacked = np.stack([cb(X, Y, t) for t in ts])
+        assert np.array_equal(batched, stacked, equal_nan=True), name
+
+
+@pytest.mark.parametrize("name,psi", [("dirichlet-cos", None),
+                                      ("standing-wave", None),
+                                      ("estimator-poly", "cos4t"),
+                                      ("estimator-poly", "t2.25")])
+def test_preset_callbacks_broadcast_in_time(name, psi):
+    _assert_time_batched_equals_stack(make_preset(name, psi))
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["x", "y", "t", "0", "2", "-1.5", "0.25"]),
+    lambda sub: st.one_of(
+        st.builds("({}) + ({})".format, sub, sub),
+        st.builds("({})*({})".format, sub, sub),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp"]), sub)),
+    max_leaves=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_EXPRESSIONS)
+def test_inline_callbacks_broadcast_in_time(expr):
+    # includes t-free and constant expressions, whose fields carry no t
+    _assert_time_batched_equals_stack(wx.inline_problem(expr))

@@ -12,7 +12,9 @@ import wavext.solver as solver_module
 from conftest import small_homogeneous_run, txy_problem
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.solver import SLAB_TOL, SlabWorkspace
-from wavext.timebasis import slab_temporal_matrices, trial_matrix
+from wavext.timebasis import (gauss_rule, graded_gauss_rule, legendre_matrix,
+                              slab_temporal_matrices, to_normalized,
+                              trial_matrix)
 
 
 def test_initial_data_reproduces_interior_members():
@@ -445,3 +447,26 @@ def test_zero_callback_lifting_is_zero():
         lift = wx.build_lifting(prob, space, part, 2, mode)
         assert np.abs(lift.u_trial).max() == 0.0
         assert np.abs(lift.v_trial).max() == 0.0
+
+
+def _load_moments_per_time(ws, n):
+    """The loop load_moments replaces: one load_vector per time point."""
+    slab = ws.partition.slab(n)
+    npts = max(ws.q + 3, 6)
+    graded = ws.problem.singular_at_zero and n == 0
+    ts, wts = graded_gauss_rule(npts, slab) if graded else gauss_rule(npts, slab)
+    loads = np.stack([wx.load_vector(ws.space, lambda xx, yy: ws.problem.f(xx, yy, t))[ws.I]
+                      for t in ts])
+    return (legendre_matrix(ws.q - 1, to_normalized(slab, ts)) * wts) @ loads
+
+
+@pytest.mark.parametrize("make", [lambda: wx.estimator_poly("t2.25"), wx.estimator_poly,
+                                  lambda: wx.ProblemData(f=lambda x, y, t: x * y)],
+                         ids=["graded-t2.25", "cos4t", "t-free-source"])
+def test_load_moments_equal_per_time_loop(make):
+    # slab 0 of t2.25 runs the graded rule, slab 1 the plain one
+    prob = make()
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
+    ws = SlabWorkspace(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
+    for n in (0, 1):
+        assert np.array_equal(ws.load_moments(n), _load_moments_per_time(ws, n))
