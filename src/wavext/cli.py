@@ -277,21 +277,17 @@ _RATE_QUANTITIES = ("err_u", "err_ustar", "err_v", "err_gradu")
 
 def _rates_report(cfg, rows):
     lines = [f"experiment: {cfg.experiment}", ""]
-    if cfg.experiment == "converge-h":
-        for p in cfg.p:
-            group = [r for r in rows if r["p"] == p]
-            lines.append(f"p = {p}, q = {group[0]['q']} (rates in h)")
-            lines += _pairwise_block(group, "h", [r["h"] for r in group])
-    elif cfg.experiment in ("converge-tau", "estimate"):
-        quantities = _RATE_QUANTITIES if cfg.experiment == "converge-tau" \
-            else ("err_u", "eta", "osc_f")
+    if cfg.experiment in ("converge-h", "converge-tau", "estimate"):
+        res = "h" if cfg.experiment == "converge-h" else "tau"
+        quantities = ("err_u", "eta", "osc_f") if cfg.experiment == "estimate" \
+            else _RATE_QUANTITIES
         for p in cfg.p:
             for q in cfg.q:
                 group = [r for r in rows if r["p"] == p and r["q"] == q]
                 if not group:
                     continue
-                lines.append(f"p = {p}, q = {q} (rates in tau)")
-                lines += _pairwise_block(group, "tau", [r["tau"] for r in group],
+                lines.append(f"p = {p}, q = {q} (rates in {res})")
+                lines += _pairwise_block(group, res, [r[res] for r in group],
                                          quantities)
                 if cfg.experiment == "estimate":
                     effs = [r["effectivity"] for r in group if r["effectivity"]]
@@ -333,16 +329,17 @@ def _check(cfg, rows):
     failures = []
     if cfg.experiment == "converge-h":
         for p in cfg.p:
-            group = [r for r in rows if r["p"] == p]
-            if len(group) < 2:
-                continue
-            hs = [r["h"] for r in group]
-            for k, target, tol in (("err_u", p + 1, 0.25), ("err_ustar", p + 1, 0.25),
-                                   ("err_v", p + 1, 0.25), ("err_gradu", p, 0.25)):
-                rate = convergence_rates(hs, [r[k] for r in group])[-1]
-                if rate is None or abs(rate - target) > tol:
-                    failures.append(f"p={p}: {k} last-pair rate {rate} not within "
-                                    f"{target}+-{tol}")
+            for q in cfg.q:
+                group = [r for r in rows if r["p"] == p and r["q"] == q]
+                if len(group) < 2:
+                    continue
+                hs = [r["h"] for r in group]
+                for k, target, tol in (("err_u", p + 1, 0.25), ("err_ustar", p + 1, 0.25),
+                                       ("err_v", p + 1, 0.25), ("err_gradu", p, 0.25)):
+                    rate = convergence_rates(hs, [r[k] for r in group])[-1]
+                    if rate is None or abs(rate - target) > tol:
+                        failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
+                                        f"within {target}+-{tol}")
     elif cfg.experiment == "converge-tau" and cfg.bc_mode == "projection":
         for q in cfg.q:
             group = [r for r in rows if r["q"] == q]
