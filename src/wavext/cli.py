@@ -29,6 +29,13 @@ from .problem import Discretization, inline_problem, make_preset
 from .solver import solve
 from .timebasis import uniform_time_partition
 
+#: Largest U + V storage of one cell, 2 N (q+1) (nx p + 1)^2 floats: 2^27
+#: floats (1 GiB), an eighth of an 8 GB machine, since the reconstruction,
+#: the error sampling and the factorizations come on top.  The largest
+#: shipped cell (converge-h, p = 3, nx = 32, q = 4, tau = 1/32) stores
+#: 3,010,880 floats (24 MB).
+MAX_SOLUTION_FLOATS = 2 ** 27
+
 CSV_COLUMNS = ("run_id", "experiment", "method", "bc_mode", "p", "q", "h",
                "tau", "err_u", "err_ustar", "err_v", "err_gradu", "eta",
                "osc_f", "effectivity", "energy_drift")
@@ -185,6 +192,13 @@ def _validate(cfg):
         raise ConfigurationError(f"bbox {cfg.inline_bbox} is not a finite nondegenerate box")
     if cfg.problem == "inline" and not cfg.inline_u:
         raise ConfigurationError("inline problems need a u = <expression> line")
+    for cell in _cells(cfg):
+        floats = 2 * round(cfg.t_final / cell["tau"]) * (cell["q"] + 1) \
+            * (cell["nx"] * cell["p"] + 1) ** 2
+        if floats > MAX_SOLUTION_FLOATS:
+            raise ConfigurationError(
+                f"cell p={cell['p']} q={cell['q']} mesh={cell['nx']} tau={cell['tau']}: "
+                f"U and V would hold more than {MAX_SOLUTION_FLOATS} values")
 
 
 def _make_problem(cfg):
@@ -215,11 +229,9 @@ def _cells(cfg):
     return cells
 
 
-def run_cell(cfg, cell):
-    """Solve one run-matrix cell and return its CSV row values."""
-    problem = _make_problem(cfg)
-    mesh = build_structured_mesh(cell["nx"], cell["nx"], problem.bbox)
-    space = build_space(mesh, cell["p"])
+def run_cell(cfg, cell, problem, space):
+    """Solve one run-matrix cell on its degree-p space over the nx-by-nx
+    mesh and return its CSV row values."""
     n_slabs = round(cfg.t_final / cell["tau"])
     partition = uniform_time_partition(cfg.t_final, n_slabs)
     disc = Discretization(space, partition, cell["q"], method=cfg.method,
@@ -232,7 +244,7 @@ def run_cell(cfg, cell):
             f"tau={cell['tau']}: {exc}", residual=exc.residual) from exc
 
     row = dict(experiment=cfg.experiment, method=cfg.method, bc_mode=cfg.bc_mode,
-               p=cell["p"], q=cell["q"], h=mesh_size(mesh), tau=cell["tau"],
+               p=cell["p"], q=cell["q"], h=mesh_size(space.mesh), tau=cell["tau"],
                err_u=None, err_ustar=None, err_v=None, err_gradu=None,
                eta=None, osc_f=None, effectivity=None, energy_drift=None)
     if problem.has_exact():
@@ -374,8 +386,22 @@ def _check(cfg, rows):
     return failures
 
 
-def _run_cell_star(args):
-    return run_cell(*args)
+def _run_cells(cfg, cells):
+    """Run cells in order; return each one's row and wall time in seconds.
+
+    The problem is built once, and each run of consecutive cells with the
+    same (p, nx) shares one space, so also its assembled operators.
+    """
+    problem = _make_problem(cfg)
+    space = None
+    out = []
+    for cell in cells:
+        start = time.time()
+        if space is None or (space.degree, space.mesh.nx) != (cell["p"], cell["nx"]):
+            mesh = build_structured_mesh(cell["nx"], cell["nx"], problem.bbox)
+            space = build_space(mesh, cell["p"])
+        out.append((run_cell(cfg, cell, problem, space), time.time() - start))
+    return out
 
 
 def run_experiment(cfg, jobs=1, check=False):
@@ -390,18 +416,15 @@ def run_experiment(cfg, jobs=1, check=False):
                  f"problem {cfg.problem}{(' psi=' + cfg.psi) if cfg.psi else ''}"]
     start = time.time()
     if jobs > 1:
+        # one cell per task, so a worker shares no space between cells
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell_star, [(cfg, cell) for cell in cells]))
-        log_lines += [f"  p={c['p']} q={c['q']} nx={c['nx']} tau={c['tau']} done"
-                      for c in cells]
+            done = [one for (one,) in pool.map(_run_cells, [cfg] * len(cells),
+                                               [[cell] for cell in cells])]
     else:
-        rows = []
-        for cell in cells:
-            t0 = time.time()
-            rows.append(run_cell(cfg, cell))
-            log_lines.append(
-                f"  p={cell['p']} q={cell['q']} nx={cell['nx']} tau={cell['tau']}"
-                f" done in {time.time() - t0:.2f}s")
+        done = _run_cells(cfg, cells)
+    rows = [row for row, _ in done]
+    log_lines += [f"  p={c['p']} q={c['q']} nx={c['nx']} tau={c['tau']} done in {secs:.2f}s"
+                  for c, (_, secs) in zip(cells, done)]
     csv_path = _write_results(rows, out_dir)
     (out_dir / "rates.txt").write_text(_rates_report(cfg, rows))
     log_lines.append(f"total {time.time() - start:.2f}s -> {csv_path}")

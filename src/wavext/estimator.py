@@ -135,9 +135,7 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
     q = sol.degree
     N = partition.n_slabs
     csq = float(c) ** 2
-    M = sol.mass
-    if M is None:
-        M = assemble(space, "mass")
+    M = assemble(space, "mass")
 
     star = postprocessed_solution(sol)
     xs = np.linspace(-1.0, 1.0, samples_per_slab)

@@ -70,6 +70,7 @@ class LagrangeSpace:
         self.jacinv[:, 1, 0] = -jac[:, 1, 0] / self.detjac
 
         self._rule_cache = {}
+        self._operators = {}
 
     @property
     def n_local(self):
@@ -147,7 +148,11 @@ def local_matrices(space, kind, coefficient=1.0):
 
 
 def assemble(space, kind, coefficient=1.0):
-    """Assemble the global mass or (wavespeed-weighted) stiffness matrix.
+    """The global mass or (wavespeed-weighted) stiffness matrix of a space.
+
+    The space owns its operators: each (kind, coefficient) is assembled
+    once and the same matrix is returned to every caller, read-only (its
+    arrays reject writes).  A callable coefficient is keyed by identity.
 
     Parameters
     ----------
@@ -155,14 +160,19 @@ def assemble(space, kind, coefficient=1.0):
     coefficient : wavespeed c(x, y) as a positive callable or scalar
         (stiffness only; the weight used is c squared).
     """
-    loc = local_matrices(space, kind, coefficient)
-    rows = np.repeat(space.cell_dofs, space.n_local, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, space.n_local)).ravel()
-    A = sparse.coo_matrix((loc.ravel(), (rows, cols)),
-                          shape=(space.n_dofs, space.n_dofs)).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+    key = (kind, coefficient)
+    if key not in space._operators:
+        loc = local_matrices(space, kind, coefficient)
+        rows = np.repeat(space.cell_dofs, space.n_local, axis=1).ravel()
+        cols = np.tile(space.cell_dofs, (1, space.n_local)).ravel()
+        A = sparse.coo_matrix((loc.ravel(), (rows, cols)),
+                              shape=(space.n_dofs, space.n_dofs)).tocsr()
+        A.sum_duplicates()
+        A.sort_indices()
+        for array in (A.data, A.indices, A.indptr):
+            array.flags.writeable = False
+        space._operators[key] = A
+    return space._operators[key]
 
 
 def load_vector(space, g):
@@ -189,7 +199,7 @@ def interpolate_nodal(space, f):
     return FEFunction(space, vals)
 
 
-def ritz_project(space, f, grad_f, c=1.0, stiffness=None):
+def ritz_project(space, f, grad_f, c=1.0):
     """Stiffness-orthogonal projection with nodally interpolated boundary values.
 
     Boundary coefficients are f at the boundary nodes; interior coefficients
@@ -198,7 +208,7 @@ def ritz_project(space, f, grad_f, c=1.0, stiffness=None):
     """
     if grad_f is None:
         raise ValueError("ritz_project needs a gradient callback for the right-hand side")
-    K = assemble(space, "stiffness", c) if stiffness is None else stiffness
+    K = assemble(space, "stiffness", c)
     qd = space.quad_data(space.norm_degree())
     gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
     w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])

@@ -19,14 +19,12 @@ class Mesh:
     vertices : (nv, 2) float array of vertex coordinates.
     cells : (nc, 3) int array; each row lists vertex indices with positive
         orientation (counterclockwise).
-    boundary_edges : (nbe, 2) int array of vertex index pairs on the boundary.
     bbox : (x_min, x_max, y_min, y_max).
     nx, ny : grid resolution the mesh was built from.
     """
 
     vertices: np.ndarray
     cells: np.ndarray
-    boundary_edges: np.ndarray
     bbox: tuple
     nx: int
     ny: int
@@ -76,16 +74,7 @@ def build_structured_mesh(nx, ny, bbox=(0.0, 1.0, 0.0, 1.0)):
             cells[k + 1] = (v00, v11, v01)  # above the diagonal
             k += 2
 
-    edges = []
-    for i in range(nx):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        edges.append((vid(i + 1, ny), vid(i, ny)))
-    for j in range(ny):
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        edges.append((vid(0, j + 1), vid(0, j)))
-    boundary_edges = np.asarray(edges, dtype=np.int64)
-
-    return Mesh(vertices, cells, boundary_edges, (x_min, x_max, y_min, y_max), int(nx), int(ny))
+    return Mesh(vertices, cells, (x_min, x_max, y_min, y_max), int(nx), int(ny))
 
 
 def mesh_size(mesh):

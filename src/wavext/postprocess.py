@@ -92,16 +92,9 @@ def compute_error_report(sol, problem, samples_per_slab=11):
 
 
 def energy_trace(sol, c=1.0):
-    """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes.
-
-    Uses the operators the solution carries; c enters only when it carries
-    no stiffness matrix.
-    """
-    M, K = sol.mass, sol.stiffness
-    if M is None:
-        M = assemble(sol.space, "mass")
-    if K is None:
-        K = assemble(sol.space, "stiffness", c)
+    """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes."""
+    M = assemble(sol.space, "mass")
+    K = assemble(sol.space, "stiffness", c)
     out = np.empty(sol.partition.n_slabs + 1)
     for n in range(sol.partition.n_slabs + 1):
         u = sol.endpoint(n, "u")

@@ -31,7 +31,6 @@ of one real LU of C for the whole run.  Each solve is held to its residual
 on the block operator itself, applied matrix-free.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,8 +53,6 @@ class SpaceTimeSolution:
     ``v`` may be None for derived fields that only carry a u-component (the
     postprocessed approximation).  Values at the right slab endpoint are the
     sum of the first two coefficient rows; at the left endpoint, row 0.
-    ``mass`` and ``stiffness`` carry the assembled operators of the solve,
-    when known, so that energy and estimator evaluations reuse them.
     """
 
     space: object
@@ -63,8 +60,6 @@ class SpaceTimeSolution:
     degree: int
     u: np.ndarray
     v: Optional[np.ndarray] = None
-    mass: Optional[object] = None
-    stiffness: Optional[object] = None
 
     def coeffs_on_slab(self, n, xnorm, component="u"):
         """Spatial coefficient vectors at normalized times on slab n,
@@ -130,8 +125,7 @@ def build_lifting(problem, space, partition, q, bc_mode):
     return Lifting(u_trial, v_trial)
 
 
-def discrete_initial_data(problem, space, lifting=None, initial_mode="projection",
-                          mass=None, stiffness=None):
+def discrete_initial_data(problem, space, lifting=None, initial_mode="projection"):
     """Discrete initial fields compatible with the boundary lifting.
 
     In projection mode u starts from the Dirichlet-aware Ritz projection of
@@ -165,9 +159,8 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
     if initial_mode == "interpolation":
         return interpolate_nodal(space, problem.u0), interpolate_nodal(space, problem.v0)
 
-    u0h = ritz_project(space, problem.u0, problem.grad_u0, problem.c,
-                       stiffness=stiffness)
-    M = assemble(space, "mass") if mass is None else mass
+    u0h = ritz_project(space, problem.u0, problem.grad_u0, problem.c)
+    M = assemble(space, "mass")
     lift_v0 = np.zeros(space.n_dofs)
     if lifting is not None:
         lift_v0[B] = lifting.v_trial[0, 0]
@@ -235,11 +228,12 @@ class SlabSystem:
 
 
 class SlabWorkspace:
-    """Assembled operators, the factorization of C, and the slab systems of
-    the most recently used slab lengths."""
+    """The interior blocks of the space's operators, the factorization of C,
+    and the slab system of the last slab length used.
 
-    #: Slab systems kept at once; a graded partition needs one per slab.
-    MAX_SYSTEMS = 4
+    One system serves every slab of a uniform partition; a graded partition
+    needs one per slab either way, so no more than the last one is kept.
+    """
 
     def __init__(self, problem, disc):
         space = disc.space
@@ -247,30 +241,27 @@ class SlabWorkspace:
         self.space = space
         self.partition = disc.partition
         self.q = disc.q
-        self.M = assemble(space, "mass")
-        self.K = assemble(space, "stiffness", problem.c)
+        M = assemble(space, "mass")
+        K = assemble(space, "stiffness", problem.c)
         I, B = space.interior_dofs, space.boundary_dofs
         self.I, self.B = I, B
         # interior rows over all columns, for the known terms of the rhs
-        self.M_I = self.M[I].tocsr()
-        self.K_I = self.K[I].tocsr()
+        self.M_I = M[I].tocsr()
+        self.K_I = K[I].tocsr()
         self.C_I = self.K_I if disc.method == "gradient" else self.M_I
         self.M_II = self.M_I[:, I].tocsr()
         self.K_II = self.K_I[:, I].tocsr()
         self.C_II = self.K_II if disc.method == "gradient" else self.M_II
         self._C_fact = Factorization(self.C_II)
-        self._systems = OrderedDict()
+        self._tau_key, self._system = None, None
 
     def system(self, tau):
+        # slab lengths of a uniform partition differ in their last bits
         key = round(float(tau), 14)
-        if key in self._systems:
-            self._systems.move_to_end(key)
-            return self._systems[key]
-        while len(self._systems) >= self.MAX_SYSTEMS:
-            self._systems.popitem(last=False)
-        self._systems[key] = SlabSystem(self.q, float(tau), self.M_II, self.K_II,
-                                        self.C_II, self._C_fact)
-        return self._systems[key]
+        if key != self._tau_key:
+            self._tau_key, self._system = key, SlabSystem(
+                self.q, float(tau), self.M_II, self.K_II, self.C_II, self._C_fact)
+        return self._system
 
     def load_moments(self, n):
         """Temporal moments of the interior load: (q, n_interior) array of
@@ -291,18 +282,17 @@ class SlabWorkspace:
         return (tst * ws) @ np.ascontiguousarray(loads)
 
 
-def solve_slab(prev_u, prev_v, n, problem, disc, lifting=None, workspace=None):
+def solve_slab(prev_u, prev_v, n, workspace, lifting):
     """Advance one slab from the endpoint state (prev_u, prev_v) at t_{n-1}.
 
-    Returns the full trial-coefficient tensors (q+1, n_dofs) for u and v on
-    slab n.  The previous state must agree with the lifting on the boundary.
+    ``workspace`` is the run's :class:`SlabWorkspace` and ``lifting`` its
+    :func:`build_lifting` (None for homogeneous data).  Returns the full
+    trial-coefficient tensors (q+1, n_dofs) for u and v on slab n.  The
+    previous state must agree with the lifting on the boundary.
     """
-    ws = workspace if workspace is not None else SlabWorkspace(problem, disc)
-    if lifting is None and problem.g_d is not None:
-        lifting = build_lifting(problem, ws.space, ws.partition, ws.q, disc.bc_mode)
-    q, I, B = ws.q, ws.I, ws.B
-    tau = float(ws.partition.lengths[n])
-    system = ws.system(tau)
+    q, I, B = workspace.q, workspace.I, workspace.B
+    tau = float(workspace.partition.lengths[n])
+    system = workspace.system(tau)
     Nm, Dm = system.Nm, system.Dm
 
     nB = len(B)
@@ -317,13 +307,13 @@ def solve_slab(prev_u, prev_v, n, problem, disc, lifting=None, workspace=None):
 
     # the known parts of the coefficients: row 0 from the previous slab,
     # boundary rows from the lifting; the solve fills in the interior rows
-    U = np.zeros((q + 1, ws.space.n_dofs))
-    V = np.zeros((q + 1, ws.space.n_dofs))
+    U = np.zeros((q + 1, workspace.space.n_dofs))
+    V = np.zeros((q + 1, workspace.space.n_dofs))
     U[0], V[0] = prev_u, prev_v
     U[1:, B], V[1:, B] = UB[1:], VB[1:]
-    r1, r2 = _block(ws.C_I, ws.M_I, ws.K_I, Nm, Dm, U, V)
+    r1, r2 = _block(workspace.C_I, workspace.M_I, workspace.K_I, Nm, Dm, U, V)
     r1, r2 = -r1, -r2
-    F = ws.load_moments(n)
+    F = workspace.load_moments(n)
     if F is not None:
         r2 += F
 
@@ -339,14 +329,13 @@ def solve(problem, disc):
     space, partition, q = disc.space, disc.partition, disc.q
     ws = SlabWorkspace(problem, disc)
     lifting = build_lifting(problem, space, partition, q, disc.bc_mode)
-    u0h, v0h = discrete_initial_data(problem, space, lifting, disc.initial_mode,
-                                     mass=ws.M, stiffness=ws.K)
+    u0h, v0h = discrete_initial_data(problem, space, lifting, disc.initial_mode)
     N = partition.n_slabs
     U = np.zeros((N, q + 1, space.n_dofs))
     V = np.zeros((N, q + 1, space.n_dofs))
     prev_u, prev_v = u0h.values.copy(), v0h.values.copy()
     for n in range(N):
-        U[n], V[n] = solve_slab(prev_u, prev_v, n, problem, disc, lifting, ws)
+        U[n], V[n] = solve_slab(prev_u, prev_v, n, ws, lifting)
         prev_u = U[n, 0] + U[n, 1]
         prev_v = V[n, 0] + V[n, 1]
-    return SpaceTimeSolution(space, partition, q, U, V, mass=ws.M, stiffness=ws.K)
+    return SpaceTimeSolution(space, partition, q, U, V)

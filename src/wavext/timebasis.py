@@ -60,10 +60,6 @@ class TimePartition:
     def slab(self, n):
         return float(self.nodes[n]), float(self.nodes[n + 1])
 
-    def containing_slab(self, t):
-        return int(np.clip(np.searchsorted(self.nodes, t, side="right") - 1,
-                           0, self.n_slabs - 1))
-
 
 def uniform_time_partition(t_final, n_slabs):
     return TimePartition(np.linspace(0.0, float(t_final), int(n_slabs) + 1))
@@ -74,17 +70,14 @@ def to_normalized(slab, t):
     return 2.0 * (np.asarray(t, dtype=float) - a) / (b - a) - 1.0
 
 
-def legendre_matrix(deg, x, derivative=0):
+def legendre_matrix(deg, x):
     """Values of P_0..P_deg at normalized coords x, shape (deg+1,) + x.shape."""
     x = np.asarray(x, dtype=float)
     out = np.empty((deg + 1,) + x.shape)
     for s in range(deg + 1):
         c = np.zeros(s + 1)
         c[s] = 1.0
-        if derivative:
-            out[s] = npleg.legval(x, npleg.legder(c)) if s else 0.0
-        else:
-            out[s] = npleg.legval(x, c)
+        out[s] = npleg.legval(x, c)
     return out
 
 
@@ -158,15 +151,14 @@ def graded_gauss_rule(npts, slab):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def l2_project_time(r, f, slab, npts=None):
+def l2_project_time(r, f, slab, npts):
     """Legendre coefficients of the slabwise L2 projection onto degree r.
 
-    Coefficient k is (2k+1)/tau * int f L_k dt, by an npts-point Gauss rule
-    (r + 6 points by default).
+    Coefficient k is (2k+1)/tau * int f L_k dt, by an npts-point Gauss rule.
     """
     a, b = slab
     tau = b - a
-    ts, ws = gauss_rule(npts if npts is not None else r + 6, slab)
+    ts, ws = gauss_rule(npts, slab)
     fv = np.asarray(f(ts), dtype=float)
     P = legendre_matrix(r, to_normalized(slab, ts))
     moments = np.tensordot(P * ws, fv, axes=(1, 0))
@@ -183,14 +175,6 @@ class SlabPoly:
 
     partition: TimePartition
     coeffs: np.ndarray
-
-    @property
-    def degree(self):
-        return self.coeffs.shape[1] - 1
-
-    def eval_slab(self, n, t):
-        P = legendre_matrix(self.degree, to_normalized(self.partition.slab(n), t))
-        return np.tensordot(P, self.coeffs[n], axes=(0, 0))
 
     def trial_coeffs(self, n):
         """Slab-n coefficients in the trial (integrated Legendre) basis."""

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 import wavext as wx
 from wavext import reference
-from wavext.timebasis import to_normalized
+from wavext.timebasis import legendre_matrix, to_normalized
 
 
 @pytest.fixture(scope="session")
@@ -58,8 +59,31 @@ def evaluate(fn, points):
     return float(out[0]) if np.ndim(points) == 1 else out
 
 
+def containing_slab(partition, t):
+    """Index of the slab of a time partition that contains time t."""
+    return int(np.clip(np.searchsorted(partition.nodes, t, side="right") - 1,
+                       0, partition.n_slabs - 1))
+
+
 def coeffs_at(sol, t, component="u"):
     """Spatial coefficients of a space-time solution at time t."""
-    n = sol.partition.containing_slab(float(t))
+    n = containing_slab(sol.partition, float(t))
     x = to_normalized(sol.partition.slab(n), float(t))
     return sol.coeffs_on_slab(n, np.asarray([x]), component)[0]
+
+
+def eval_slab(poly, n, t):
+    """A SlabPoly's slab-n polynomial at the times t."""
+    P = legendre_matrix(poly.coeffs.shape[1] - 1, to_normalized(poly.partition.slab(n), t))
+    return np.tensordot(P, poly.coeffs[n], axes=(0, 0))
+
+
+def legendre_derivative_matrix(deg, x):
+    """Values of P_0'..P_deg' at normalized coords x, shape (deg+1,) + x.shape."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((deg + 1,) + x.shape)
+    for s in range(1, deg + 1):
+        c = np.zeros(s + 1)
+        c[s] = 1.0
+        out[s] = npleg.legval(x, npleg.legder(c))
+    return out

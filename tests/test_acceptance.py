@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import wavext as wx
+from conftest import legendre_derivative_matrix
 from test_timebasis import _assemble_global_endpoint_projection
 from wavext.cli import parse_config, run_experiment
 from wavext.estimator import gap_constant
@@ -249,7 +250,7 @@ def test_criterion_7_projection_oracles(tau_study):
             ts, ws = gauss_rule(q + 4, slab)
             xs = to_normalized(slab, ts)
             val = np.sum(ws * (ts - slab[0]) * legendre_matrix(q, xs)[q]
-                         * legendre_matrix(q, xs, derivative=1)[q] * 2.0 / tau)
+                         * legendre_derivative_matrix(q, xs)[q] * 2.0 / tau)
             gap_ii = max(gap_ii, abs(val - tau * q / (2 * q + 1)))
 
     # (iii) reconstruction gap bounds on every slab of the tau runs, where

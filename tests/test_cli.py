@@ -1,13 +1,19 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _make_problem,
-                        default_config, main, parse_config)
+import wavext.cli as cli
+import wavext.fem as fem
+from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _make_problem,
+                        _run_cells, default_config, main, parse_config,
+                        run_cell)
 from wavext.errors import ConfigurationError
+from wavext.fem import assemble, build_space
+from wavext.mesh import build_structured_mesh
 from wavext.problem import make_preset
 
 
@@ -89,6 +95,21 @@ def test_tau_checked_before_any_output(tmp_path, capsys, tau):
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert "does not divide the final time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["tau = 1e-9\n", "mesh = 100000\n"])
+def test_run_size_checked_before_any_output(tmp_path, capsys, monkeypatch, text):
+    # 1e9 slabs, or 4e10 DOFs: U and V would not fit in memory
+    def nothing_built(*args):
+        raise AssertionError("a cell was started")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", nothing_built)
+    monkeypatch.setattr(cli, "_run_cells", nothing_built)
+    path = write(tmp_path, "big.cfg", text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"would hold more than {cli.MAX_SOLUTION_FLOATS} values" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -269,27 +290,90 @@ def test_default_configs_valid():
         assert cfg.experiment == name
 
 
-def test_jobs_parallel_matches_serial(tmp_path):
-    cfg_path = write(tmp_path, "p.cfg", """
-        problem = standing-wave
-        p = 1
-        q = 1
-        mesh = 2
-        mesh = 4
-        tau = 0.5
-    """)
+#: A 4-cell converge-tau study: 2 q x 2 tau on one space.
+_TAU_STUDY = """
+    problem = dirichlet-cos
+    p = 3
+    q = 1
+    q = 2
+    mesh = 2
+    tau = 0.5
+    tau = 0.25
+"""
+
+
+@pytest.mark.parametrize("experiment, text", [
+    ("converge-h", "problem = standing-wave\np = 1\nq = 1\nmesh = 2\nmesh = 4\ntau = 0.5\n"),
+    # the serial run shares one space among the cells, the pool does not
+    ("converge-tau", _TAU_STUDY),
+], ids=["converge-h", "converge-tau"])
+def test_jobs_parallel_matches_serial(tmp_path, experiment, text):
+    cfg_path = write(tmp_path, "p.cfg", text)
     a, b = tmp_path / "ser", tmp_path / "par"
-    assert main(["converge-h", "--config", cfg_path, "--out", str(a)]) == 0
-    assert main(["converge-h", "--config", cfg_path, "--out", str(b),
+    assert main([experiment, "--config", cfg_path, "--out", str(a)]) == 0
+    assert main([experiment, "--config", cfg_path, "--out", str(b),
                  "--jobs", "2"]) == 0
-    assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+    for name in ("results.csv", "rates.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    n_cells = len(read_rows(a))
+    for out in (a, b):
+        timed = re.findall(r"^  p=\d+ q=\d+ nx=\d+ tau=\S+ done in \d+\.\d\ds$",
+                           (out / "run.log").read_text(), re.M)
+        assert len(timed) == n_cells
+
+
+def test_cell_row_same_alone_and_in_its_group(tmp_path):
+    cfg = parse_config(write(tmp_path, "t.cfg", _TAU_STUDY), "converge-tau")
+    cells = _cells(cfg)
+    grouped = [row for row, _ in _run_cells(cfg, cells)]
+    assert len(cells) == 4
+    for cell, row in zip(cells, grouped):
+        (alone, _), = _run_cells(cfg, [cell])
+        assert alone == row
+
+
+def test_tau_study_assembles_each_operator_once(tmp_path, monkeypatch):
+    kinds = []
+    local_matrices = fem.local_matrices
+
+    def counted(space, kind, *args):
+        kinds.append(kind)
+        return local_matrices(space, kind, *args)
+
+    monkeypatch.setattr(fem, "local_matrices", counted)
+    path = write(tmp_path, "t.cfg", _TAU_STUDY)
+    assert main(["converge-tau", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert len(read_rows(tmp_path / "out")) == 4
+    assert sorted(kinds) == ["mass", "stiffness"]
+
+
+@pytest.mark.parametrize("experiment, text", [
+    ("converge-tau", _TAU_STUDY + "method = mass\nbc_mode = interpolation\n"),
+    ("estimate", "p = 4\nq = 2\nmesh = 2\ntau = 0.25\n"),
+], ids=["mass-coupling", "estimate"])
+def test_run_cell_leaves_shared_operators_unchanged(tmp_path, experiment, text):
+    cfg = parse_config(write(tmp_path, "c.cfg", text), experiment)
+    problem = _make_problem(cfg)
+    cell = _cells(cfg)[0]
+
+    def new_space():
+        mesh = build_structured_mesh(cell["nx"], cell["nx"], problem.bbox)
+        return build_space(mesh, cell["p"])
+
+    shared = new_space()
+    run_cell(cfg, cell, problem, shared)
+    fresh = new_space()
+    for kind, c in (("mass", 1.0), ("stiffness", problem.c)):
+        used, clean = assemble(shared, kind, c), assemble(fresh, kind, c)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(used, name), getattr(clean, name))
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
     import wavext.cli as cli
     from wavext.errors import SolverFailure
 
-    def boom(cfg, cell):
+    def boom(cfg, cell, problem, space):
         raise SolverFailure(f"cell p={cell['p']}: synthetic failure")
 
     monkeypatch.setattr(cli, "run_cell", boom)

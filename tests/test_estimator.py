@@ -73,7 +73,7 @@ def test_estimator_scaling_linearity():
     br1 = compute_estimator(sol, prob.f, prob.c)
     lam = -2.5
     scaled = SpaceTimeSolution(sol.space, sol.partition, sol.degree,
-                               lam * sol.u, lam * sol.v, mass=sol.mass)
+                               lam * sol.u, lam * sol.v)
     f_scaled = lambda x, y, t: lam * prob.f(x, y, t)
     br2 = compute_estimator(scaled, f_scaled, prob.c)
     for name in ("term_post", "term_f", "term_lap_v", "term_lap_u", "eta",

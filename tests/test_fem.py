@@ -223,6 +223,18 @@ def test_spatial_norm_values():
     assert spatial_norm(sp, "h1c", fe=fn) == pytest.approx(1.0, abs=1e-13)
 
 
+def test_assemble_memoized_per_space_and_read_only():
+    sp = wx.build_space(build_structured_mesh(2, 2), 2)
+    M, K = wx.assemble(sp, "mass"), wx.assemble(sp, "stiffness", 1.0)
+    assert wx.assemble(sp, "mass") is M and wx.assemble(sp, "stiffness", 1.0) is K
+    assert wx.assemble(sp, "stiffness", 2.0) is not K
+    other = wx.build_space(build_structured_mesh(2, 2), 2)
+    assert wx.assemble(other, "mass") is not M
+    for array in (M.data, M.indices, M.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
 def test_assembly_quadrature_exactness():
     # raising the rule degree does not change mass or stiffness entries
     sp = wx.build_space(build_structured_mesh(2, 2), 3)

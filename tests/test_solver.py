@@ -1,3 +1,4 @@
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -111,7 +112,8 @@ def test_single_slab_equals_solve():
     disc = wx.Discretization(space, part, q=2)
     sol = wx.solve(prob, disc)
     u0h, v0h = wx.discrete_initial_data(prob, space)
-    U, V = wx.solve_slab(u0h.values, v0h.values, 0, prob, disc)
+    lifting = wx.build_lifting(prob, space, part, 2, disc.bc_mode)
+    U, V = wx.solve_slab(u0h.values, v0h.values, 0, SlabWorkspace(prob, disc), lifting)
     assert np.abs(U - sol.u[0]).max() <= 1e-12
     assert np.abs(V - sol.v[0]).max() <= 1e-12
 
@@ -178,7 +180,7 @@ def test_previous_state_must_match_lifting():
     bad = u0h.values.copy()
     bad[space.boundary_dofs[0]] += 1e-3
     with pytest.raises(wx.ConfigurationError):
-        wx.solve_slab(bad, v0h.values, 0, prob, disc, lifting)
+        wx.solve_slab(bad, v0h.values, 0, SlabWorkspace(prob, disc), lifting)
 
 
 def _smooth_random_problem(rng):
@@ -260,9 +262,11 @@ def _monolithic_march(prob, disc):
     right-hand side built term by term, refining every solve once."""
     ws = SlabWorkspace(prob, disc)
     q, I, B = ws.q, ws.I, ws.B
-    C = ws.K if disc.method == "gradient" else ws.M
+    M = wx.assemble(disc.space, "mass")
+    K = wx.assemble(disc.space, "stiffness", prob.c)
+    C = K if disc.method == "gradient" else M
     C_IB = C[np.ix_(I, B)]
-    K_IB, M_IB = ws.K[np.ix_(I, B)], ws.M[np.ix_(I, B)]
+    K_IB, M_IB = K[np.ix_(I, B)], M[np.ix_(I, B)]
     lifting = wx.build_lifting(prob, disc.space, disc.partition, q, disc.bc_mode)
     u0h, v0h = wx.discrete_initial_data(prob, disc.space, lifting, disc.initial_mode)
     tau = float(disc.partition.lengths[0])
@@ -274,8 +278,8 @@ def _monolithic_march(prob, disc):
     prev_u, prev_v = u0h.values, v0h.values
     for s in range(n_slabs):
         UB, VB = lifting.u_trial[s], lifting.v_trial[s]
-        KU0, CV0 = (ws.K @ prev_u)[I], (C @ prev_v)[I]
-        MV0, CU0 = (ws.M @ prev_v)[I], (C @ prev_u)[I]
+        KU0, CV0 = (K @ prev_u)[I], (C @ prev_v)[I]
+        MV0, CU0 = (M @ prev_v)[I], (C @ prev_u)[I]
         r1 = np.empty((q, len(I)))
         r2 = np.empty((q, len(I)))
         for i in range(q):
@@ -389,21 +393,23 @@ def test_fast_solve_within_refined_monolithic_solve():
 
 def test_slab_cache_bounded_on_graded_partition():
     # geometric grading: every slab has its own length, so every slab needs
-    # its own factorizations; the cache keeps only the most recent ones
+    # its own factorizations; the workspace holds only the last slab's system
     prob = wx.standing_wave()
     space = wx.build_space(wx.build_structured_mesh(4, 4, prob.bbox), 2)
     part = wx.TimePartition(np.concatenate([[0.0], 0.8 ** np.arange(12)[::-1]]))
     disc = wx.Discretization(space, part, q=2)
     ws = SlabWorkspace(prob, disc)
-    u0h, v0h = wx.discrete_initial_data(prob, space, mass=ws.M, stiffness=ws.K)
+    u0h, v0h = wx.discrete_initial_data(prob, space)
     U = np.zeros((part.n_slabs, 3, space.n_dofs))
     V = np.zeros_like(U)
     prev_u, prev_v = u0h.values, v0h.values
+    systems = []
     for n in range(part.n_slabs):
-        U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, prob, disc, workspace=ws)
-        assert len(ws._systems) <= SlabWorkspace.MAX_SYSTEMS
+        U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, ws, None)
+        systems.append(weakref.ref(ws.system(part.lengths[n])))
+        # a new system for each slab, and only the newest one is held
+        assert [ref() is not None for ref in systems] == [False] * n + [True]
         prev_u, prev_v = U[n, 0] + U[n, 1], V[n, 0] + V[n, 1]
-    assert len(ws._systems) == SlabWorkspace.MAX_SYSTEMS < part.n_slabs
     sol = wx.solve(prob, disc)
     assert np.array_equal(sol.u, U) and np.array_equal(sol.v, V)
     E = wx.energy_trace(sol, prob.c)
