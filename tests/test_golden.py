@@ -3,8 +3,8 @@
 ``tests/golden/<name>.cfg`` is a reduced copy of ``configs/<name>.cfg``
 (each runs in well under a second); ``tests/golden/<name>/`` holds the
 ``results.csv`` and ``rates.txt`` it must reproduce.  The files are never
-regenerated to make this test pass: a change that moves a printed digit
-says where and why, and updates them in a change of its own.
+regenerated to hide a move nobody can explain: a change meant to move
+printed digits regenerates them and lists each moved cell.
 """
 
 from pathlib import Path
