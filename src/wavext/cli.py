@@ -387,11 +387,8 @@ def _check(cfg, rows):
 
 
 def _run_cells(cfg, cells):
-    """Run cells in order; return each one's row and wall time in seconds.
-
-    The problem is built once, and each run of consecutive cells with the
-    same (p, nx) shares one space, so also its assembled operators.
-    """
+    """Rows and wall times in seconds of cells run in order: the problem is
+    built once, and consecutive cells with the same (p, nx) share a space."""
     problem = _make_problem(cfg)
     space = None
     out = []

@@ -82,19 +82,16 @@ class LagrangeSpace:
         return max(2 * self.degree + 2, 6)
 
     def quad_data(self, degree, order=1):
-        """:meth:`tabulate_rule`, cached per exactness degree and order."""
-        key = (int(degree), order >= 2)
-        if key not in self._rule_cache:
-            self._rule_cache[key] = self.tabulate_rule(degree, order)
-        return self._rule_cache[key]
-
-    def tabulate_rule(self, degree, order=1):
-        """Quadrature bundle at the given exactness degree.
+        """Quadrature bundle at the given exactness degree, cached at the norm
+        degree; the others serve assembly, whose result the space keeps.
 
         Returns a dict with reference tables and per-cell physical arrays:
         pts (nc, nq, 2), wdet (nc, nq), val (nq, nloc), grad (nc, nq, nloc, 2)
         and, when order >= 2, lap (nc, nq, nloc).
         """
+        key = (int(degree), order >= 2)
+        if key in self._rule_cache:
+            return self._rule_cache[key]
         rs, w = reference.triangle_rule(int(degree))
         val, gref, href = reference.tabulate(self.degree, rs, order=2 if order >= 2 else 1)
         pts = self.cell_origin[:, None, :] + np.einsum("ckm,qm->cqk", self.jac, rs)
@@ -104,6 +101,8 @@ class LagrangeSpace:
         if order >= 2:
             G = np.einsum("cka,cma->ckm", self.jacinv, self.jacinv)
             data["lap"] = np.einsum("ckm,qikm->cqi", G, href)
+        if degree == self.norm_degree():
+            self._rule_cache[key] = data
         return data
 
 
@@ -135,19 +134,15 @@ def _wavespeed_sq(c, pts):
 
 
 def local_matrices(space, kind, coefficient=1.0):
-    """Per-cell element matrices, shape (nc, nloc, nloc).
-
-    The tables are not cached on the space: :func:`assemble` keeps the
-    matrix, so a space needs them once.
-    """
+    """Per-cell element matrices, shape (nc, nloc, nloc)."""
     p = space.degree
     if kind == "mass":
-        qd = space.tabulate_rule(2 * p)
+        qd = space.quad_data(2 * p)
         loc = np.einsum("q,qi,qj->ij", qd["w"], qd["val"], qd["val"])
         return space.detjac[:, None, None] * loc
     if kind == "stiffness":
         degree = 2 * p - 2 if not callable(coefficient) else 2 * p + 2
-        qd = space.tabulate_rule(max(degree, 0))
+        qd = space.quad_data(max(degree, 0))
         w = _wavespeed_sq(coefficient, qd["pts"]) * qd["wdet"]
         return np.einsum("cq,cqik,cqjk->cij", np.broadcast_to(w, qd["wdet"].shape),
                          qd["grad"], qd["grad"])

@@ -229,11 +229,8 @@ class SlabSystem:
 
 class SlabWorkspace:
     """The interior blocks of the space's operators, the factorization of C,
-    and the slab system of the last slab length used.
-
-    One system serves every slab of a uniform partition; a graded partition
-    needs one per slab either way, so no more than the last one is kept.
-    """
+    and the slab system of the last slab length: one serves a uniform
+    partition, and a graded one needs one per slab either way."""
 
     def __init__(self, problem, disc):
         space = disc.space
@@ -285,10 +282,9 @@ class SlabWorkspace:
 def solve_slab(prev_u, prev_v, n, workspace, lifting):
     """Advance one slab from the endpoint state (prev_u, prev_v) at t_{n-1}.
 
-    ``workspace`` is the run's :class:`SlabWorkspace` and ``lifting`` its
-    :func:`build_lifting` (None for homogeneous data).  Returns the full
-    trial-coefficient tensors (q+1, n_dofs) for u and v on slab n.  The
-    previous state must agree with the lifting on the boundary.
+    Returns the full trial-coefficient tensors (q+1, n_dofs) for u and v on
+    slab n.  The previous state must agree with the lifting on the boundary
+    (``lifting`` is the run's :func:`build_lifting`, None for zero data).
     """
     q, I, B = workspace.q, workspace.I, workspace.B
     tau = float(workspace.partition.lengths[n])
