@@ -370,7 +370,6 @@ def test_run_cell_leaves_shared_operators_unchanged(tmp_path, experiment, text):
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
-    import wavext.cli as cli
     from wavext.errors import SolverFailure
 
     def boom(cfg, cell, problem, space):
