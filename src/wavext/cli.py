@@ -181,6 +181,10 @@ def _validate(cfg):
         raise ConfigurationError(f"p values must be in [1, {MAX_SPATIAL_DEGREE}]")
     if any(v < 1 for v in cfg.mesh):
         raise ConfigurationError("mesh values must be >= 1")
+    res = {"converge-h": [-n for n in cfg.mesh], "converge-tau": cfg.tau,
+           "estimate": cfg.tau}.get(cfg.experiment, [])
+    if any(a <= b for a, b in zip(res, res[1:])):  # rates run coarse to fine
+        raise ConfigurationError("rates need tau strictly decreasing, mesh strictly increasing")
     if cfg.samples_per_slab < 3:
         raise ConfigurationError("samples_per_slab must be >= 3")
     if cfg.initial_mode not in ("projection", "interpolation"):
@@ -339,34 +343,27 @@ def _pairwise_block(group, res_name, resolutions, quantities=_RATE_QUANTITIES):
 def _check(cfg, rows):
     """Experiment-specific sanity thresholds used by --check."""
     failures = []
-    if cfg.experiment == "converge-h":
+    if cfg.experiment == "converge-h" or (cfg.experiment == "converge-tau"
+                                          and cfg.bc_mode == "projection"):
+        res = "h" if cfg.experiment == "converge-h" else "tau"
         for p in cfg.p:
             for q in cfg.q:
                 group = [r for r in rows if r["p"] == p and r["q"] == q]
                 if len(group) < 2:
                     continue
-                hs = [r["h"] for r in group]
-                for k, target, tol in (("err_u", p + 1, 0.25), ("err_ustar", p + 1, 0.25),
-                                       ("err_v", p + 1, 0.25), ("err_gradu", p, 0.25)):
-                    rate = convergence_rates(hs, [r[k] for r in group])[-1]
+                if res == "h":
+                    checks = [("err_u", p + 1, 0.25), ("err_ustar", p + 1, 0.25),
+                              ("err_v", p + 1, 0.25), ("err_gradu", p, 0.25)]
+                else:
+                    checks = [("err_u", q + 1, 0.3), ("err_v", q + 1, 0.3),
+                              ("err_gradu", q + 1, 0.3)]
+                    if q > 1:
+                        checks.append(("err_ustar", q + 2, 0.3))
+                for k, target, tol in checks:
+                    rate = convergence_rates([r[res] for r in group], [r[k] for r in group])[-1]
                     if rate is None or abs(rate - target) > tol:
                         failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
                                         f"within {target}+-{tol}")
-    elif cfg.experiment == "converge-tau" and cfg.bc_mode == "projection":
-        for q in cfg.q:
-            group = [r for r in rows if r["q"] == q]
-            if len(group) < 2:
-                continue
-            taus = [r["tau"] for r in group]
-            checks = [("err_u", q + 1, 0.3), ("err_v", q + 1, 0.3),
-                      ("err_gradu", q + 1, 0.3)]
-            if q > 1:
-                checks.append(("err_ustar", q + 2, 0.3))
-            for k, target, tol in checks:
-                rate = convergence_rates(taus, [r[k] for r in group])[-1]
-                if rate is None or abs(rate - target) > tol:
-                    failures.append(f"q={q}: {k} last-pair rate {rate} not within "
-                                    f"{target}+-{tol}")
     elif cfg.experiment == "estimate":
         for r in rows:
             if r["err_u"] is not None and r["err_u"] > r["eta"] + r["osc_f"]:

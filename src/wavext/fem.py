@@ -81,28 +81,24 @@ class LagrangeSpace:
         """Quadrature degree used for norms, projections and load vectors."""
         return max(2 * self.degree + 2, 6)
 
-    def quad_data(self, degree, order=1):
+    def quad_data(self, degree):
         """Quadrature bundle at the given exactness degree, cached at the norm
         degree; the others serve assembly, whose result the space keeps.
 
-        Returns a dict with reference tables and per-cell physical arrays:
-        pts (nc, nq, 2), wdet (nc, nq), val (nq, nloc), grad (nc, nq, nloc, 2)
-        and, when order >= 2, lap (nc, nq, nloc).
+        Returns reference tables rs (nq, 2), w (nq), val (nq, nloc), gref
+        (nq, nloc, 2) and href (nq, nloc, 2, 2) (None off the norm degree),
+        with the physical points pts (nc, nq, 2) and weights wdet (nc, nq).
         """
-        key = (int(degree), order >= 2)
-        if key in self._rule_cache:
-            return self._rule_cache[key]
+        if degree in self._rule_cache:
+            return self._rule_cache[degree]
+        norm = degree == self.norm_degree()
         rs, w = reference.triangle_rule(int(degree))
-        val, gref, href = reference.tabulate(self.degree, rs, order=2 if order >= 2 else 1)
+        val, gref, href = reference.tabulate(self.degree, rs, order=2 if norm else 1)
         pts = self.cell_origin[:, None, :] + np.einsum("ckm,qm->cqk", self.jac, rs)
-        wdet = np.outer(self.detjac, w)
-        grad = np.einsum("cmk,qim->cqik", self.jacinv, gref)
-        data = {"rs": rs, "w": w, "pts": pts, "wdet": wdet, "val": val, "grad": grad}
-        if order >= 2:
-            G = np.einsum("cka,cma->ckm", self.jacinv, self.jacinv)
-            data["lap"] = np.einsum("ckm,qikm->cqi", G, href)
-        if degree == self.norm_degree():
-            self._rule_cache[key] = data
+        data = {"rs": rs, "w": w, "pts": pts, "wdet": np.outer(self.detjac, w),
+                "val": val, "gref": gref, "href": href}
+        if norm:
+            self._rule_cache[degree] = data
         return data
 
 
@@ -133,6 +129,11 @@ def _wavespeed_sq(c, pts):
     return c ** 2
 
 
+def _cell_gradients(space, qd):
+    """Basis gradients J_c^{-T} grad(phi_i) on every (affine) cell, (nc, nq, nloc, 2)."""
+    return np.einsum("cmk,qim->cqik", space.jacinv, qd["gref"])
+
+
 def local_matrices(space, kind, coefficient=1.0):
     """Per-cell element matrices, shape (nc, nloc, nloc)."""
     p = space.degree
@@ -144,8 +145,9 @@ def local_matrices(space, kind, coefficient=1.0):
         degree = 2 * p - 2 if not callable(coefficient) else 2 * p + 2
         qd = space.quad_data(max(degree, 0))
         w = _wavespeed_sq(coefficient, qd["pts"]) * qd["wdet"]
+        grad = _cell_gradients(space, qd)
         return np.einsum("cq,cqik,cqjk->cij", np.broadcast_to(w, qd["wdet"].shape),
-                         qd["grad"], qd["grad"])
+                         grad, grad)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -214,8 +216,9 @@ def ritz_project(space, f, grad_f, c=1.0):
     qd = space.quad_data(space.norm_degree())
     gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
     w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
-    loc = np.einsum("cq,cqi->ci", np.broadcast_to(gx, qd["wdet"].shape) * w, qd["grad"][..., 0])
-    loc += np.einsum("cq,cqi->ci", np.broadcast_to(gy, qd["wdet"].shape) * w, qd["grad"][..., 1])
+    grad = _cell_gradients(space, qd)
+    loc = np.einsum("cq,cqi->ci", np.broadcast_to(gx, qd["wdet"].shape) * w, grad[..., 0])
+    loc += np.einsum("cq,cqi->ci", np.broadcast_to(gy, qd["wdet"].shape) * w, grad[..., 1])
     rhs = np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dofs)
 
     I, B = space.interior_dofs, space.boundary_dofs
@@ -239,9 +242,12 @@ class BrokenField:
 
     def l2_norm(self):
         space = self.fn.space
-        qd = space.quad_data(space.norm_degree(), order=2)
+        qd = space.quad_data(space.norm_degree())
         coeffs = self.fn.values[space.cell_dofs]
-        vals = np.einsum("ci,cqi->cq", coeffs, qd["lap"])
+        # Delta = sum_km G_km d_k d_m, G = J^-1 J^-T: both symmetric, so 3 products
+        G = np.einsum("cka,cma->ckm", space.jacinv, space.jacinv)
+        vals = sum(f * G[:, k, m, None] * (coeffs @ np.ascontiguousarray(qd["href"][..., k, m]).T)
+                   for k, m, f in ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0)))
         return float(np.sqrt(np.sum(qd["wdet"] * vals ** 2)))
 
 
@@ -276,24 +282,29 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0):
     X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
     if kind == "l2":
         w = qd["wdet"]
-        parts = [(None if exact is None else exact(X, Y), "...ci,qi->...cq", qd["val"])]
+        targets = [None if exact is None else exact(X, Y)]
     elif kind == "h1c":
         if exact is not None and exact_grad is None:
             raise ValueError("h1c norm against a callback needs exact_grad")
         w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
-        gx, gy = (None, None) if exact is None else exact_grad(X, Y)
-        parts = [(gx, "...ci,cqi->...cq", qd["grad"][..., 0]),
-                 (gy, "...ci,cqi->...cq", qd["grad"][..., 1])]
+        targets = (None, None) if exact is None else exact_grad(X, Y)
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
     if fe is None:
         fe = np.zeros(space.n_dofs)
     coeffs = fe.values if isinstance(fe, FEFunction) else np.asarray(fe, dtype=float)
-    # C-contiguous, so that each sample is contracted as a single one is
-    coeffs = np.ascontiguousarray(coeffs[..., space.cell_dofs])
+    cells = coeffs[..., space.cell_dofs]
+    at = lambda table: cells @ np.ascontiguousarray(table).T  # BLAS, one product per sample
     sq = None
-    for target, spec, table in parts:
-        diff = np.einsum(spec, coeffs, table)
+    for k, target in enumerate(targets):
+        if kind == "l2":
+            diff = at(qd["val"])
+        else:
+            # d_k u = sum_m jacinv[c, m, k] R_m, R_m the reference derivatives
+            diff, r1 = (at(qd["gref"][..., m]) for m in (0, 1))
+            diff *= space.jacinv[:, 0, k, None]
+            diff += np.multiply(r1, space.jacinv[:, 1, k, None], out=r1)
+            del r1
         if target is not None:
             diff = np.subtract(target, diff, out=diff if diff.ndim >= np.ndim(target) else None)
         np.square(diff, out=diff)

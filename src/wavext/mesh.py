@@ -30,10 +30,6 @@ class Mesh:
     ny: int
 
     @property
-    def n_vertices(self):
-        return self.vertices.shape[0]
-
-    @property
     def n_cells(self):
         return self.cells.shape[0]
 

@@ -50,10 +50,6 @@ class TimePartition:
         return np.diff(self.nodes)
 
     @property
-    def tau_max(self):
-        return float(np.max(self.lengths))
-
-    @property
     def t_final(self):
         return float(self.nodes[-1])
 

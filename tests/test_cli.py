@@ -98,6 +98,39 @@ def test_tau_checked_before_any_output(tmp_path, capsys, tau):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, text", [
+    ("converge-tau", "tau = 0.25\ntau = 0.5\n"),
+    ("converge-tau", "tau = 0.5\ntau = 0.5\n"),
+    ("estimate", "problem = estimator-poly\ntau = 0.125\ntau = 0.25\n"),
+    ("converge-h", "mesh = 4\nmesh = 2\n"),
+    ("converge-h", "mesh = 2\nmesh = 2\n"),
+])
+def test_unordered_resolutions_rejected_before_any_output(tmp_path, capsys, experiment, text):
+    # rates need the resolutions coarse to fine: tau decreasing, mesh increasing
+    path = write(tmp_path, "res.cfg", "p = 1\nq = 1\n" + text)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", path, "--out", str(out)]) == 2
+    assert "rates need tau strictly decreasing, mesh strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converge_tau_check_with_several_p(tmp_path, capsys):
+    # --check takes the rates of each (p, q) group apart
+    path = write(tmp_path, "ct.cfg", "p = 4\np = 5\nq = 1\nmesh = 2\ntau = 0.25\ntau = 0.125\n")
+    out = tmp_path / "out"
+    assert main(["converge-tau", "--config", path, "--out", str(out), "--check"]) == 0
+    assert [(r["p"], r["tau"]) for r in read_rows(out)] == \
+        [("4", "2.50000000000e-01"), ("4", "1.25000000000e-01"),
+         ("5", "2.50000000000e-01"), ("5", "1.25000000000e-01")]
+    # at tau = 1/2 -> 1/4 the rates are still short of q + 1: a check
+    # failure per group, not a traceback
+    path = write(tmp_path, "coarse.cfg", "p = 2\np = 3\nq = 1\nmesh = 2\ntau = 0.5\ntau = 0.25\n")
+    assert main(["converge-tau", "--config", path, "--out", str(tmp_path / "coarse"),
+                 "--check"]) == 4
+    err = capsys.readouterr().err
+    assert "p=2 q=1: err_u last-pair rate" in err and "p=3 q=1: err_gradu last-pair rate" in err
+
+
 @pytest.mark.parametrize("text", ["tau = 1e-9\n", "mesh = 100000\n"])
 def test_run_size_checked_before_any_output(tmp_path, capsys, monkeypatch, text):
     # 1e9 slabs, or 4e10 DOFs: U and V would not fit in memory

@@ -9,6 +9,12 @@ from wavext.fem import (FEFunction, broken_laplacian, local_matrices,
 from wavext.mesh import build_structured_mesh
 
 
+def _cell_grad(space, qd):
+    """Per-cell basis gradients (nc, nq, nloc, 2) from jacinv and the
+    reference gradients."""
+    return np.einsum("cmk,qim->cqik", space.jacinv, qd["gref"])
+
+
 def _evaluate_on_cell(fn, cell, points):
     """The local polynomial of one cell at physical points (no containment
     check), by the cell's affine map."""
@@ -153,12 +159,13 @@ def test_ritz_orthogonality_residual():
     r = wx.ritz_project(sp, f, gf)
     # residual moments (c^2 grad(f - Rf), grad phi_i) for interior i
     qd = sp.quad_data(sp.norm_degree())
+    grad = _cell_grad(sp, qd)
     gx, gy = gf(qd["pts"][..., 0], qd["pts"][..., 1])
     cr = r.values[sp.cell_dofs]
-    gx = gx - np.einsum("ci,cqi->cq", cr, qd["grad"][..., 0])
-    gy = gy - np.einsum("ci,cqi->cq", cr, qd["grad"][..., 1])
-    loc = np.einsum("cq,cqi->ci", gx * qd["wdet"], qd["grad"][..., 0]) \
-        + np.einsum("cq,cqi->ci", gy * qd["wdet"], qd["grad"][..., 1])
+    gx = gx - np.einsum("ci,cqi->cq", cr, grad[..., 0])
+    gy = gy - np.einsum("ci,cqi->cq", cr, grad[..., 1])
+    loc = np.einsum("cq,cqi->ci", gx * qd["wdet"], grad[..., 0]) \
+        + np.einsum("cq,cqi->ci", gy * qd["wdet"], grad[..., 1])
     res = np.bincount(sp.cell_dofs.ravel(), weights=loc.ravel(), minlength=sp.n_dofs)
     assert np.abs(res[sp.interior_dofs]).max() <= 1e-10
 
@@ -243,7 +250,8 @@ def test_assembly_quadrature_exactness():
     qd = sp.quad_data(2 * sp.degree + 6)
     loc_m = sp.detjac[:, None, None] * np.einsum("q,qi,qj->ij", qd["w"],
                                                  qd["val"], qd["val"])
-    loc_k = np.einsum("cq,cqik,cqjk->cij", qd["wdet"], qd["grad"], qd["grad"])
+    grad = _cell_grad(sp, qd)
+    loc_k = np.einsum("cq,cqik,cqjk->cij", qd["wdet"], grad, grad)
     from scipy import sparse
     rows = np.repeat(sp.cell_dofs, sp.n_local, axis=1).ravel()
     cols = np.tile(sp.cell_dofs, (1, sp.n_local)).ravel()
@@ -253,3 +261,106 @@ def test_assembly_quadrature_exactness():
                              shape=(sp.n_dofs, sp.n_dofs)).tocsr()
     assert abs(M_default - M_hi).max() <= 1e-15
     assert abs(K_default - K_hi).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-cell einsum contractions that the reference-table
+# products replace
+
+
+def _spatial_norm_oracle(space, kind, fe, exact=None, exact_grad=None, c=1.0):
+    qd = space.quad_data(space.norm_degree())
+    X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
+    cells = fe[..., space.cell_dofs]
+    if kind == "l2":
+        w = qd["wdet"]
+        u = np.einsum("...ci,qi->...cq", cells, qd["val"])
+        diffs = [u if exact is None else exact(X, Y) - u]
+    else:
+        w = qd["wdet"] * (c(X, Y) if callable(c) else c) ** 2
+        grad = _cell_grad(space, qd)
+        targets = (None, None) if exact is None else exact_grad(X, Y)
+        diffs = []
+        for k, target in enumerate(targets):
+            du = np.einsum("...ci,cqi->...cq", cells, grad[..., k])
+            diffs.append(du if target is None else target - du)
+    return np.sqrt(np.sum(w * sum(d ** 2 for d in diffs), axis=(-2, -1)))
+
+
+def _broken_laplacian_oracle(fn):
+    space = fn.space
+    qd = space.quad_data(space.norm_degree())
+    G = np.einsum("cka,cma->ckm", space.jacinv, space.jacinv)
+    lap = np.einsum("ckm,qikm->cqi", G, qd["href"])
+    vals = np.einsum("ci,cqi->cq", fn.values[space.cell_dofs], lap)
+    return np.sqrt(np.sum(qd["wdet"] * vals ** 2))
+
+
+def _offset_space(p):
+    """A non-square mesh of a box away from the origin."""
+    return wx.build_space(build_structured_mesh(3, 2, (2.0, 3.5, -1.0, 0.25)), p)
+
+
+_TS = np.array([0.0, 0.3, 1.1])[:, None, None]
+
+
+def _u(x, y):
+    return np.sin(x) * np.cos(2 * y) * (1 + _TS)
+
+
+def _grad_u(x, y):
+    return (np.cos(x) * np.cos(2 * y) * (1 + _TS), -2 * np.sin(x) * np.sin(2 * y) * (1 + _TS))
+
+
+def _c(x, y):
+    return 1.0 + 0.3 * np.sin(x * y)
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_spatial_norm_matches_per_cell_oracle(p):
+    sp = _offset_space(p)
+    rng = np.random.default_rng(p)
+    one = rng.normal(size=sp.n_dofs)
+    stack = rng.normal(size=(len(_TS), sp.n_dofs))
+    cases = [
+        ("l2", one, {}),
+        ("l2", stack, {}),
+        ("l2", one, dict(exact=_u)),
+        ("l2", stack, dict(exact=_u)),
+        ("h1c", one, {}),
+        ("h1c", stack, dict(c=1.7)),
+        ("h1c", one, dict(exact=_u, exact_grad=_grad_u, c=_c)),
+        ("h1c", stack, dict(exact=_u, exact_grad=_grad_u, c=_c)),
+        ("h1c", stack, dict(exact=_u, exact_grad=_grad_u, c=0.6)),
+    ]
+    for kind, fe, kw in cases:
+        got = spatial_norm(sp, kind, fe=fe, **kw)
+        expect = _spatial_norm_oracle(sp, kind, fe, **kw)
+        assert np.shape(got) == np.shape(expect)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), (kind, kw)
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_broken_laplacian_matches_per_cell_oracle(p):
+    sp = _offset_space(p)
+    fn = FEFunction(sp, np.random.default_rng(10 + p).normal(size=sp.n_dofs))
+    if p == 1:
+        # the reference Hessians of a degree-1 basis vanish identically
+        assert _broken_laplacian_oracle(fn) == 0.0
+        with pytest.warns(UserWarning):
+            assert broken_laplacian(fn).l2_norm() == 0.0
+        return
+    expect = _broken_laplacian_oracle(fn)
+    assert abs(broken_laplacian(fn).l2_norm() - expect) <= 1e-13 * expect
+
+
+def test_quad_data_holds_reference_tables_only():
+    sp = _offset_space(3)
+    for degree in (sp.norm_degree(), 2 * sp.degree):
+        qd = sp.quad_data(degree)
+        assert set(qd) == {"rs", "w", "pts", "wdet", "val", "gref", "href"}
+        assert (qd["href"] is None) == (degree != sp.norm_degree())
+        # per-cell arrays carry points only, never a basis axis
+        for name, table in qd.items():
+            per_cell = table is not None and table.shape[0] == sp.mesh.n_cells
+            assert not (per_cell and sp.n_local in table.shape[1:]), name

@@ -21,7 +21,7 @@ def _boundary_edges(mesh):
 def test_smallest_grid():
     m = build_structured_mesh(1, 1)
     assert m.n_cells == 2
-    assert m.n_vertices == 4
+    assert len(m.vertices) == 4
     assert len(_boundary_edges(m)) == 4
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import containing_slab, eval_slab, legendre_derivative_matrix
 from wavext.problem import MAX_TEMPORAL_DEGREE
@@ -26,7 +28,7 @@ def test_partition_validation():
         TimePartition(np.array([0.0, 0.5, 0.5]))
     part = uniform_time_partition(2.0, 4)
     assert part.n_slabs == 4
-    assert part.tau_max == pytest.approx(0.5)
+    assert part.lengths.max() == pytest.approx(0.5)
 
 
 def test_legendre_endpoint_values():
@@ -297,6 +299,30 @@ def test_trial_legendre_roundtrip():
         v1 = np.tensordot(trial_matrix(q, xs), s, axes=(0, 0))
         v2 = np.tensordot(legendre_matrix(q, xs), c, axes=(0, 0))
         assert np.abs(v1 - v2).max() <= 1e-13
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=st.integers(1, MAX_TEMPORAL_DEGREE))
+def test_trial_legendre_roundtrip_property(data, q):
+    c = np.array(data.draw(st.lists(_UNIT, min_size=q + 1, max_size=q + 1)))
+    assert np.abs(legendre_to_trial(trial_to_legendre(q) @ c) - c).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=st.integers(1, MAX_TEMPORAL_DEGREE),
+       lengths=st.lists(st.floats(0.05, 0.25), min_size=2, max_size=4, unique=True))
+def test_endpoint_projection_reproduces_random_polynomials(data, q, lengths):
+    # a random degree-<=q polynomial in t on a nonuniform partition of (0, T <= 1)
+    part = TimePartition(np.concatenate([[0.0], np.cumsum(lengths)]))
+    coef = np.array(data.draw(st.lists(_UNIT, min_size=q + 1, max_size=q + 1)))
+    f = lambda t: np.polynomial.polynomial.polyval(t, coef)
+    proj = endpoint_exact_project(q, f, part)
+    for n in range(part.n_slabs):
+        ts = np.linspace(*part.slab(n), 7)
+        assert np.abs(eval_slab(proj, n, ts) - f(ts)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
