@@ -291,25 +291,30 @@ def _write_results(rows, out_dir):
 _RATE_QUANTITIES = ("err_u", "err_ustar", "err_v", "err_gradu")
 
 
+def _groups(cfg, rows):
+    """(p, q, rows) of each nonempty (p, q) group, in config order: the
+    unit that rates, effectivity ratios and their checks are taken over."""
+    for p in cfg.p:
+        for q in cfg.q:
+            group = [r for r in rows if r["p"] == p and r["q"] == q]
+            if group:
+                yield p, q, group
+
+
 def _rates_report(cfg, rows):
     lines = [f"experiment: {cfg.experiment}", ""]
     if cfg.experiment in ("converge-h", "converge-tau", "estimate"):
         res = "h" if cfg.experiment == "converge-h" else "tau"
         quantities = ("err_u", "eta", "osc_f") if cfg.experiment == "estimate" \
             else _RATE_QUANTITIES
-        for p in cfg.p:
-            for q in cfg.q:
-                group = [r for r in rows if r["p"] == p and r["q"] == q]
-                if not group:
-                    continue
-                lines.append(f"p = {p}, q = {q} (rates in {res})")
-                lines += _pairwise_block(group, res, [r[res] for r in group],
-                                         quantities)
-                if cfg.experiment == "estimate":
-                    effs = [r["effectivity"] for r in group if r["effectivity"]]
-                    if effs:
-                        lines.append(f"  effectivity min {min(effs):.3f} "
-                                     f"max {max(effs):.3f} ratio {max(effs)/min(effs):.3f}")
+        for p, q, group in _groups(cfg, rows):
+            lines.append(f"p = {p}, q = {q} (rates in {res})")
+            lines += _pairwise_block(group, res, [r[res] for r in group], quantities)
+            if cfg.experiment == "estimate":
+                effs = [r["effectivity"] for r in group if r["effectivity"]]
+                if effs:
+                    lines.append(f"  effectivity min {min(effs):.3f} "
+                                 f"max {max(effs):.3f} ratio {max(effs)/min(effs):.3f}")
     elif cfg.experiment == "converge-pq":
         lines.append("p = q sweep at fixed mesh and time step (errors vs DOFs)")
         for r in rows:
@@ -346,32 +351,30 @@ def _check(cfg, rows):
     if cfg.experiment == "converge-h" or (cfg.experiment == "converge-tau"
                                           and cfg.bc_mode == "projection"):
         res = "h" if cfg.experiment == "converge-h" else "tau"
-        for p in cfg.p:
-            for q in cfg.q:
-                group = [r for r in rows if r["p"] == p and r["q"] == q]
-                if len(group) < 2:
-                    continue
-                if res == "h":
-                    checks = [("err_u", p + 1, 0.25), ("err_ustar", p + 1, 0.25),
-                              ("err_v", p + 1, 0.25), ("err_gradu", p, 0.25)]
-                else:
-                    checks = [("err_u", q + 1, 0.3), ("err_v", q + 1, 0.3),
-                              ("err_gradu", q + 1, 0.3)]
-                    if q > 1:
-                        checks.append(("err_ustar", q + 2, 0.3))
-                for k, target, tol in checks:
-                    rate = convergence_rates([r[res] for r in group], [r[k] for r in group])[-1]
-                    if rate is None or abs(rate - target) > tol:
-                        failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
-                                        f"within {target}+-{tol}")
+        for p, q, group in _groups(cfg, rows):
+            if len(group) < 2:
+                continue
+            if res == "h":
+                checks = [("err_u", p + 1, 0.25), ("err_ustar", p + 1, 0.25),
+                          ("err_v", p + 1, 0.25), ("err_gradu", p, 0.25)]
+            else:
+                checks = [("err_u", q + 1, 0.3), ("err_v", q + 1, 0.3),
+                          ("err_gradu", q + 1, 0.3)]
+                if q > 1:
+                    checks.append(("err_ustar", q + 2, 0.3))
+            for k, target, tol in checks:
+                rate = convergence_rates([r[res] for r in group], [r[k] for r in group])[-1]
+                if rate is None or abs(rate - target) > tol:
+                    failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
+                                    f"within {target}+-{tol}")
     elif cfg.experiment == "estimate":
         for r in rows:
             if r["err_u"] is not None and r["err_u"] > r["eta"] + r["osc_f"]:
-                failures.append(f"q={r['q']} tau={r['tau']}: error exceeds eta + osc_f")
-        for q in cfg.q:
-            effs = [r["effectivity"] for r in rows if r["q"] == q and r["effectivity"]]
+                failures.append(f"p={r['p']} q={r['q']} tau={r['tau']}: error exceeds eta + osc_f")
+        for p, q, group in _groups(cfg, rows):
+            effs = [r["effectivity"] for r in group if r["effectivity"]]
             if effs and max(effs) / min(effs) > 3.0:
-                failures.append(f"q={q}: effectivity ratio {max(effs)/min(effs):.2f} > 3")
+                failures.append(f"p={p} q={q}: effectivity ratio {max(effs)/min(effs):.2f} > 3")
     elif cfg.experiment == "energy":
         drift = rows[0]["energy_drift"]
         if drift is None or drift > 1e-10:

@@ -19,7 +19,7 @@ from .errors import ConfigurationError
 from .fem import FEFunction, assemble, broken_laplacian
 from .postprocess import postprocessed_solution
 from .timebasis import (abs_legendre_integral, gauss_rule, graded_gauss_rule,
-                        legendre_matrix, to_normalized)
+                        legendre_matrix, to_normalized, trial_matrix)
 
 
 def gap_constant(q):
@@ -139,9 +139,11 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
 
     star = postprocessed_solution(sol)
     xs = np.linspace(-1.0, 1.0, samples_per_slab)
+    sig_star, sig = trial_matrix(q + 1, xs), trial_matrix(q, xs)
     gap = np.zeros(N)
     for n in range(N):
-        d = star.coeffs_on_slab(n, xs, "u") - sol.coeffs_on_slab(n, xs, "u")
+        d = np.tensordot(sig_star, star.u[n], axes=(0, 0))
+        d -= np.tensordot(sig, sol.u[n], axes=(0, 0))
         gap[n] = float(np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0)).max())
     m = int(np.argmax(gap))
 

@@ -71,6 +71,7 @@ class LagrangeSpace:
 
         self._rule_cache = {}
         self._operators = {}
+        self._ritz = {}
 
     @property
     def n_local(self):
@@ -209,25 +210,32 @@ def ritz_project(space, f, grad_f, c=1.0):
     Boundary coefficients are f at the boundary nodes; interior coefficients
     solve (c^2 grad R f, grad z) = (c^2 grad f, grad z) for all interior z,
     which requires the gradient callback grad_f(x, y) -> (df/dx, df/dy).
+
+    The space keeps each projection, keyed by (f, grad_f, c) with callables
+    keyed by identity, and every caller gets the same read-only coefficients.
     """
     if grad_f is None:
         raise ValueError("ritz_project needs a gradient callback for the right-hand side")
-    K = assemble(space, "stiffness", c)
-    qd = space.quad_data(space.norm_degree())
-    gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
-    w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
-    grad = _cell_gradients(space, qd)
-    loc = np.einsum("cq,cqi->ci", np.broadcast_to(gx, qd["wdet"].shape) * w, grad[..., 0])
-    loc += np.einsum("cq,cqi->ci", np.broadcast_to(gy, qd["wdet"].shape) * w, grad[..., 1])
-    rhs = np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dofs)
+    key = (f, grad_f, c)
+    if key not in space._ritz:
+        K = assemble(space, "stiffness", c)
+        qd = space.quad_data(space.norm_degree())
+        gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
+        w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
+        grad = _cell_gradients(space, qd)
+        loc = np.einsum("cq,cqi->ci", np.broadcast_to(gx, qd["wdet"].shape) * w, grad[..., 0])
+        loc += np.einsum("cq,cqi->ci", np.broadcast_to(gy, qd["wdet"].shape) * w, grad[..., 1])
+        rhs = np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dofs)
 
-    I, B = space.interior_dofs, space.boundary_dofs
-    out = np.zeros(space.n_dofs)
-    xb, yb = space.dof_coords[B, 0], space.dof_coords[B, 1]
-    out[B] = np.broadcast_to(f(xb, yb), B.shape)
-    rhs_I = rhs[I] - K[np.ix_(I, B)] @ out[B]
-    out[I] = solve_spd(K[np.ix_(I, I)].tocsr(), rhs_I)
-    return FEFunction(space, out)
+        I, B = space.interior_dofs, space.boundary_dofs
+        out = np.zeros(space.n_dofs)
+        xb, yb = space.dof_coords[B, 0], space.dof_coords[B, 1]
+        out[B] = np.broadcast_to(f(xb, yb), B.shape)
+        rhs_I = rhs[I] - K[np.ix_(I, B)] @ out[B]
+        out[I] = solve_spd(K[np.ix_(I, I)].tocsr(), rhs_I)
+        out.flags.writeable = False
+        space._ritz[key] = out
+    return FEFunction(space, space._ritz[key])
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,7 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0):
         if exact is not None and exact_grad is None:
             raise ValueError("h1c norm against a callback needs exact_grad")
         w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
-        targets = (None, None) if exact is None else exact_grad(X, Y)
+        targets = [None, None] if exact is None else list(exact_grad(X, Y))
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
     if fe is None:
@@ -296,7 +304,8 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0):
     cells = coeffs[..., space.cell_dofs]
     at = lambda table: cells @ np.ascontiguousarray(table).T  # BLAS, one product per sample
     sq = None
-    for k, target in enumerate(targets):
+    for k in range(len(targets)):
+        target, targets[k] = targets[k], None  # hold one callback value at a time
         if kind == "l2":
             diff = at(qd["val"])
         else:

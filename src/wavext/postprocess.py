@@ -7,7 +7,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fem import assemble, spatial_norm
 from .solver import SpaceTimeSolution
-from .timebasis import trial_to_legendre
+from .timebasis import trial_matrix, trial_to_legendre
 
 
 def postprocessed_solution(sol):
@@ -51,11 +51,13 @@ def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
     if samples_per_slab < 3:
         raise ConfigurationError("samples_per_slab must be at least 3")
     xs = np.linspace(-1.0, 1.0, samples_per_slab)
+    sig = trial_matrix(sol.degree, xs)
+    tensor = sol.u if component == "u" else sol.v
     per_slab = np.zeros(sol.partition.n_slabs)
     for n in range(sol.partition.n_slabs):
         a, b = sol.partition.slab(n)
         ts = (a + (xs + 1.0) * (b - a) / 2.0)[:, None, None]
-        coeffs = sol.coeffs_on_slab(n, xs, component)
+        coeffs = np.tensordot(sig, tensor[n], axes=(0, 0))
         errs = spatial_norm(sol.space, kind, fe=coeffs,
                             exact=lambda xx, yy: exact(xx, yy, ts),
                             exact_grad=lambda xx, yy: exact_grad(xx, yy, ts), c=c)

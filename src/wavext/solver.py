@@ -43,7 +43,7 @@ from .linalg import Factorization, checked_solve, factorize, solve_spd
 from .timebasis import (endpoint_exact_project, gauss_rule, graded_gauss_rule,
                         lagrange_time_interp, legendre_matrix,
                         slab_temporal_matrices, temporal_eigensplit,
-                        to_normalized, trial_matrix, trial_to_legendre)
+                        to_normalized, trial_to_legendre)
 
 
 @dataclass
@@ -60,13 +60,6 @@ class SpaceTimeSolution:
     degree: int
     u: np.ndarray
     v: Optional[np.ndarray] = None
-
-    def coeffs_on_slab(self, n, xnorm, component="u"):
-        """Spatial coefficient vectors at normalized times on slab n,
-        shape (len(xnorm), n_dofs)."""
-        tensor = self.u if component == "u" else self.v
-        sig = trial_matrix(self.degree, np.asarray(xnorm, dtype=float))
-        return np.tensordot(sig, tensor[n], axes=(0, 0))
 
     def endpoint(self, n, component="u"):
         """Coefficients at partition node t_n, n = 0..n_slabs."""

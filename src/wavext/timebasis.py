@@ -121,12 +121,20 @@ def legendre_to_trial(coeffs):
     return np.linalg.solve(trial_to_legendre(q), flat).reshape(coeffs.shape)
 
 
+@lru_cache(maxsize=None)
+def _reference_rule(npts):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, one per npts."""
+    x, w = npleg.leggauss(npts)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_rule(npts, slab):
     """Gauss-Legendre nodes and weights on a slab; exact to degree 2*npts - 1."""
     if not 1 <= npts <= 30:
         raise ValueError(f"gauss_rule supports 1..30 points, got {npts}")
     a, b = slab
-    x, w = npleg.leggauss(int(npts))
+    x, w = _reference_rule(int(npts))
     return a + (x + 1.0) * (b - a) / 2.0, w * (b - a) / 2.0
 
 
@@ -232,7 +240,7 @@ def slab_temporal_matrices(q, slab):
         raise ValueError("temporal degree must be >= 1")
     a, b = slab
     tau = b - a
-    x, w = npleg.leggauss(q + 1)
+    x, w = _reference_rule(q + 1)
     wt = w * tau / 2.0
     sig = trial_matrix(q, x)
     dsig = trial_matrix(q, x, derivative=1) * (2.0 / tau)
@@ -273,19 +281,15 @@ def temporal_eigensplit(q):
     return nu[keep] ** 2, S, Sinv, pairs
 
 
+@lru_cache(maxsize=None)
+def _abs_legendre_reference(q):
+    """int_{-1}^{1} |P_q(x)| dx for q >= 1: the antiderivative
+    (P_{q+1} - P_{q-1}) / (2q + 1) summed signwise between the roots of P_q."""
+    x = np.concatenate([[-1.0], np.sort(_reference_rule(q)[0]), [1.0]])
+    F = (npleg.legval(x, np.eye(q + 2)[q + 1]) - npleg.legval(x, np.eye(q)[q - 1])) / (2 * q + 1)
+    return sum(np.abs(np.diff(F)))
+
+
 def abs_legendre_integral(q, tau):
-    """Exact int over a slab of |L_q(t)| dt via signwise antiderivatives."""
-    if q == 0:
-        return float(tau)
-    breaks = np.concatenate([[-1.0], np.sort(npleg.leggauss(q)[0]), [1.0]])
-
-    def antider(x):
-        cp = np.zeros(q + 2)
-        cp[q + 1] = 1.0
-        cm = np.zeros(q)
-        cm[q - 1] = 1.0
-        return (npleg.legval(x, cp) - npleg.legval(x, cm)) / (2 * q + 1)
-
-    total = sum(abs(antider(breaks[k + 1]) - antider(breaks[k]))
-                for k in range(len(breaks) - 1))
-    return float(total * tau / 2.0)
+    """Exact int over a slab of |L_q(t)| dt."""
+    return float(tau) if q == 0 else float(_abs_legendre_reference(q) * tau / 2.0)

@@ -4,7 +4,7 @@ from numpy.polynomial import legendre as npleg
 
 import wavext as wx
 from wavext import reference
-from wavext.timebasis import legendre_matrix, to_normalized
+from wavext.timebasis import legendre_matrix, to_normalized, trial_matrix
 
 
 @pytest.fixture(scope="session")
@@ -65,11 +65,19 @@ def containing_slab(partition, t):
                        0, partition.n_slabs - 1))
 
 
+def coeffs_on_slab(sol, n, xnorm, component="u"):
+    """Spatial coefficient vectors of a space-time solution at normalized
+    times on slab n, shape (len(xnorm), n_dofs)."""
+    tensor = sol.u if component == "u" else sol.v
+    sig = trial_matrix(sol.degree, np.asarray(xnorm, dtype=float))
+    return np.tensordot(sig, tensor[n], axes=(0, 0))
+
+
 def coeffs_at(sol, t, component="u"):
     """Spatial coefficients of a space-time solution at time t."""
     n = containing_slab(sol.partition, float(t))
     x = to_normalized(sol.partition.slab(n), float(t))
-    return sol.coeffs_on_slab(n, np.asarray([x]), component)[0]
+    return coeffs_on_slab(sol, n, np.asarray([x]), component)[0]
 
 
 def eval_slab(poly, n, t):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import legendre_derivative_matrix
+from conftest import coeffs_on_slab, legendre_derivative_matrix
 from test_timebasis import _assemble_global_endpoint_projection
 from wavext.cli import parse_config, run_experiment
 from wavext.estimator import gap_constant
@@ -219,7 +219,7 @@ def _gap_bound_ratios(space, sols):
             defect_l2 = math.sqrt(tau / (2 * q + 1)) * top_norm
             ts, ws = gauss_rule(12, slab)
             xs = to_normalized(slab, ts)
-            d = star.coeffs_on_slab(n, xs) - sol.coeffs_on_slab(n, xs)
+            d = coeffs_on_slab(star, n, xs) - coeffs_on_slab(sol, n, xs)
             gaps = np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0))
             sup_bound = math.sqrt(gap_constant(q) * tau) * defect_l2
             l1_gap = float(np.sum(ws * gaps))

@@ -1,5 +1,7 @@
 import csv
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import wavext.cli as cli
 import wavext.fem as fem
-from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _make_problem,
+import wavext.timebasis as timebasis
+from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _check, _make_problem,
                         _run_cells, default_config, main, parse_config,
                         run_cell)
 from wavext.errors import ConfigurationError
@@ -378,6 +381,54 @@ def test_tau_study_assembles_each_operator_once(tmp_path, monkeypatch):
     assert main(["converge-tau", "--config", path, "--out", str(tmp_path / "out")]) == 0
     assert len(read_rows(tmp_path / "out")) == 4
     assert sorted(kinds) == ["mass", "stiffness"]
+
+
+def test_tau_study_runs_the_ritz_solve_once(tmp_path, monkeypatch):
+    shapes = []
+    solve_spd = fem.solve_spd
+
+    def counted(A, b):
+        shapes.append(A.shape)
+        return solve_spd(A, b)
+
+    monkeypatch.setattr(fem, "solve_spd", counted)
+    path = write(tmp_path, "t.cfg", _TAU_STUDY)
+    assert main(["converge-tau", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert len(read_rows(tmp_path / "out")) == 4
+    assert len(shapes) == 1
+
+
+def test_estimate_study_builds_each_gauss_rule_once(tmp_path, monkeypatch):
+    counts = Counter()
+    leggauss = timebasis.npleg.leggauss
+
+    def counted(npts):
+        counts[npts] += 1
+        return leggauss(npts)
+
+    monkeypatch.setattr(timebasis.npleg, "leggauss", counted)
+    timebasis._reference_rule.cache_clear()
+    path = write(tmp_path, "e.cfg", "problem = estimator-poly\npsi = t2.25\np = 4\nq = 1\n"
+                 "q = 2\nmesh = 2\ntau = 0.25\ntau = 0.125\n")
+    assert main(["estimate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert counts and max(counts.values()) == 1
+
+
+def _estimate_rows(effectivities):
+    """Synthetic estimate rows, one per (p, q, effectivity), error 1."""
+    return [dict(p=p, q=q, tau=0.5 ** k, err_u=1.0, eta=eff, osc_f=0.0, effectivity=eff)
+            for k, (p, q, eff) in enumerate(effectivities)]
+
+
+def test_estimate_check_takes_effectivity_ratios_per_p_and_q():
+    cfg = replace(default_config("estimate"), p=[2, 6], q=[1])
+    # ratios 2 and 1.25 per group, 5 pooled
+    assert _check(cfg, _estimate_rows([(2, 1, 1.0), (2, 1, 2.0), (6, 1, 4.0), (6, 1, 5.0)])) == []
+    failures = _check(cfg, _estimate_rows([(2, 1, 1.0), (2, 1, 3.5), (6, 1, 1.0), (6, 1, 1.5)]))
+    assert failures == ["p=2 q=1: effectivity ratio 3.50 > 3"]
+    rows = _estimate_rows([(6, 1, 1.0)])
+    rows[0]["err_u"] = 2.0
+    assert _check(cfg, rows) == ["p=6 q=1 tau=1.0: error exceeds eta + osc_f"]
 
 
 @pytest.mark.parametrize("experiment, text", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import small_homogeneous_run
+from conftest import coeffs_on_slab, small_homogeneous_run
 from wavext.estimator import (_source_defects, best_approx_constant,
                               compute_estimator, effectivity_index,
                               estimator_constants, gap_constant)
@@ -95,6 +95,18 @@ def test_estimator_preconditions():
     dirty.u[0, 0, sol2.space.boundary_dofs[0]] = 0.1
     with pytest.raises(wx.ConfigurationError):
         compute_estimator(dirty, None, 1.0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_gap_equals_per_slab_loop(q):
+    prob, sol = small_homogeneous_run(q=q, n_slabs=6, p=3)
+    gap = compute_estimator(sol, None, prob.c).per_slab["gap"]
+    star = wx.postprocessed_solution(sol)
+    M = wx.assemble(sol.space, "mass")
+    xs = np.linspace(-1.0, 1.0, 11)
+    for n in range(sol.partition.n_slabs):
+        d = coeffs_on_slab(star, n, xs) - coeffs_on_slab(sol, n, xs)
+        assert gap[n] == float(np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0)).max())
 
 
 def test_effectivity_index():

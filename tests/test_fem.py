@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,54 @@ def test_assemble_memoized_per_space_and_read_only():
     for array in (M.data, M.indices, M.indptr):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+
+
+@pytest.mark.parametrize("c", [1.5, lambda x, y: 1.0 + 0.5 * x * y],
+                         ids=["scalar-c", "callable-c"])
+@pytest.mark.parametrize("method", ["gradient", "mass"])
+def test_ritz_projection_memoized_per_space_and_read_only(method, c):
+    prob = replace(wx.dirichlet_cos(), c=c)
+
+    def new_space():
+        return wx.build_space(build_structured_mesh(3, 3, prob.bbox), 3)
+
+    shared = new_space()
+    for n_slabs in (2, 4):  # two cells on one space
+        sol = wx.solve(prob, wx.Discretization(shared, wx.uniform_time_partition(1.0, n_slabs),
+                                               q=2, method=method))
+    memo = wx.ritz_project(shared, prob.u0, prob.grad_u0, prob.c)
+    fresh = wx.ritz_project(new_space(), prob.u0, prob.grad_u0, prob.c)
+    assert np.array_equal(memo.values, fresh.values)
+    assert np.array_equal(sol.u[0, 0], fresh.values)
+    with pytest.raises(ValueError, match="read-only"):
+        memo.values[0] = 1.0
+    # another callable is projected anew, not served from the memo
+    u1 = lambda x, y: 2.0 * prob.u0(x, y)
+    grad_u1 = lambda x, y: tuple(2.0 * g for g in prob.grad_u0(x, y))
+    other = wx.ritz_project(shared, u1, grad_u1, prob.c)
+    assert np.array_equal(other.values, wx.ritz_project(new_space(), u1, grad_u1, prob.c).values)
+    assert not np.array_equal(other.values, memo.values)
+
+
+def test_h1c_norm_holds_one_callback_value_at_a_time():
+    # the tracemalloc peak of an h1c sample stack, in (S, nc, nq) float
+    # arrays: the gathered coefficients, both reference derivatives, the
+    # running sum and one gradient component of the callback, not both
+    sp = wx.build_space(build_structured_mesh(4, 4), 8)
+    S = 11
+    ts = np.linspace(0.0, 1.0, S)[:, None, None]
+    fe = np.random.default_rng(0).standard_normal((S, sp.n_dofs))
+    nc, nq = sp.quad_data(sp.norm_degree())["wdet"].shape
+    args = dict(fe=fe, exact=lambda x, y: x * y * ts, exact_grad=lambda x, y: (x * ts, y * ts))
+    expected = spatial_norm(sp, "h1c", **args)
+    tracemalloc.start()
+    try:
+        norms = spatial_norm(sp, "h1c", **args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(norms, expected)
+    assert peak / (S * nc * nq * 8) <= 5.0
 
 
 def test_assembly_quadrature_exactness():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import coeffs_at, evaluate, small_homogeneous_run, txy_problem
+from conftest import (coeffs_at, coeffs_on_slab, evaluate, small_homogeneous_run,
+                      txy_problem)
 from wavext.estimator import gap_constant
 from wavext.postprocess import postprocessed_solution
 from wavext.solver import SpaceTimeSolution
@@ -61,8 +62,8 @@ def test_slab_gap_bounds():
         xs = to_normalized(slab, ts)
         gaps = []
         for x, t in zip(xs, ts):
-            d = star.coeffs_on_slab(n, np.array([x]))[0] - \
-                sol.coeffs_on_slab(n, np.array([x]))[0]
+            d = coeffs_on_slab(star, n, np.array([x]))[0] - \
+                coeffs_on_slab(sol, n, np.array([x]))[0]
             gaps.append(np.sqrt(max(d @ (M @ d), 0.0)))
         gaps = np.asarray(gaps)
         sup_bound = np.sqrt(gap_constant(q) * tau) * np.sqrt(defect_l2_sq)
@@ -154,7 +155,7 @@ def _error_C0_per_sample(field, exact, kind, samples, c=1.0, exact_grad=None,
     per_slab = np.zeros(field.partition.n_slabs)
     for n in range(field.partition.n_slabs):
         a, b = field.partition.slab(n)
-        coeffs = field.coeffs_on_slab(n, xs, component)
+        coeffs = coeffs_on_slab(field, n, xs, component)
         for k, t in enumerate(a + (xs + 1.0) * (b - a) / 2.0):
             grad = None if exact_grad is None else (lambda xx, yy: exact_grad(xx, yy, t))
             err = wx.spatial_norm(field.space, kind, fe=coeffs[k],

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import containing_slab, eval_slab, legendre_derivative_matrix
 from wavext.problem import MAX_TEMPORAL_DEGREE
-from wavext.timebasis import (TimePartition, abs_legendre_integral,
+from wavext.timebasis import (TimePartition, _reference_rule, abs_legendre_integral,
                               endpoint_exact_project, gauss_rule,
                               graded_gauss_rule, l2_project_time,
                               lagrange_time_interp, legendre_matrix, legendre_to_trial,
@@ -76,6 +76,18 @@ def test_gauss_rule_basics():
         gauss_rule(0, (0.0, 1.0))
     with pytest.raises(ValueError):
         gauss_rule(31, (0.0, 1.0))
+
+
+def test_gauss_rule_is_the_mapped_reference_rule():
+    slab = (0.3, 0.55)
+    for n in range(1, 31):
+        x, w = np.polynomial.legendre.leggauss(n)
+        ts, ws = gauss_rule(n, slab)
+        assert np.array_equal(ts, slab[0] + (x + 1.0) * (slab[1] - slab[0]) / 2.0)
+        assert np.array_equal(ws, w * (slab[1] - slab[0]) / 2.0)
+        for cached in _reference_rule(n):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
 
 
 def test_graded_rule_resolves_algebraic_singularity():
