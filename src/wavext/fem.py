@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from . import reference
-from .linalg import solve_spd
+from .linalg import Factorization
 
 #: Largest polynomial degree of a Lagrange space.
 MAX_SPATIAL_DEGREE = 10
@@ -71,6 +71,7 @@ class LagrangeSpace:
 
         self._rule_cache = {}
         self._operators = {}
+        self._interior = {}
         self._ritz = {}
 
     @property
@@ -180,6 +181,21 @@ def assemble(space, kind, coefficient=1.0):
     return space._operators[key]
 
 
+def interior_factorization(space, kind, coefficient=1.0):
+    """The Factorization of the interior block of ``assemble(space, kind,
+    coefficient)``, memoized on the space under the same key, its ``.A``
+    read-only: every interior solve (the initial data's projections, the C
+    solve of each slab) runs on it, held to relative residual 1e-12."""
+    key = (kind, coefficient)
+    if key not in space._interior:
+        I = space.interior_dofs
+        fact = Factorization(assemble(space, kind, coefficient)[np.ix_(I, I)])
+        for array in (fact.A.data, fact.A.indices, fact.A.indptr):
+            array.flags.writeable = False
+        space._interior[key] = fact
+    return space._interior[key]
+
+
 def load_vector(space, g):
     """Moment vector (g, phi_i) for a spatial callback g(x, y).
 
@@ -232,7 +248,7 @@ def ritz_project(space, f, grad_f, c=1.0):
         xb, yb = space.dof_coords[B, 0], space.dof_coords[B, 1]
         out[B] = np.broadcast_to(f(xb, yb), B.shape)
         rhs_I = rhs[I] - K[np.ix_(I, B)] @ out[B]
-        out[I] = solve_spd(K[np.ix_(I, I)].tocsr(), rhs_I)
+        out[I] = interior_factorization(space, "stiffness", c).solve(rhs_I)
         out.flags.writeable = False
         space._ritz[key] = out
     return FEFunction(space, space._ritz[key])

@@ -52,12 +52,11 @@ def checked_solve(solve, apply, b, tol, label):
 
 def solve_spd(A, b):
     """Solve a symmetric positive definite system to relative residual 1e-12."""
-    A = compressed(A)
-    return checked_solve(factorize(A).solve, A.dot, np.asarray(b, dtype=float), 1e-12, "spd")
+    return Factorization(A).solve(b)
 
 
 class Factorization:
-    """Reusable LU factorization; each solve is held to relative residual 1e-11."""
+    """Reusable LU factorization; each solve is held to relative residual 1e-12."""
 
     def __init__(self, A):
         self.A = compressed(A)
@@ -65,4 +64,4 @@ class Factorization:
 
     def solve(self, b):
         return checked_solve(self._lu.solve, self.A.dot, np.asarray(b, dtype=float),
-                             1e-11, "factorized")
+                             1e-12, "factorized")

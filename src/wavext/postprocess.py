@@ -50,6 +50,8 @@ def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
         raise ConfigurationError("error sampling needs an exact solution callback")
     if samples_per_slab < 3:
         raise ConfigurationError("samples_per_slab must be at least 3")
+    if kind == "h1c" and exact_grad is None:
+        raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
     xs = np.linspace(-1.0, 1.0, samples_per_slab)
     sig = trial_matrix(sol.degree, xs)
     tensor = sol.u if component == "u" else sol.v

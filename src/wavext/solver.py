@@ -27,8 +27,8 @@ matrix, so Nq^2 = S diag(tau^2 lam) S^{-1} with S independent of tau
 q spatial systems (M + tau^2 lam_k K) W_k = (S^{-1} R)_k.  Conjugate
 eigenvalues give conjugate solutions, so a slab length costs one complex
 LU per conjugate pair (a real one for the real eigenvalue at odd q), on top
-of one real LU of C for the whole run.  Each solve is held to its residual
-on the block operator itself, applied matrix-free.
+of the space's LU of C (:func:`~wavext.fem.interior_factorization`).  Each
+solve is held to its residual on the block operator itself, matrix-free.
 """
 
 from dataclasses import dataclass
@@ -37,9 +37,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverFailure
-from .fem import (FEFunction, assemble, interpolate_nodal, load_vector,
-                  ritz_project)
-from .linalg import Factorization, checked_solve, factorize, solve_spd
+from .fem import (FEFunction, assemble, interior_factorization,
+                  interpolate_nodal, load_vector, ritz_project)
+from .linalg import checked_solve, factorize
 from .timebasis import (endpoint_exact_project, gauss_rule, graded_gauss_rule,
                         lagrange_time_interp, legendre_matrix,
                         slab_temporal_matrices, temporal_eigensplit,
@@ -153,16 +153,15 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
         return interpolate_nodal(space, problem.u0), interpolate_nodal(space, problem.v0)
 
     u0h = ritz_project(space, problem.u0, problem.grad_u0, problem.c)
-    M = assemble(space, "mass")
     lift_v0 = np.zeros(space.n_dofs)
     if lifting is not None:
         lift_v0[B] = lifting.v_trial[0, 0]
     v0h = np.zeros(space.n_dofs)
     v0h[B] = data["v0"]
     # interior L2 projection of (v0 - lifting velocity at t = 0)
-    rhs = load_vector(space, problem.v0) - M @ lift_v0
+    rhs = load_vector(space, problem.v0) - assemble(space, "mass") @ lift_v0
     I = space.interior_dofs
-    v0h[I] = solve_spd(M[np.ix_(I, I)].tocsr(), rhs[I])
+    v0h[I] = interior_factorization(space, "mass").solve(rhs[I])
     return u0h, FEFunction(space, v0h)
 
 
@@ -180,50 +179,10 @@ def _block(C, M, K, N, D, U, V):
     return r1.T, r2.T
 
 
-class SlabSystem:
-    """The interior block system of one slab of length tau, factorized by
-    the temporal eigen-split (see the module docstring).
-
-    Holds the interior operators M, K, C and the factorization of C, but
-    nothing that caches it.
-    """
-
-    def __init__(self, q, tau, M, K, C, C_fact):
-        self.Nm, self.Dm = slab_temporal_matrices(q, (0.0, tau))
-        self.M, self.K, self.C = M, K, C
-        self._C_fact = C_fact
-        lam, self._S, self._Sinv, pairs = temporal_eigensplit(q)
-        self._real = ~pairs
-        self._modes = [factorize(M + tau ** 2 * (lk.real if real else lk) * K)
-                       for lk, real in zip(lam, self._real)]
-
-    def apply(self, U, V):
-        """The block operator on (q, n_I) coefficient rows U, V -> (r1, r2)."""
-        return _block(self.C, self.M, self.K, self.Nm[:, 1:], self.Dm[:, 1:], U, V)
-
-    def _eliminate(self, r1, r2):
-        Nq = self.Nm[:, 1:]
-        Cr1 = self._C_fact.solve(r1.T).T
-        KCr1 = r1 if self.C is self.K else (self.K @ Cr1.T).T
-        G = self._Sinv @ (r2 + Nq @ KCr1)
-        W = np.stack([lu.solve(g.real) if real else lu.solve(g)
-                      for lu, g, real in zip(self._modes, G, self._real)])
-        V = (self._S @ W).real
-        return Nq @ V - Cr1, V
-
-    def solve(self, r1, r2):
-        """Interior coefficient rows (U, V), each (q, n_I), held to the
-        relative residual SLAB_TOL on the block operator."""
-        x = checked_solve(lambda b: np.stack(self._eliminate(*b)),
-                          lambda x: np.stack(self.apply(*x)),
-                          np.stack([r1, r2]), SLAB_TOL, "slab")
-        return x[0], x[1]
-
-
 class SlabWorkspace:
-    """The interior blocks of the space's operators, the factorization of C,
-    and the slab system of the last slab length: one serves a uniform
-    partition, and a graded one needs one per slab either way."""
+    """The slab system of a run (see the module docstring): the space's
+    operators and interior factorizations, and the modes of the last slab
+    length only, so memory stays bounded on a graded partition."""
 
     def __init__(self, problem, disc):
         space = disc.space
@@ -231,27 +190,51 @@ class SlabWorkspace:
         self.space = space
         self.partition = disc.partition
         self.q = disc.q
-        M = assemble(space, "mass")
-        K = assemble(space, "stiffness", problem.c)
-        I, B = space.interior_dofs, space.boundary_dofs
-        self.I, self.B = I, B
-        # interior rows over all columns, for the known terms of the rhs
-        self.M_I = M[I].tocsr()
-        self.K_I = K[I].tocsr()
-        self.C_I = self.K_I if disc.method == "gradient" else self.M_I
-        self.M_II = self.M_I[:, I].tocsr()
-        self.K_II = self.K_I[:, I].tocsr()
-        self.C_II = self.K_II if disc.method == "gradient" else self.M_II
-        self._C_fact = Factorization(self.C_II)
-        self._tau_key, self._system = None, None
+        self.I, self.B = space.interior_dofs, space.boundary_dofs
+        self.M = assemble(space, "mass")
+        self.K = assemble(space, "stiffness", problem.c)
+        self.M_fact = interior_factorization(space, "mass")
+        self.K_fact = interior_factorization(space, "stiffness", problem.c)
+        gradient = disc.method == "gradient"
+        self.C, self.C_fact = (self.K, self.K_fact) if gradient else (self.M, self.M_fact)
+        lam, self._S, self._Sinv, pairs = temporal_eigensplit(self.q)
+        self._lam, self._real = lam, ~pairs
+        self._tau_key = self._modes = self.Nm = self.Dm = None
 
     def system(self, tau):
-        # slab lengths of a uniform partition differ in their last bits
-        key = round(float(tau), 14)
+        """Factorize the modes for slab length tau unless the last call's length
+        agrees to 13 significant digits (uniform lengths differ in last bits)."""
+        key = f"{tau:.12e}"
         if key != self._tau_key:
-            self._tau_key, self._system = key, SlabSystem(
-                self.q, float(tau), self.M_II, self.K_II, self.C_II, self._C_fact)
-        return self._system
+            self._tau_key = self._modes = None  # free the old modes first
+            self.Nm, self.Dm = slab_temporal_matrices(self.q, (0.0, tau))
+            M, K = self.M_fact.A, self.K_fact.A
+            self._modes = [factorize(M + tau ** 2 * (lk.real if real else lk) * K)
+                           for lk, real in zip(self._lam, self._real)]
+            self._tau_key = key
+
+    def apply(self, U, V):
+        """The block operator on (q, n_I) coefficient rows U, V -> (r1, r2)."""
+        return _block(self.C_fact.A, self.M_fact.A, self.K_fact.A,
+                      self.Nm[:, 1:], self.Dm[:, 1:], U, V)
+
+    def _eliminate(self, r1, r2):
+        Nq = self.Nm[:, 1:]
+        Cr1 = self.C_fact.solve(r1.T).T
+        KCr1 = r1 if self.C_fact is self.K_fact else (self.K_fact.A @ Cr1.T).T
+        G = self._Sinv @ (r2 + Nq @ KCr1)
+        W = np.stack([lu.solve(g.real) if real else lu.solve(g)
+                      for lu, g, real in zip(self._modes, G, self._real)])
+        V = (self._S @ W).real
+        return Nq @ V - Cr1, V
+
+    def solve(self, r1, r2):
+        """Interior coefficient rows (U, V), each (q, n_I), of the last
+        :meth:`system`'s slab, held to the relative residual SLAB_TOL."""
+        x = checked_solve(lambda b: np.stack(self._eliminate(*b)),
+                          lambda x: np.stack(self.apply(*x)),
+                          np.stack([r1, r2]), SLAB_TOL, "slab")
+        return x[0], x[1]
 
     def load_moments(self, n):
         """Temporal moments of the interior load: (q, n_interior) array of
@@ -280,9 +263,7 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting):
     (``lifting`` is the run's :func:`build_lifting`, None for zero data).
     """
     q, I, B = workspace.q, workspace.I, workspace.B
-    tau = float(workspace.partition.lengths[n])
-    system = workspace.system(tau)
-    Nm, Dm = system.Nm, system.Dm
+    workspace.system(float(workspace.partition.lengths[n]))
 
     nB = len(B)
     UB = lifting.u_trial[n] if lifting is not None else np.zeros((q + 1, nB))
@@ -300,14 +281,15 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting):
     V = np.zeros((q + 1, workspace.space.n_dofs))
     U[0], V[0] = prev_u, prev_v
     U[1:, B], V[1:, B] = UB[1:], VB[1:]
-    r1, r2 = _block(workspace.C_I, workspace.M_I, workspace.K_I, Nm, Dm, U, V)
-    r1, r2 = -r1, -r2
+    # the interior rows of the full operators: the same CSR row products
+    r1, r2 = _block(workspace.C, workspace.M, workspace.K, workspace.Nm, workspace.Dm, U, V)
+    r1, r2 = -r1[:, I], -r2[:, I]
     F = workspace.load_moments(n)
     if F is not None:
         r2 += F
 
     try:
-        U[1:, I], V[1:, I] = system.solve(r1, r2)
+        U[1:, I], V[1:, I] = workspace.solve(r1, r2)
     except SolverFailure as exc:
         raise SolverFailure(f"slab {n + 1}: {exc}", residual=exc.residual) from exc
     return U, V

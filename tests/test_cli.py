@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import wavext.cli as cli
 import wavext.fem as fem
+import wavext.linalg as linalg
 import wavext.timebasis as timebasis
 from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _check, _make_problem,
                         _run_cells, default_config, main, parse_config,
                         run_cell)
 from wavext.errors import ConfigurationError
-from wavext.fem import assemble, build_space
+from wavext.fem import assemble, build_space, interior_factorization
 from wavext.mesh import build_structured_mesh
 from wavext.problem import make_preset
 
@@ -383,19 +384,23 @@ def test_tau_study_assembles_each_operator_once(tmp_path, monkeypatch):
     assert sorted(kinds) == ["mass", "stiffness"]
 
 
-def test_tau_study_runs_the_ritz_solve_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("method", ["gradient", "mass"])
+def test_tau_study_factorizes_each_interior_block_once(tmp_path, monkeypatch, method):
+    # every interior solve (Ritz and L2 projections, the C solve of each
+    # slab) runs on one of two LUs; the slab modes call factorize through
+    # the solver's own import, so only interior LUs are counted
     shapes = []
-    solve_spd = fem.solve_spd
+    factorize = linalg.factorize
 
-    def counted(A, b):
+    def counted(A):
         shapes.append(A.shape)
-        return solve_spd(A, b)
+        return factorize(A)
 
-    monkeypatch.setattr(fem, "solve_spd", counted)
-    path = write(tmp_path, "t.cfg", _TAU_STUDY)
+    monkeypatch.setattr(linalg, "factorize", counted)
+    path = write(tmp_path, "t.cfg", _TAU_STUDY + f"method = {method}\n")
     assert main(["converge-tau", "--config", path, "--out", str(tmp_path / "out")]) == 0
     assert len(read_rows(tmp_path / "out")) == 4
-    assert len(shapes) == 1
+    assert shapes == [(25, 25)] * 2
 
 
 def test_estimate_study_builds_each_gauss_rule_once(tmp_path, monkeypatch):
@@ -448,9 +453,10 @@ def test_run_cell_leaves_shared_operators_unchanged(tmp_path, experiment, text):
     run_cell(cfg, cell, problem, shared)
     fresh = new_space()
     for kind, c in (("mass", 1.0), ("stiffness", problem.c)):
-        used, clean = assemble(shared, kind, c), assemble(fresh, kind, c)
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(used, name), getattr(clean, name))
+        for operator in (assemble, lambda *a: interior_factorization(*a).A):
+            used, clean = operator(shared, kind, c), operator(fresh, kind, c)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(used, name), getattr(clean, name))
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

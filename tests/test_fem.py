@@ -245,6 +245,23 @@ def test_assemble_memoized_per_space_and_read_only():
             array[0] = 1
 
 
+def test_interior_factorization_memoized_per_space_and_read_only():
+    sp = wx.build_space(build_structured_mesh(3, 3), 2)
+    I = sp.interior_dofs
+    for kind, c in (("mass", 1.0), ("stiffness", 1.5)):
+        fact = wx.interior_factorization(sp, kind, c)
+        assert wx.interior_factorization(sp, kind, c) is fact
+        block = wx.assemble(sp, kind, c)[np.ix_(I, I)]
+        for name in ("data", "indices", "indptr"):
+            array = getattr(fact.A, name)
+            assert array.dtype == getattr(block, name).dtype
+            assert array.tobytes() == getattr(block, name).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+    assert wx.interior_factorization(sp, "stiffness", 2.0) is not \
+        wx.interior_factorization(sp, "stiffness", 1.5)
+
+
 @pytest.mark.parametrize("c", [1.5, lambda x, y: 1.0 + 0.5 * x * y],
                          ids=["scalar-c", "callable-c"])
 @pytest.mark.parametrize("method", ["gradient", "mass"])

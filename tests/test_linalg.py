@@ -61,7 +61,7 @@ def test_factorization_reuse():
     for _ in range(3):
         b = rng.normal(size=30)
         x = fact.solve(b)
-        assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_compressed_normalizes():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,8 @@ def test_error_report_requires_exact_solution():
     anon = wx.ProblemData()
     with pytest.raises(wx.ConfigurationError):
         wx.compute_error_report(sol, anon)
+    with pytest.raises(wx.ConfigurationError, match="exact_grad_u"):
+        wx.compute_error_report(sol, replace(prob, exact_grad_u=None))
 
 
 def test_energy_trace_values():

@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 import wavext as wx
+import wavext.fem as fem_module
 import wavext.solver as solver_module
 from conftest import small_homogeneous_run, txy_problem
 from wavext.problem import MAX_TEMPORAL_DEGREE
@@ -245,10 +246,10 @@ def _oracle_matrix(ws, Nm, Dm):
     for i in range(q):
         for j in range(1, q + 1):
             cu, cv = 2 * (j - 1), 2 * (j - 1) + 1
-            put(2 * i, cu, -Dm[i, j], ws.C_II)
-            put(2 * i, cv, Nm[i, j], ws.C_II)
-            put(2 * i + 1, cu, Nm[i, j], ws.K_II)
-            put(2 * i + 1, cv, Dm[i, j], ws.M_II)
+            put(2 * i, cu, -Dm[i, j], ws.C_fact.A)
+            put(2 * i, cv, Nm[i, j], ws.C_fact.A)
+            put(2 * i + 1, cu, Nm[i, j], ws.K_fact.A)
+            put(2 * i + 1, cv, Dm[i, j], ws.M_fact.A)
     return sparse.bmat(blocks, format="csr")
 
 
@@ -320,17 +321,17 @@ def _oracle_workspace(method, q, p=2, nx=3):
        log_tau=st.floats(-3.0, 0.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_slab_solve_matches_monolithic_oracle(q, method, log_tau, seed):
     ws = _oracle_workspace(method, q)
-    system = ws.system(10.0 ** log_tau)
-    A = _oracle_matrix(ws, system.Nm, system.Dm)
+    ws.system(10.0 ** log_tau)
+    A = _oracle_matrix(ws, ws.Nm, ws.Dm)
     r1, r2 = np.random.default_rng(seed).normal(size=(2, q, len(ws.I)))
     b = _interleave(r1, r2)
-    U, V = system.solve(r1, r2)
+    U, V = ws.solve(r1, r2)
     x = _interleave(U, V)
     x_ref = splu(A.tocsc()).solve(b)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert _block_residual(A, b, U, V) <= 1e-11
     # the matrix-free block operator is the oracle matrix, to roundoff
-    a1, a2 = system.apply(U, V)
+    a1, a2 = ws.apply(U, V)
     scale = np.linalg.norm(abs(A) @ abs(x))
     assert np.linalg.norm(_interleave(a1, a2) - A @ x) <= 1e-14 * scale
 
@@ -341,12 +342,12 @@ def test_slab_solve_refinement_runs_and_succeeds(q, p):
     # (about 2.7e-10 at q = 8, p = 4; 2e-6 at q = 12, p = 8), the refinement
     # step recovers it
     ws = _oracle_workspace("mass", q, p=p)
-    system = ws.system(1.0)
-    A = _oracle_matrix(ws, system.Nm, system.Dm)
+    ws.system(1.0)
+    A = _oracle_matrix(ws, ws.Nm, ws.Dm)
     r1, r2 = np.random.default_rng(5).normal(size=(2, q, len(ws.I)))
     b = _interleave(r1, r2)
-    assert _block_residual(A, b, *system._eliminate(r1, r2)) > SLAB_TOL
-    U, V = system.solve(r1, r2)
+    assert _block_residual(A, b, *ws._eliminate(r1, r2)) > SLAB_TOL
+    U, V = ws.solve(r1, r2)
     assert _block_residual(A, b, U, V) <= SLAB_TOL
     x_ref = splu(A.tocsc()).solve(b)
     assert np.linalg.norm(_interleave(U, V) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
@@ -369,12 +370,12 @@ def test_slab_system_probe_residual():
     part = wx.uniform_time_partition(1.0, 1)
     disc = wx.Discretization(space, part, q=1)
     ws = SlabWorkspace(prob, disc)
-    system = ws.system(1.0)
-    A = _oracle_matrix(ws, system.Nm, system.Dm)
+    ws.system(1.0)
+    A = _oracle_matrix(ws, ws.Nm, ws.Dm)
     assert len(ws.I) == 4
     rng = np.random.default_rng(9)
     r1, r2 = rng.normal(size=(2, 1, len(ws.I)))
-    U, V = system.solve(r1, r2)
+    U, V = ws.solve(r1, r2)
     assert _block_residual(A, _interleave(r1, r2), U, V) <= 1e-11
 
 
@@ -391,9 +392,25 @@ def test_fast_solve_within_refined_monolithic_solve():
     assert np.abs(sol.v - V).max() <= 1e-10 * np.abs(V).max()
 
 
-def test_slab_cache_bounded_on_graded_partition():
+class _WatchedLU:
+    """A slab-mode factorization that a weak reference can watch."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+def test_slab_cache_bounded_on_graded_partition(monkeypatch):
     # geometric grading: every slab has its own length, so every slab needs
-    # its own factorizations; the workspace holds only the last slab's system
+    # its own factorizations; the workspace holds only the last slab's modes
+    modes = []
+    factorize = solver_module.factorize
+
+    def watched(A):
+        lu = _WatchedLU(factorize(A))
+        modes.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(solver_module, "factorize", watched)
     prob = wx.standing_wave()
     space = wx.build_space(wx.build_structured_mesh(4, 4, prob.bbox), 2)
     part = wx.TimePartition(np.concatenate([[0.0], 0.8 ** np.arange(12)[::-1]]))
@@ -403,12 +420,13 @@ def test_slab_cache_bounded_on_graded_partition():
     U = np.zeros((part.n_slabs, 3, space.n_dofs))
     V = np.zeros_like(U)
     prev_u, prev_v = u0h.values, v0h.values
-    systems = []
     for n in range(part.n_slabs):
+        held = len(modes)
         U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, ws, None)
-        systems.append(weakref.ref(ws.system(part.lengths[n])))
-        # a new system for each slab, and only the newest one is held
-        assert [ref() is not None for ref in systems] == [False] * n + [True]
+        # new modes for each slab, and only the newest ones are held
+        assert len(modes) > held
+        assert [ref() is not None for ref in modes] == \
+            [False] * held + [True] * (len(modes) - held)
         prev_u, prev_v = U[n, 0] + U[n, 1], V[n, 0] + V[n, 1]
     sol = wx.solve(prob, disc)
     assert np.array_equal(sol.u, U) and np.array_equal(sol.v, V)
@@ -420,13 +438,13 @@ def test_singular_slab_system_raises(monkeypatch, tmp_path):
     # a vanishing stiffness leaves the gradient coupling singular
     from wavext.cli import main
 
-    assemble = solver_module.assemble
+    local_matrices = fem_module.local_matrices
 
     def no_stiffness(space, kind, *args):
-        A = assemble(space, kind, *args)
-        return 0.0 * A if kind == "stiffness" else A
+        loc = local_matrices(space, kind, *args)
+        return 0.0 * loc if kind == "stiffness" else loc
 
-    monkeypatch.setattr(solver_module, "assemble", no_stiffness)
+    monkeypatch.setattr(fem_module, "local_matrices", no_stiffness)
     prob = wx.standing_wave()
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
     disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 2), q=2)
@@ -439,8 +457,9 @@ def test_nonfinite_slab_data_raises():
     ws = _oracle_workspace("gradient", 2)
     r1, r2 = np.zeros((2, 2, len(ws.I)))
     r1[0, 0] = np.nan
+    ws.system(0.5)
     with pytest.raises(wx.SolverFailure):
-        ws.system(0.5).solve(r1, r2)
+        ws.solve(r1, r2)
 
 
 def test_zero_callback_lifting_is_zero():
@@ -476,3 +495,34 @@ def test_load_moments_equal_per_time_loop(make):
     ws = SlabWorkspace(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
     for n in (0, 1):
         assert np.array_equal(ws.load_moments(n), _load_moments_per_time(ws, n))
+
+
+def test_slab_lengths_keyed_to_significant_digits():
+    # 2e-15 and 4e-15 round to the same 14 decimals; each slab still needs
+    # its own system, as a fresh workspace builds it
+    prob = wx.standing_wave()
+    space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
+    disc = wx.Discretization(space, wx.TimePartition(np.array([0.0, 2e-15, 6e-15])), q=2)
+    sol = wx.solve(prob, disc)
+    U, V = wx.solve_slab(sol.endpoint(1, "u"), sol.endpoint(1, "v"), 1,
+                         SlabWorkspace(prob, disc), None)
+    assert np.array_equal(sol.u[1], U) and np.array_equal(sol.v[1], V)
+
+
+def test_uniform_partition_builds_one_slab_system(monkeypatch):
+    # T = 1000 over 48 slabs: the lengths differ in their last bits, by more
+    # than rounding to 14 decimals absorbs
+    built = []
+    temporal_matrices = solver_module.slab_temporal_matrices
+
+    def counted(q, slab):
+        built.append(slab)
+        return temporal_matrices(q, slab)
+
+    monkeypatch.setattr(solver_module, "slab_temporal_matrices", counted)
+    prob = wx.standing_wave()
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
+    part = wx.uniform_time_partition(1000.0, 48)
+    assert len(set(part.lengths)) > 1
+    wx.solve(prob, wx.Discretization(space, part, q=1))
+    assert len(built) == 1
