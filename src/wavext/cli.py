@@ -207,8 +207,7 @@ def _validate(cfg):
 
 def _make_problem(cfg):
     if cfg.problem == "inline":
-        return inline_problem(cfg.inline_u, c=cfg.inline_c,
-                              bbox=cfg.inline_bbox, t_final=cfg.t_final)
+        return inline_problem(cfg.inline_u, c=cfg.inline_c, bbox=cfg.inline_bbox)
     return make_preset(cfg.problem, cfg.psi or None)
 
 

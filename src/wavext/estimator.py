@@ -152,8 +152,9 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
     lap_v = np.zeros(N)
     for n in range(N):
         tau = float(partition.lengths[n])
-        v_top = sol.legendre_coeffs(n, "v")[q]
-        u_top = sol.legendre_coeffs(n, "u")[q]
+        # the top Legendre coefficients: row q of trial_to_legendre(q) is e_q / 2
+        v_top = 0.5 * sol.v[n, q]
+        u_top = 0.5 * sol.u[n, q]
         v_defect[n] = math.sqrt(max(tau / (2 * q + 1) * float(v_top @ (M @ v_top)), 0.0))
         wgt = abs_legendre_integral(q, tau)
         lap_u[n] = broken_laplacian(FEFunction(space, u_top)).l2_norm() * wgt

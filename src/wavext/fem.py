@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from . import reference
-from .linalg import Factorization
+from .linalg import Factorization, compressed
 
 #: Largest polynomial degree of a Lagrange space.
 MAX_SPATIAL_DEGREE = 10
@@ -72,6 +72,7 @@ class LagrangeSpace:
         self._rule_cache = {}
         self._operators = {}
         self._interior = {}
+        self._factors = {}
         self._ritz = {}
 
     @property
@@ -131,9 +132,9 @@ def _wavespeed_sq(c, pts):
     return c ** 2
 
 
-def _cell_gradients(space, qd):
-    """Basis gradients J_c^{-T} grad(phi_i) on every (affine) cell, (nc, nq, nloc, 2)."""
-    return np.einsum("cmk,qim->cqik", space.jacinv, qd["gref"])
+def _metric(space):
+    """G = J^-1 J^-T per cell, (nc, 2, 2): grad phi_i . grad phi_j = gref_i . G gref_j."""
+    return np.einsum("cka,cma->ckm", space.jacinv, space.jacinv)
 
 
 def local_matrices(space, kind, coefficient=1.0):
@@ -147,10 +148,23 @@ def local_matrices(space, kind, coefficient=1.0):
         degree = 2 * p - 2 if not callable(coefficient) else 2 * p + 2
         qd = space.quad_data(max(degree, 0))
         w = _wavespeed_sq(coefficient, qd["pts"]) * qd["wdet"]
-        grad = _cell_gradients(space, qd)
-        return np.einsum("cq,cqik,cqjk->cij", np.broadcast_to(w, qd["wdet"].shape),
-                         grad, grad)
+        # sum_q,m,n w_cq G_c,mn gref_qim gref_qjn for i <= j; G is symmetric, so m <= n suffice
+        G, g, n = _metric(space), qd["gref"], space.n_local
+        i, j = np.triu_indices(n)
+        outer = lambda k, m: g[:, i, k] * g[:, j, m]
+        geo = np.stack([w * G[:, k, m, None] for k, m in ((0, 0), (0, 1), (1, 1))], axis=-1)
+        ref = np.stack([outer(0, 0), outer(0, 1) + outer(1, 0), outer(1, 1)], axis=1)
+        loc = np.empty((len(w), n, n))
+        loc[:, i, j] = loc[:, j, i] = geo.reshape(len(w), -1) @ ref.reshape(-1, len(i))
+        return loc
     raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def _read_only(A):
+    """A sparse matrix whose arrays reject writes."""
+    for array in (A.data, A.indices, A.indptr):
+        array.flags.writeable = False
+    return A
 
 
 def assemble(space, kind, coefficient=1.0):
@@ -175,25 +189,28 @@ def assemble(space, kind, coefficient=1.0):
                               shape=(space.n_dofs, space.n_dofs)).tocsr()
         A.sum_duplicates()
         A.sort_indices()
-        for array in (A.data, A.indices, A.indptr):
-            array.flags.writeable = False
-        space._operators[key] = A
+        space._operators[key] = _read_only(A)
     return space._operators[key]
 
 
-def interior_factorization(space, kind, coefficient=1.0):
-    """The Factorization of the interior block of ``assemble(space, kind,
-    coefficient)``, memoized on the space under the same key, its ``.A``
-    read-only: every interior solve (the initial data's projections, the C
-    solve of each slab) runs on it, held to relative residual 1e-12."""
+def interior_block(space, kind, coefficient=1.0):
+    """The interior-interior block of ``assemble(space, kind, coefficient)``,
+    memoized on the space under the same key and read-only like it."""
     key = (kind, coefficient)
     if key not in space._interior:
         I = space.interior_dofs
-        fact = Factorization(assemble(space, kind, coefficient)[np.ix_(I, I)])
-        for array in (fact.A.data, fact.A.indices, fact.A.indptr):
-            array.flags.writeable = False
-        space._interior[key] = fact
+        space._interior[key] = _read_only(compressed(assemble(space, *key)[np.ix_(I, I)]))
     return space._interior[key]
+
+
+def interior_factorization(space, kind, coefficient=1.0):
+    """The Factorization of ``interior_block(space, kind, coefficient)``, made
+    on the first call only and memoized like it: every interior solve (the
+    initial data's projections, the C solve of each slab) runs on it."""
+    key = (kind, coefficient)
+    if key not in space._factors:
+        space._factors[key] = Factorization(interior_block(space, kind, coefficient))
+    return space._factors[key]
 
 
 def load_vector(space, g):
@@ -220,6 +237,17 @@ def interpolate_nodal(space, f):
     return FEFunction(space, vals)
 
 
+def _gradient_load(space, grad_f, c):
+    """Moments (c^2 grad f, grad phi_i): as grad phi_i = J^-T gref_i, c^2 grad f
+    is pulled back by J^-1 and contracted with gref in one BLAS product."""
+    qd = space.quad_data(space.norm_degree())
+    w, Ji = qd["wdet"] * _wavespeed_sq(c, qd["pts"]), space.jacinv
+    gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
+    pulled = np.stack([w * (Ji[:, m, 0, None] * gx + Ji[:, m, 1, None] * gy) for m in (0, 1)], -1)
+    loc = pulled.reshape(len(w), -1) @ qd["gref"].transpose(0, 2, 1).reshape(-1, space.n_local)
+    return np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dofs)
+
+
 def ritz_project(space, f, grad_f, c=1.0):
     """Stiffness-orthogonal projection with nodally interpolated boundary values.
 
@@ -235,13 +263,7 @@ def ritz_project(space, f, grad_f, c=1.0):
     key = (f, grad_f, c)
     if key not in space._ritz:
         K = assemble(space, "stiffness", c)
-        qd = space.quad_data(space.norm_degree())
-        gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
-        w = qd["wdet"] * _wavespeed_sq(c, qd["pts"])
-        grad = _cell_gradients(space, qd)
-        loc = np.einsum("cq,cqi->ci", np.broadcast_to(gx, qd["wdet"].shape) * w, grad[..., 0])
-        loc += np.einsum("cq,cqi->ci", np.broadcast_to(gy, qd["wdet"].shape) * w, grad[..., 1])
-        rhs = np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dofs)
+        rhs = _gradient_load(space, grad_f, c)
 
         I, B = space.interior_dofs, space.boundary_dofs
         out = np.zeros(space.n_dofs)
@@ -269,7 +291,7 @@ class BrokenField:
         qd = space.quad_data(space.norm_degree())
         coeffs = self.fn.values[space.cell_dofs]
         # Delta = sum_km G_km d_k d_m, G = J^-1 J^-T: both symmetric, so 3 products
-        G = np.einsum("cka,cma->ckm", space.jacinv, space.jacinv)
+        G = _metric(space)
         vals = sum(f * G[:, k, m, None] * (coeffs @ np.ascontiguousarray(qd["href"][..., k, m]).T)
                    for k, m, f in ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0)))
         return float(np.sqrt(np.sum(qd["wdet"] * vals ** 2)))

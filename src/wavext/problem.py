@@ -48,7 +48,6 @@ class ProblemData:
 
     name: str = "custom"
     bbox: tuple = (0.0, 1.0, 0.0, 1.0)
-    t_final: float = 1.0
     c: float = 1.0
     f: Optional[Callable] = None
     g_d: Optional[Callable] = None
@@ -123,7 +122,6 @@ def dirichlet_cos():
     return ProblemData(
         name="dirichlet-cos",
         bbox=(0.0, 1.0, 0.0, 1.0),
-        t_final=1.0,
         c=1.0,
         f=None,
         g_d=u,
@@ -156,7 +154,6 @@ def standing_wave():
     return ProblemData(
         name="standing-wave",
         bbox=(0.0, 1.0, 0.0, 1.0),
-        t_final=1.0,
         c=1.0,
         f=None,
         g_d=None,
@@ -234,7 +231,6 @@ def estimator_poly(psi="cos4t"):
     return ProblemData(
         name=f"estimator-poly-{key}",
         bbox=(-1.0, 1.0, -1.0, 1.0),
-        t_final=1.0,
         c=1.0,
         f=f,
         g_d=None,
@@ -249,7 +245,7 @@ def estimator_poly(psi="cos4t"):
     )
 
 
-def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0), t_final=1.0):
+def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0)):
     """Manufacture a problem from a symbolic expression for u(x, y, t).
 
     The companion field, source, boundary and initial data are derived by
@@ -282,7 +278,6 @@ def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0), t_final=1.0):
     return ProblemData(
         name="inline",
         bbox=tuple(map(float, bbox)),
-        t_final=float(t_final),
         c=float(c),
         f=None if f_sym == 0 else f_f,
         g_d=u_f,

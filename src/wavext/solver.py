@@ -15,8 +15,10 @@ the known terms and the load int (f, L_i phi_k) dt in r1, r2.  Nothing is
 enforced by penalties, so interface continuity and boundary traces hold
 exactly.
 
-The 2q n_I block system is never assembled.  With this trial/test pair
-D[:, 1:] = I exactly, so the first block row gives U = Nq V - C^{-1} r1
+Both temporal matrices are closed forms (:mod:`wavext.timebasis`),
+N = diag(tau/(2i + 1)) T[:q] with T = trial_to_legendre(q) and D = [0 | I],
+which is applied as the last q rows of U.  The 2q n_I block system is never
+assembled: as D[:, 1:] = I, the first block row gives U = Nq V - C^{-1} r1
 (Nq = N[:, 1:], rows of U and V indexed by j) and the second leaves
 
     (I (x) M + Nq^2 (x) K) V = r2 + Nq (K C^{-1} r1),
@@ -28,7 +30,8 @@ q spatial systems (M + tau^2 lam_k K) W_k = (S^{-1} R)_k.  Conjugate
 eigenvalues give conjugate solutions, so a slab length costs one complex
 LU per conjugate pair (a real one for the real eigenvalue at odd q), on top
 of the space's LU of C (:func:`~wavext.fem.interior_factorization`).  Each
-solve is held to its residual on the block operator itself, matrix-free.
+solve is held to its residual on the block operator itself, matrix-free;
+that operator is exactly the one the elimination inverts.
 """
 
 from dataclasses import dataclass
@@ -37,13 +40,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverFailure
-from .fem import (FEFunction, assemble, interior_factorization,
+from .fem import (FEFunction, assemble, interior_block, interior_factorization,
                   interpolate_nodal, load_vector, ritz_project)
 from .linalg import checked_solve, factorize
 from .timebasis import (endpoint_exact_project, gauss_rule, graded_gauss_rule,
                         lagrange_time_interp, legendre_matrix,
                         slab_temporal_matrices, temporal_eigensplit,
-                        to_normalized, trial_to_legendre)
+                        to_normalized)
 
 
 @dataclass
@@ -67,10 +70,6 @@ class SpaceTimeSolution:
         if n == 0:
             return tensor[0, 0]
         return tensor[n - 1, 0] + tensor[n - 1, 1]
-
-    def legendre_coeffs(self, n, component="u"):
-        tensor = self.u if component == "u" else self.v
-        return np.tensordot(trial_to_legendre(self.degree), tensor[n], axes=(1, 0))
 
 
 @dataclass
@@ -109,8 +108,7 @@ def build_lifting(problem, space, partition, q, bc_mode):
         return lambda ts: np.asarray(g(xb[None, :], yb[None, :],
                                        np.asarray(ts, dtype=float)[:, None]))
 
-    project = endpoint_exact_project if bc_mode == "projection" else \
-        (lambda qq, ff, pp: lagrange_time_interp(qq, ff, pp))
+    project = endpoint_exact_project if bc_mode == "projection" else lagrange_time_interp
     poly_u = project(q, traj(problem.g_d), partition)
     poly_v = project(q, traj(problem.dt_g_d), partition)
     u_trial = np.stack([poly_u.trial_coeffs(n) for n in range(partition.n_slabs)])
@@ -169,20 +167,22 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
 SLAB_TOL = 1e-11
 
 
-def _block(C, M, K, N, D, U, V):
+def _block(C, M, K, N, U, V):
     """The slab's block equations (r1, r2) on coefficient rows U, V, with
-    the rows of U, V indexed by the columns of N, D (see the module
-    docstring).  The solve applies them to the unknown rows, the
-    right-hand side to the known ones."""
-    r1 = C @ (V.T @ N.T - U.T @ D.T)
-    r2 = M @ (V.T @ D.T) + K @ (U.T @ N.T)
+    the rows of U, V indexed by the columns of N (see the module
+    docstring); D = [0 | I] picks their last q rows.  The solve applies
+    them to the unknown rows, the right-hand side to the known ones."""
+    q = N.shape[0]
+    r1 = C @ (V.T @ N.T - U[-q:].T)
+    r2 = M @ V[-q:].T + K @ (U.T @ N.T)
     return r1.T, r2.T
 
 
 class SlabWorkspace:
     """The slab system of a run (see the module docstring): the space's
-    operators and interior factorizations, and the modes of the last slab
-    length only, so memory stays bounded on a graded partition."""
+    operators, their interior blocks, the interior factorization of C, and
+    the modes of the last slab length only, so memory stays bounded on a
+    graded partition."""
 
     def __init__(self, problem, disc):
         space = disc.space
@@ -191,15 +191,16 @@ class SlabWorkspace:
         self.partition = disc.partition
         self.q = disc.q
         self.I, self.B = space.interior_dofs, space.boundary_dofs
-        self.M = assemble(space, "mass")
+        self.M, self.M_II = assemble(space, "mass"), interior_block(space, "mass")
         self.K = assemble(space, "stiffness", problem.c)
-        self.M_fact = interior_factorization(space, "mass")
-        self.K_fact = interior_factorization(space, "stiffness", problem.c)
-        gradient = disc.method == "gradient"
-        self.C, self.C_fact = (self.K, self.K_fact) if gradient else (self.M, self.M_fact)
+        self.K_II = interior_block(space, "stiffness", problem.c)
+        self.gradient = disc.method == "gradient"
+        C = ("stiffness", problem.c) if self.gradient else ("mass", 1.0)
+        self.C, self.C_II, self.C_fact = (assemble(space, *C), interior_block(space, *C),
+                                          interior_factorization(space, *C))
         lam, self._S, self._Sinv, pairs = temporal_eigensplit(self.q)
         self._lam, self._real = lam, ~pairs
-        self._tau_key = self._modes = self.Nm = self.Dm = None
+        self._tau_key = self._modes = self.Nm = None
 
     def system(self, tau):
         """Factorize the modes for slab length tau unless the last call's length
@@ -207,21 +208,19 @@ class SlabWorkspace:
         key = f"{tau:.12e}"
         if key != self._tau_key:
             self._tau_key = self._modes = None  # free the old modes first
-            self.Nm, self.Dm = slab_temporal_matrices(self.q, (0.0, tau))
-            M, K = self.M_fact.A, self.K_fact.A
-            self._modes = [factorize(M + tau ** 2 * (lk.real if real else lk) * K)
+            self.Nm = slab_temporal_matrices(self.q, (0.0, tau))
+            self._modes = [factorize(self.M_II + tau ** 2 * (lk.real if real else lk) * self.K_II)
                            for lk, real in zip(self._lam, self._real)]
             self._tau_key = key
 
     def apply(self, U, V):
         """The block operator on (q, n_I) coefficient rows U, V -> (r1, r2)."""
-        return _block(self.C_fact.A, self.M_fact.A, self.K_fact.A,
-                      self.Nm[:, 1:], self.Dm[:, 1:], U, V)
+        return _block(self.C_II, self.M_II, self.K_II, self.Nm[:, 1:], U, V)
 
     def _eliminate(self, r1, r2):
         Nq = self.Nm[:, 1:]
         Cr1 = self.C_fact.solve(r1.T).T
-        KCr1 = r1 if self.C_fact is self.K_fact else (self.K_fact.A @ Cr1.T).T
+        KCr1 = r1 if self.gradient else (self.K_II @ Cr1.T).T
         G = self._Sinv @ (r2 + Nq @ KCr1)
         W = np.stack([lu.solve(g.real) if real else lu.solve(g)
                       for lu, g, real in zip(self._modes, G, self._real)])
@@ -282,7 +281,7 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting):
     U[0], V[0] = prev_u, prev_v
     U[1:, B], V[1:, B] = UB[1:], VB[1:]
     # the interior rows of the full operators: the same CSR row products
-    r1, r2 = _block(workspace.C, workspace.M, workspace.K, workspace.Nm, workspace.Dm, U, V)
+    r1, r2 = _block(workspace.C, workspace.M, workspace.K, workspace.Nm, U, V)
     r1, r2 = -r1[:, I], -r2[:, I]
     F = workspace.load_moments(n)
     if F is not None:

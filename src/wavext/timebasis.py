@@ -13,6 +13,9 @@ In the normalized coordinate x = 2(t - t_{n-1})/tau_n - 1 the trial basis is
 slab-independent: sigma_1 = (x + 1)/2 and sigma_j = (P_j - P_{j-2})/2 for
 j >= 2. A handy consequence: the time derivative of a trial expansion has
 Legendre coefficient k equal to (2k + 1)/tau_n times trial coefficient k+1.
+The slab coupling matrices are therefore closed forms, with no quadrature:
+int sigma_j' L_i dt = delta_{i+1,j}, that is D = [0 | I], and
+int sigma_j L_i dt = tau_n/(2i + 1) T[i,j] with T = trial_to_legendre(q).
 
 Vector-valued callbacks are supported throughout: a time callback may return
 shape (nt,) or (nt, n_channels), and projections preserve the channel axis.
@@ -49,10 +52,6 @@ class TimePartition:
     def lengths(self):
         return np.diff(self.nodes)
 
-    @property
-    def t_final(self):
-        return float(self.nodes[-1])
-
     def slab(self, n):
         return float(self.nodes[n]), float(self.nodes[n + 1])
 
@@ -77,25 +76,17 @@ def legendre_matrix(deg, x):
     return out
 
 
-def trial_matrix(q, x, derivative=0):
-    """Values of the trial basis sigma_0..sigma_q at normalized coords x.
-
-    With derivative=1 the result is d sigma_j/dx; chain with 2/tau for d/dt.
-    """
+def trial_matrix(q, x):
+    """Values of the trial basis sigma_0..sigma_q at normalized coords x."""
     x = np.asarray(x, dtype=float)
     out = np.zeros((q + 1,) + x.shape)
-    if derivative == 0:
-        out[0] = 1.0
-        if q >= 1:
-            out[1] = 0.5 * (x + 1.0)
-        if q >= 2:
-            P = legendre_matrix(q, x)
-            for j in range(2, q + 1):
-                out[j] = 0.5 * (P[j] - P[j - 2])
-    else:
-        P = legendre_matrix(max(q - 1, 0), x)
-        for j in range(1, q + 1):
-            out[j] = 0.5 * (2 * j - 1) * P[j - 1]
+    out[0] = 1.0
+    if q >= 1:
+        out[1] = 0.5 * (x + 1.0)
+    if q >= 2:
+        P = legendre_matrix(q, x)
+        for j in range(2, q + 1):
+            out[j] = 0.5 * (P[j] - P[j - 2])
     return out
 
 
@@ -234,20 +225,12 @@ def lagrange_time_interp(q, f, partition):
 
 
 def slab_temporal_matrices(q, slab):
-    """Temporal coupling matrices N[i,j] = int sigma_j L_i dt and
-    D[i,j] = int sigma_j' L_i dt for i < q, j <= q (Gauss, exact)."""
+    """N[i,j] = int sigma_j L_i dt (i < q, j <= q) in closed form, see the
+    module docstring; the solver applies D = [0 | I] as a row selection."""
     if q < 1:
         raise ValueError("temporal degree must be >= 1")
     a, b = slab
-    tau = b - a
-    x, w = _reference_rule(q + 1)
-    wt = w * tau / 2.0
-    sig = trial_matrix(q, x)
-    dsig = trial_matrix(q, x, derivative=1) * (2.0 / tau)
-    tst = legendre_matrix(q - 1, x)
-    N = np.einsum("g,ig,jg->ij", wt, tst, sig)
-    D = np.einsum("g,ig,jg->ij", wt, tst, dsig)
-    return N, D
+    return ((b - a) / (2.0 * np.arange(q) + 1.0))[:, None] * trial_to_legendre(q)[:q]
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +247,7 @@ def temporal_eigensplit(q):
     kept mode stands for a conjugate pair.  A solve along each such mode
     thereby stands for its conjugate mode too; the other modes are real.
     """
-    N, _ = slab_temporal_matrices(q, (0.0, 1.0))
+    N = slab_temporal_matrices(q, (0.0, 1.0))
     nu, vecs = np.linalg.eig(N[:, 1:])
     # LAPACK returns real eigenvalues with an imaginary part of exactly zero
     keep = nu.imag >= 0

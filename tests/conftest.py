@@ -4,7 +4,8 @@ from numpy.polynomial import legendre as npleg
 
 import wavext as wx
 from wavext import reference
-from wavext.timebasis import legendre_matrix, to_normalized, trial_matrix
+from wavext.timebasis import (legendre_matrix, to_normalized, trial_matrix,
+                              trial_to_legendre)
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +20,6 @@ def txy_problem():
     return wx.ProblemData(
         name="txy",
         bbox=(0.0, 1.0, 0.0, 1.0),
-        t_final=1.0,
         g_d=lambda x, y, t: t * x * y,
         dt_g_d=lambda x, y, t: x * y * np.ones(shape(x, y, t)),
         u0=lambda x, y: np.zeros(shape(x, y)),
@@ -71,6 +71,13 @@ def coeffs_on_slab(sol, n, xnorm, component="u"):
     tensor = sol.u if component == "u" else sol.v
     sig = trial_matrix(sol.degree, np.asarray(xnorm, dtype=float))
     return np.tensordot(sig, tensor[n], axes=(0, 0))
+
+
+def legendre_coeffs(sol, n, component="u"):
+    """Per-slab Legendre coefficients of a space-time solution on slab n,
+    shape (degree+1, n_dofs)."""
+    tensor = sol.u if component == "u" else sol.v
+    return np.tensordot(trial_to_legendre(sol.degree), tensor[n], axes=(1, 0))
 
 
 def coeffs_at(sol, t, component="u"):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import coeffs_on_slab, legendre_derivative_matrix
+from conftest import coeffs_on_slab, legendre_coeffs, legendre_derivative_matrix
 from test_timebasis import _assemble_global_endpoint_projection
 from wavext.cli import parse_config, run_experiment
 from wavext.estimator import gap_constant
@@ -119,7 +119,7 @@ def test_criterion_3_discrete_velocity_identity():
             sol = wx.solve(prob, disc)
             for n in range(sol.partition.n_slabs):
                 tau = sol.partition.lengths[n]
-                v_leg = sol.legendre_coeffs(n, "v")
+                v_leg = legendre_coeffs(sol, n, "v")
                 scale = max(1.0, np.abs(v_leg).max())
                 for k in range(q):
                     gap = np.abs(v_leg[k] - (2 * k + 1) / tau * sol.u[n, k + 1]).max()
@@ -214,7 +214,7 @@ def _gap_bound_ratios(space, sols):
         for n in range(sol.partition.n_slabs):
             slab = sol.partition.slab(n)
             tau = slab[1] - slab[0]
-            v_top = sol.legendre_coeffs(n, "v")[q]
+            v_top = legendre_coeffs(sol, n, "v")[q]
             top_norm = math.sqrt(max(float(v_top @ (M @ v_top)), 0.0))
             defect_l2 = math.sqrt(tau / (2 * q + 1)) * top_norm
             ts, ws = gauss_rule(12, slab)

@@ -2,6 +2,7 @@ import csv
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _check, _make_problem,
 from wavext.errors import ConfigurationError
 from wavext.fem import assemble, build_space, interior_factorization
 from wavext.mesh import build_structured_mesh
-from wavext.problem import make_preset
+from wavext.problem import Discretization, make_preset
+from wavext.solver import SlabWorkspace
+from wavext.timebasis import uniform_time_partition
 
 
 def write(tmp_path, name, text):
@@ -401,6 +404,43 @@ def test_tau_study_factorizes_each_interior_block_once(tmp_path, monkeypatch, me
     assert main(["converge-tau", "--config", path, "--out", str(tmp_path / "out")]) == 0
     assert len(read_rows(tmp_path / "out")) == 4
     assert shapes == [(25, 25)] * 2
+
+
+_ROOT = Path(__file__).parent.parent
+
+
+@pytest.mark.parametrize("cfg_path, experiment, lus", [
+    ("configs/energy.cfg", "energy", 2),
+    ("perfbench/workloads/big-slab.smoke.cfg", "converge-h", 4),
+    ("perfbench/workloads/tau-sweep-mass.smoke.cfg", "converge-tau", 6),
+    ("perfbench/workloads/estimate-singular.smoke.cfg", "estimate", 4),
+], ids=["energy", "big-slab", "tau-sweep-mass", "estimate-singular"])
+def test_runs_factorize_only_what_they_solve_with(tmp_path, monkeypatch, cfg_path,
+                                                  experiment, lus):
+    # energy: gradient coupling and interpolated initial data, so the LU of
+    # K_II and one slab mode; M_II is applied, never solved with
+    count = Counter()
+    splu = linalg.splu
+
+    def counted(A, *args, **kwargs):
+        count["lu"] += 1
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", counted)
+    path = str(_ROOT / cfg_path)
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert count["lu"] == lus
+
+
+def test_workspaces_share_the_interior_blocks():
+    prob = make_preset("standing-wave")
+    space = build_space(build_structured_mesh(3, 3, prob.bbox), 2)
+    part = uniform_time_partition(1.0, 2)
+    first, second = (SlabWorkspace(prob, Discretization(space, part, q=q, method=method))
+                     for q, method in ((1, "gradient"), (2, "mass")))
+    for name in ("M_II", "K_II"):
+        assert getattr(first, name) is getattr(second, name)
+    assert first.C_II is first.K_II and second.C_II is second.M_II
 
 
 def test_estimate_study_builds_each_gauss_rule_once(tmp_path, monkeypatch):

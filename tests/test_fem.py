@@ -7,8 +7,8 @@ import pytest
 import wavext as wx
 from conftest import evaluate
 from wavext import reference
-from wavext.fem import (FEFunction, broken_laplacian, local_matrices,
-                        spatial_norm)
+from wavext.fem import (FEFunction, _gradient_load, broken_laplacian,
+                        local_matrices, spatial_norm)
 from wavext.mesh import build_structured_mesh
 
 
@@ -333,7 +333,8 @@ def test_assembly_quadrature_exactness():
 
 # ---------------------------------------------------------------------------
 # oracles: the per-cell einsum contractions that the reference-table
-# products replace
+# products replace (the norms, the broken Laplacian, the stiffness matrix
+# and the Ritz load)
 
 
 def _spatial_norm_oracle(space, kind, fe, exact=None, exact_grad=None, c=1.0):
@@ -406,6 +407,41 @@ def test_spatial_norm_matches_per_cell_oracle(p):
         expect = _spatial_norm_oracle(sp, kind, fe, **kw)
         assert np.shape(got) == np.shape(expect)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), (kind, kw)
+
+
+def _stiffness_oracle(space, c):
+    degree = 2 * space.degree + 2 if callable(c) else 2 * space.degree - 2
+    qd = space.quad_data(max(degree, 0))
+    csq = c(qd["pts"][..., 0], qd["pts"][..., 1]) ** 2 if callable(c) else c ** 2
+    grad = _cell_grad(space, qd)
+    return np.einsum("cq,cqik,cqjk->cij", csq * qd["wdet"], grad, grad)
+
+
+def _gradient_load_oracle(space, grad_f, c):
+    qd = space.quad_data(space.norm_degree())
+    X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
+    w = qd["wdet"] * (c(X, Y) if callable(c) else c) ** 2
+    gx, gy = grad_f(X, Y)
+    grad = _cell_grad(space, qd)
+    loc = np.einsum("cq,cqi->ci", gx * w, grad[..., 0]) + np.einsum("cq,cqi->ci", gy * w, grad[..., 1])
+    return np.bincount(space.cell_dofs.ravel(), weights=loc.ravel(), minlength=space.n_dofs)
+
+
+def _grad_u0(x, y):
+    return np.cos(x) * np.cos(2 * y), -2 * np.sin(x) * np.sin(2 * y)
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_stiffness_and_ritz_load_match_per_cell_oracle(p):
+    sp = _offset_space(p)
+    for c in (1.0, 1.7, _c):
+        expect = _stiffness_oracle(sp, c)
+        got = local_matrices(sp, "stiffness", c)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), c
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+        expect = _gradient_load_oracle(sp, _grad_u0, c)
+        got = _gradient_load(sp, _grad_u0, c)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), c
 
 
 @pytest.mark.parametrize("p", range(1, 11))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import (coeffs_at, coeffs_on_slab, evaluate, small_homogeneous_run,
-                      txy_problem)
+from conftest import (coeffs_at, coeffs_on_slab, evaluate, legendre_coeffs,
+                      small_homogeneous_run, txy_problem)
 from wavext.estimator import gap_constant
 from wavext.postprocess import postprocessed_solution
 from wavext.solver import SpaceTimeSolution
@@ -32,7 +32,7 @@ def test_reconstruction_derivative_identity():
     assert star.degree == sol.degree + 1
     for n in range(sol.partition.n_slabs):
         tau = sol.partition.lengths[n]
-        v_leg = sol.legendre_coeffs(n, "v")
+        v_leg = legendre_coeffs(sol, n, "v")
         for k in range(sol.degree + 1):
             lhs = (2 * k + 1) / tau * star.u[n, k + 1]
             scale = max(1.0, np.abs(v_leg).max())
@@ -58,7 +58,7 @@ def test_slab_gap_bounds():
     for n in range(sol.partition.n_slabs):
         slab = sol.partition.slab(n)
         tau = slab[1] - slab[0]
-        v_top = sol.legendre_coeffs(n, "v")[q]
+        v_top = legendre_coeffs(sol, n, "v")[q]
         defect_l2_sq = tau / (2 * q + 1) * float(v_top @ (M @ v_top))
         ts, ws = gauss_rule(20, slab)
         xs = to_normalized(slab, ts)

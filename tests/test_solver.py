@@ -11,7 +11,7 @@ from scipy.sparse.linalg import splu
 import wavext as wx
 import wavext.fem as fem_module
 import wavext.solver as solver_module
-from conftest import small_homogeneous_run, txy_problem
+from conftest import legendre_coeffs, small_homogeneous_run, txy_problem
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.solver import SLAB_TOL, SlabWorkspace
 from wavext.timebasis import (gauss_rule, graded_gauss_rule, legendre_matrix,
@@ -146,7 +146,7 @@ def test_discrete_velocity_identity(q, method):
     prob, sol = small_homogeneous_run(q=q, n_slabs=4, method=method)
     for n in range(sol.partition.n_slabs):
         tau = sol.partition.lengths[n]
-        v_leg = sol.legendre_coeffs(n, "v")
+        v_leg = legendre_coeffs(sol, n, "v")
         scale = max(1.0, np.abs(v_leg).max())
         for k in range(q):
             dudt_k = (2 * k + 1) / tau * sol.u[n, k + 1]
@@ -231,11 +231,12 @@ def test_unconditional_stability_sanity():
 
 # -- the assembled slab system, kept as the oracle of the fast solve ---------
 
-def _oracle_matrix(ws, Nm, Dm):
+def _oracle_matrix(ws, Nm):
     """The 2q n_I block matrix of one slab, rows (r1_i, r2_i) and columns
-    (U_j, V_j) interleaved by temporal index."""
+    (U_j, V_j) interleaved by temporal index, with D = [0 | I]."""
     q = ws.q
-    drop = 1e-14 * max(np.abs(Nm).max(), np.abs(Dm).max())
+    Dm = np.eye(q, q + 1, 1)
+    drop = 1e-14 * max(np.abs(Nm).max(), 1.0)
     blocks = [[None] * (2 * q) for _ in range(2 * q)]
 
     def put(r, c, scalar, op):
@@ -246,10 +247,10 @@ def _oracle_matrix(ws, Nm, Dm):
     for i in range(q):
         for j in range(1, q + 1):
             cu, cv = 2 * (j - 1), 2 * (j - 1) + 1
-            put(2 * i, cu, -Dm[i, j], ws.C_fact.A)
-            put(2 * i, cv, Nm[i, j], ws.C_fact.A)
-            put(2 * i + 1, cu, Nm[i, j], ws.K_fact.A)
-            put(2 * i + 1, cv, Dm[i, j], ws.M_fact.A)
+            put(2 * i, cu, -Dm[i, j], ws.C_II)
+            put(2 * i, cv, Nm[i, j], ws.C_II)
+            put(2 * i + 1, cu, Nm[i, j], ws.K_II)
+            put(2 * i + 1, cv, Dm[i, j], ws.M_II)
     return sparse.bmat(blocks, format="csr")
 
 
@@ -271,8 +272,9 @@ def _monolithic_march(prob, disc):
     lifting = wx.build_lifting(prob, disc.space, disc.partition, q, disc.bc_mode)
     u0h, v0h = wx.discrete_initial_data(prob, disc.space, lifting, disc.initial_mode)
     tau = float(disc.partition.lengths[0])
-    Nm, Dm = slab_temporal_matrices(q, (0.0, tau))
-    A = _oracle_matrix(ws, Nm, Dm)
+    Nm = slab_temporal_matrices(q, (0.0, tau))
+    Dm = np.eye(q, q + 1, 1)
+    A = _oracle_matrix(ws, Nm)
     lu = splu(A.tocsc())
     n_slabs, n = disc.partition.n_slabs, disc.space.n_dofs
     U, V = np.zeros((n_slabs, q + 1, n)), np.zeros((n_slabs, q + 1, n))
@@ -322,7 +324,7 @@ def _oracle_workspace(method, q, p=2, nx=3):
 def test_slab_solve_matches_monolithic_oracle(q, method, log_tau, seed):
     ws = _oracle_workspace(method, q)
     ws.system(10.0 ** log_tau)
-    A = _oracle_matrix(ws, ws.Nm, ws.Dm)
+    A = _oracle_matrix(ws, ws.Nm)
     r1, r2 = np.random.default_rng(seed).normal(size=(2, q, len(ws.I)))
     b = _interleave(r1, r2)
     U, V = ws.solve(r1, r2)
@@ -343,7 +345,7 @@ def test_slab_solve_refinement_runs_and_succeeds(q, p):
     # step recovers it
     ws = _oracle_workspace("mass", q, p=p)
     ws.system(1.0)
-    A = _oracle_matrix(ws, ws.Nm, ws.Dm)
+    A = _oracle_matrix(ws, ws.Nm)
     r1, r2 = np.random.default_rng(5).normal(size=(2, q, len(ws.I)))
     b = _interleave(r1, r2)
     assert _block_residual(A, b, *ws._eliminate(r1, r2)) > SLAB_TOL
@@ -371,7 +373,7 @@ def test_slab_system_probe_residual():
     disc = wx.Discretization(space, part, q=1)
     ws = SlabWorkspace(prob, disc)
     ws.system(1.0)
-    A = _oracle_matrix(ws, ws.Nm, ws.Dm)
+    A = _oracle_matrix(ws, ws.Nm)
     assert len(ws.I) == 4
     rng = np.random.default_rng(9)
     r1, r2 = rng.normal(size=(2, 1, len(ws.I)))

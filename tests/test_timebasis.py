@@ -249,35 +249,58 @@ def test_slab_means_projection_vs_interpolation(q):
 
 def test_slab_matrices_q1_hand_values():
     for tau in (0.5, 1.0):
-        N, D = slab_temporal_matrices(1, (0.0, tau))
+        N = slab_temporal_matrices(1, (0.0, tau))
         assert np.allclose(N, [[tau, tau / 2]], atol=1e-15)
-        assert np.allclose(D, [[0.0, 1.0]], atol=1e-15)
 
 
 def test_slab_matrices_scaling_and_structure():
     q = 4
-    N1, D1 = slab_temporal_matrices(q, (0.2, 1.0))
-    N2, D2 = slab_temporal_matrices(q, (0.2, 0.6))
+    N1 = slab_temporal_matrices(q, (0.2, 1.0))
+    N2 = slab_temporal_matrices(q, (0.2, 0.6))
     assert np.allclose(N2, N1 / 2, atol=1e-15)
-    assert np.allclose(D2, D1, atol=1e-14)
-    assert np.abs(D1[:, 0]).max() == 0.0
-    # unisolvence of the slab blocks
+    # unisolvence of the slab block
     assert abs(np.linalg.det(N1[:, 1:])) > 0
-    assert abs(np.linalg.det(D1[:, 1:])) > 0
+
+
+def _quadrature_temporal_matrices(q, slab):
+    """N[i,j] = int sigma_j L_i dt and D[i,j] = int sigma_j' L_i dt by a
+    (q+1)-point Gauss rule, exact for these degree-2q integrands."""
+    tau = slab[1] - slab[0]
+    x, w = np.polynomial.legendre.leggauss(q + 1)
+    wt = w * tau / 2.0
+    sig = trial_matrix(q, x)
+    dsig = np.zeros_like(sig)  # d sigma_j/dx = (2j - 1)/2 P_{j-1}, chained with 2/tau
+    dsig[1:] = (np.arange(1, q + 1) - 0.5)[:, None] * legendre_matrix(q - 1, x) * (2.0 / tau)
+    tst = legendre_matrix(q - 1, x)
+    return (np.einsum("g,ig,jg->ij", wt, tst, sig),
+            np.einsum("g,ig,jg->ij", wt, tst, dsig))
+
+
+_ORACLE_SLABS = ((0.0, 1.0), (0.3, 0.3 + 1.0 / 64), uniform_time_partition(1000.0, 48).slab(47))
+
+
+@pytest.mark.parametrize("q", range(1, MAX_TEMPORAL_DEGREE + 1))
+def test_slab_matrix_matches_quadrature_oracle(q):
+    for slab in _ORACLE_SLABS:
+        N_quad, _ = _quadrature_temporal_matrices(q, slab)
+        N = slab_temporal_matrices(q, slab)
+        assert N.shape == (q, q + 1)
+        assert np.abs(N - N_quad).max() <= 1e-14 * np.abs(N_quad).max()
 
 
 @pytest.mark.parametrize("q", range(1, MAX_TEMPORAL_DEGREE + 1))
 def test_velocity_block_is_identity(q):
-    # the slab solver's elimination of U rests on D[:, 1:] = I
-    for slab in ((0.0, 1.0), (0.3, 0.3 + 1.0 / 64)):
-        _, D = slab_temporal_matrices(q, slab)
-        assert np.abs(D[:, 1:] - np.eye(q)).max() <= 1e-14
+    # the slab solver applies D = [0 | I] as a row selection, and its
+    # elimination of U rests on D[:, 1:] = I
+    for slab in _ORACLE_SLABS:
+        _, D_quad = _quadrature_temporal_matrices(q, slab)
+        assert np.abs(D_quad - np.eye(q, q + 1, 1)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("q", range(1, MAX_TEMPORAL_DEGREE + 1))
 def test_temporal_eigensplit(q):
     lam, S, Sinv, pairs = temporal_eigensplit(q)
-    N, _ = slab_temporal_matrices(q, (0.0, 1.0))
+    N = slab_temporal_matrices(q, (0.0, 1.0))
     Nq2 = N[:, 1:] @ N[:, 1:]
     assert len(lam) == (q + 1) // 2
     # one real mode at odd q, none at even q; the pairs are truly complex
@@ -294,7 +317,7 @@ def test_temporal_eigensplit(q):
     assert np.abs((S @ Sinv).real - np.eye(q)).max() <= tol
     # eigenpairs of Nq^2 at every slab length, scaled by tau^2
     tau = 0.37
-    N, _ = slab_temporal_matrices(q, (1.0, 1.0 + tau))
+    N = slab_temporal_matrices(q, (1.0, 1.0 + tau))
     Nq2 = N[:, 1:] @ N[:, 1:]
     assert np.abs(Nq2 @ S - S * (tau ** 2 * lam)).max() <= 1e-12 * np.abs(S).max()
 
