@@ -24,8 +24,7 @@ from .problem import (Discretization, ProblemData, dirichlet_cos,
                       standing_wave)
 from .solver import (Lifting, SpaceTimeSolution, build_lifting,
                      discrete_initial_data, solve, solve_slab)
-from .timebasis import (SlabPoly, TimePartition, endpoint_exact_project,
-                        gauss_rule, graded_gauss_rule, l2_project_time,
+from .timebasis import (TimePartition, endpoint_exact_project, gauss_rule,
                         lagrange_time_interp, slab_temporal_matrices,
                         uniform_time_partition)
 

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .fem import FEFunction, assemble, broken_laplacian
 from .postprocess import postprocessed_solution
-from .timebasis import (abs_legendre_integral, gauss_rule, graded_gauss_rule,
-                        legendre_matrix, to_normalized, trial_matrix)
+from .timebasis import (abs_legendre_integral, gauss_rule, legendre_table,
+                        trial_matrix)
 
 
 def gap_constant(q):
@@ -87,15 +87,13 @@ def _source_defects(sol, f, singular_at_zero):
         slab = sol.partition.slab(n)
         tau = slab[1] - slab[0]
         graded = singular_at_zero and n == 0
-        tp, wp = (graded_gauss_rule(q + 6, slab) if graded
-                  else gauss_rule(q + 6, slab))
+        tp, wp = gauss_rule(q + 6, slab, graded)
         fv_p = np.broadcast_to(f(X, Y, tp[:, None]), (len(tp), X.size))
-        Pp = legendre_matrix(q - 1, to_normalized(slab, tp))
+        Pp = legendre_table(q - 1, q + 6, graded)
         scale = (2.0 * np.arange(q) + 1.0) / tau
         proj = scale[:, None] * ((Pp * wp) @ fv_p)  # (q, n_space_pts)
-        to_, wo = (graded_gauss_rule(n_outer, slab) if graded
-                   else gauss_rule(n_outer, slab))
-        Po = legendre_matrix(q - 1, to_normalized(slab, to_))
+        to_, wo = gauss_rule(n_outer, slab, graded)
+        Po = legendre_table(q - 1, n_outer, graded)
         fv_o = np.broadcast_to(f(X, Y, to_[:, None]), (len(to_), X.size))
         acc = 0.0
         for k in range(len(to_)):

@@ -43,10 +43,9 @@ from .errors import ConfigurationError, SolverFailure
 from .fem import (FEFunction, assemble, interior_block, interior_factorization,
                   interpolate_nodal, load_vector, ritz_project)
 from .linalg import checked_solve, factorize
-from .timebasis import (endpoint_exact_project, gauss_rule, graded_gauss_rule,
-                        lagrange_time_interp, legendre_matrix,
-                        slab_temporal_matrices, temporal_eigensplit,
-                        to_normalized)
+from .timebasis import (endpoint_exact_project, gauss_rule, lagrange_time_interp,
+                        legendre_table, slab_temporal_matrices,
+                        temporal_eigensplit)
 
 
 @dataclass
@@ -87,7 +86,9 @@ def build_lifting(problem, space, partition, q, bc_mode):
     "projection" runs the endpoint-exact temporal projection on each
     boundary-node trajectory of g_d (and of dt g_d for the v-lifting);
     "interpolation" interpolates each trajectory at q+1 uniform nodes per
-    slab.  Returns None for homogeneous data.
+    slab.  Either is a fixed matrix per degree that takes one call of g_d (or
+    dt g_d) at all slabs' nodes straight to trial coefficients (see
+    :mod:`wavext.timebasis`).  Returns None for homogeneous data.
 
     The lifting reaches the reconstruction u(0) + int v through the slab
     means of the v-lifting.  The projection keeps those means exactly for
@@ -109,11 +110,8 @@ def build_lifting(problem, space, partition, q, bc_mode):
                                        np.asarray(ts, dtype=float)[:, None]))
 
     project = endpoint_exact_project if bc_mode == "projection" else lagrange_time_interp
-    poly_u = project(q, traj(problem.g_d), partition)
-    poly_v = project(q, traj(problem.dt_g_d), partition)
-    u_trial = np.stack([poly_u.trial_coeffs(n) for n in range(partition.n_slabs)])
-    v_trial = np.stack([poly_v.trial_coeffs(n) for n in range(partition.n_slabs)])
-    return Lifting(u_trial, v_trial)
+    return Lifting(project(q, traj(problem.g_d), partition),
+                   project(q, traj(problem.dt_g_d), partition))
 
 
 def discrete_initial_data(problem, space, lifting=None, initial_mode="projection"):
@@ -241,13 +239,10 @@ class SlabWorkspace:
         problem = self.problem
         if problem.f is None:
             return None
-        slab = self.partition.slab(n)
         npts = max(self.q + 3, 6)
-        if problem.singular_at_zero and n == 0:
-            ts, ws = graded_gauss_rule(npts, slab)
-        else:
-            ts, ws = gauss_rule(npts, slab)
-        tst = legendre_matrix(self.q - 1, to_normalized(slab, ts))
+        graded = problem.singular_at_zero and n == 0
+        ts, ws = gauss_rule(npts, self.partition.slab(n), graded)
+        tst = legendre_table(self.q - 1, npts, graded)
         loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts[:, None, None]))
         loads = np.broadcast_to(loads, (len(ts), self.space.n_dofs))[:, self.I]
         # C order: BLAS then sums the product as it does for stacked rows

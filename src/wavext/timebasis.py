@@ -17,8 +17,10 @@ The slab coupling matrices are therefore closed forms, with no quadrature:
 int sigma_j' L_i dt = delta_{i+1,j}, that is D = [0 | I], and
 int sigma_j L_i dt = tau_n/(2i + 1) T[i,j] with T = trial_to_legendre(q).
 
-Vector-valued callbacks are supported throughout: a time callback may return
-shape (nt,) or (nt, n_channels), and projections preserve the channel axis.
+Every other temporal map is likewise one cached, read-only reference matrix
+per degree: a Gauss rule's Legendre table, and each Dirichlet lifting, which
+samples a callback (shape (nt,) or (nt, n_channels)) at all slabs' nodes in
+one call and takes the samples straight to trial coefficients.
 """
 
 from dataclasses import dataclass
@@ -60,11 +62,6 @@ def uniform_time_partition(t_final, n_slabs):
     return TimePartition(np.linspace(0.0, float(t_final), int(n_slabs) + 1))
 
 
-def to_normalized(slab, t):
-    a, b = slab
-    return 2.0 * (np.asarray(t, dtype=float) - a) / (b - a) - 1.0
-
-
 def legendre_matrix(deg, x):
     """Values of P_0..P_deg at normalized coords x, shape (deg+1,) + x.shape."""
     x = np.asarray(x, dtype=float)
@@ -104,14 +101,6 @@ def trial_to_legendre(q):
     return T
 
 
-def legendre_to_trial(coeffs):
-    """Invert trial_to_legendre along the leading (mode) axis."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    q = coeffs.shape[0] - 1
-    flat = coeffs.reshape(q + 1, -1)
-    return np.linalg.solve(trial_to_legendre(q), flat).reshape(coeffs.shape)
-
-
 @lru_cache(maxsize=None)
 def _reference_rule(npts):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only, one per npts."""
@@ -120,108 +109,97 @@ def _reference_rule(npts):
     return x, w
 
 
-def gauss_rule(npts, slab):
-    """Gauss-Legendre nodes and weights on a slab; exact to degree 2*npts - 1."""
+@lru_cache(maxsize=None)
+def _graded_rule(npts):
+    """The npts-point rule on 11 panels of [-1, 1] graded geometrically
+    (ratio 0.15) toward -1, read-only, one per npts."""
+    x, w = _reference_rule(npts)
+    cuts = np.concatenate([[-1.0], -1.0 + 2.0 * 0.15 ** np.arange(10, 0, -1), [1.0]])
+    half = (np.diff(cuts) / 2.0)[:, None]
+    xs, ws = (cuts[:-1, None] + (x + 1.0) * half).ravel(), (w * half).ravel()
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
+def gauss_rule(npts, slab, graded=False):
+    """Gauss-Legendre nodes and weights on a slab, exact to degree 2*npts - 1;
+    graded=True composes the rule over 11 panels graded toward the left
+    endpoint, for data with an algebraic singularity there."""
     if not 1 <= npts <= 30:
         raise ValueError(f"gauss_rule supports 1..30 points, got {npts}")
     a, b = slab
-    x, w = _reference_rule(int(npts))
+    x, w = (_graded_rule if graded else _reference_rule)(int(npts))
     return a + (x + 1.0) * (b - a) / 2.0, w * (b - a) / 2.0
 
 
-def graded_gauss_rule(npts, slab):
-    """Composite Gauss rule on 11 panels graded geometrically (ratio 0.15)
-    toward the left endpoint.
-
-    For data with an algebraic singularity at the left end of the slab, where
-    a single Gauss rule loses accuracy.
-    """
-    a, b = slab
-    cuts = [a] + [a + (b - a) * 0.15 ** k for k in range(10, 0, -1)] + [b]
-    ts, ws = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        t, w = gauss_rule(npts, (lo, hi))
-        ts.append(t)
-        ws.append(w)
-    return np.concatenate(ts), np.concatenate(ws)
+@lru_cache(maxsize=None)
+def legendre_table(deg, npts, graded):
+    """P_0..P_deg at the nodes of gauss_rule(npts, slab, graded), the same on
+    every slab; read-only."""
+    P = legendre_matrix(deg, (_graded_rule if graded else _reference_rule)(npts)[0])
+    P.flags.writeable = False
+    return P
 
 
-def l2_project_time(r, f, slab, npts):
-    """Legendre coefficients of the slabwise L2 projection onto degree r.
+@lru_cache(maxsize=None)
+def _endpoint_exact_map(q):
+    """(x_ref, E): the nodes -1, the q+6 Gauss nodes and 1, and the matrix
+    taking samples there to the trial coefficients of
+    :func:`endpoint_exact_project`; read-only."""
+    if q < 1:
+        raise ValueError("temporal degree must be >= 1")
+    x, w = _reference_rule(q + 6)
+    x_ref = np.concatenate([[-1.0], x, [1.0]])
+    # Legendre coefficients, one column per sample: the degree-(q-2) L2
+    # projection (2k+1)/2 int f P_k dx from the Gauss samples, then
+    # corrections along P_{q-1} and P_q fixed by the two endpoint defects
+    leg = np.zeros((q + 1, len(x_ref)))
+    leg[: q - 1, 1:-1] = (np.arange(q - 1) + 0.5)[:, None] * legendre_matrix(q - 2, x) * w
+    delta_left = np.eye(len(x_ref))[0] - (-1.0) ** np.arange(q + 1) @ leg
+    delta_right = np.eye(len(x_ref))[-1] - leg.sum(axis=0)
+    sgn = (-1.0) ** q
+    leg[q - 1] += (delta_right - sgn * delta_left) / 2.0
+    leg[q] += (delta_right + sgn * delta_left) / 2.0
+    E = np.linalg.solve(trial_to_legendre(q), leg)
+    x_ref.flags.writeable = E.flags.writeable = False
+    return x_ref, E
 
-    Coefficient k is (2k+1)/tau * int f L_k dt, by an npts-point Gauss rule.
-    """
-    a, b = slab
-    tau = b - a
-    ts, ws = gauss_rule(npts, slab)
-    fv = np.asarray(f(ts), dtype=float)
-    P = legendre_matrix(r, to_normalized(slab, ts))
-    moments = np.tensordot(P * ws, fv, axes=(1, 0))
-    scale = (2.0 * np.arange(r + 1) + 1.0) / tau
-    return moments * scale.reshape((r + 1,) + (1,) * (fv.ndim - 1))
+
+@lru_cache(maxsize=None)
+def _lagrange_map(q):
+    """(x_ref, E): q+1 uniform nodes and their interpolation matrix; read-only."""
+    if q < 1:
+        raise ValueError("temporal degree must be >= 1")
+    x_ref = np.linspace(-1.0, 1.0, q + 1)
+    E = np.linalg.inv(trial_matrix(q, x_ref).T)
+    x_ref.flags.writeable = E.flags.writeable = False
+    return x_ref, E
 
 
-@dataclass
-class SlabPoly:
-    """Piecewise polynomial in time stored as per-slab Legendre coefficients.
-
-    coeffs has shape (n_slabs, deg+1) or (n_slabs, deg+1, n_channels).
-    """
-
-    partition: TimePartition
-    coeffs: np.ndarray
-
-    def trial_coeffs(self, n):
-        """Slab-n coefficients in the trial (integrated Legendre) basis."""
-        return legendre_to_trial(self.coeffs[n])
+def _apply_map(x_ref, E, f, partition):
+    """f sampled at every slab's nodes x_ref in one call, with the end nodes
+    at the partition nodes exactly, and each slab's samples mapped by E."""
+    a, b = partition.nodes[:-1, None], partition.nodes[1:, None]
+    ts = a + (x_ref + 1.0) * (b - a) / 2.0
+    ts[:, 0], ts[:, -1] = partition.nodes[:-1], partition.nodes[1:]
+    fv = np.asarray(f(ts.ravel()), dtype=float)
+    fv = fv.reshape(ts.shape + fv.shape[1:])
+    return np.moveaxis(np.tensordot(E, fv, axes=(1, 1)), 0, 1)
 
 
 def endpoint_exact_project(q, f, partition):
     """Continuous piecewise degree-q projection matching f at every partition
-    node, with slabwise defect L2-orthogonal to polynomials of degree q - 2.
-
-    On each slab the result is the degree-(q-2) L2 projection of f plus
-    explicit corrections along L_{q-1} and L_q fixed by the two endpoint
-    conditions; for q = 1 it reduces to nodal interpolation.
-    """
-    if q < 1:
-        raise ValueError("temporal degree must be >= 1")
-    probe = np.asarray(f(np.asarray([partition.nodes[0]])), dtype=float)
-    channels = probe.shape[1:]
-    coeffs = np.zeros((partition.n_slabs, q + 1) + channels)
-    sgn = (-1.0) ** q
-    signs = (-1.0) ** np.arange(q + 1)
-    for n in range(partition.n_slabs):
-        slab = partition.slab(n)
-        low = np.zeros((q + 1,) + channels)
-        if q >= 2:
-            low[: q - 1] = l2_project_time(q - 2, f, slab, npts=q + 6)
-        f_left = np.asarray(f(np.asarray([slab[0]])), dtype=float)[0]
-        f_right = np.asarray(f(np.asarray([slab[1]])), dtype=float)[0]
-        delta_left = f_left - np.tensordot(signs, low, axes=(0, 0))
-        delta_right = f_right - low.sum(axis=0)
-        alpha = (sgn * delta_right - delta_left) / (2.0 * sgn)
-        beta = (sgn * delta_right + delta_left) / (2.0 * sgn)
-        coeffs[n] = low
-        coeffs[n, q - 1] += alpha
-        coeffs[n, q] += beta
-    return SlabPoly(partition, coeffs)
+    node, with slabwise defect L2-orthogonal to polynomials of degree q - 2:
+    on each slab the degree-(q-2) L2 projection of f plus corrections along
+    L_{q-1} and L_q fixed by the two endpoint conditions (nodal interpolation
+    at q = 1), as trial coefficients of shape (n_slabs, q+1) + channels."""
+    return _apply_map(*_endpoint_exact_map(q), f, partition)
 
 
 def lagrange_time_interp(q, f, partition):
     """Slabwise interpolation of f at q+1 uniformly spaced nodes (endpoints
-    included), expressed as per-slab Legendre coefficients."""
-    if q < 1:
-        raise ValueError("temporal degree must be >= 1")
-    xs = np.linspace(-1.0, 1.0, q + 1)
-    Vinv = np.linalg.inv(legendre_matrix(q, xs).T)
-    probe = np.asarray(f(np.asarray([partition.nodes[0]])), dtype=float)
-    coeffs = np.zeros((partition.n_slabs, q + 1) + probe.shape[1:])
-    for n in range(partition.n_slabs):
-        a, b = partition.slab(n)
-        fv = np.asarray(f(a + (xs + 1.0) * (b - a) / 2.0), dtype=float)
-        coeffs[n] = np.tensordot(Vinv, fv, axes=(1, 0))
-    return SlabPoly(partition, coeffs)
+    included), as trial coefficients of shape (n_slabs, q+1) + channels."""
+    return _apply_map(*_lagrange_map(q), f, partition)
 
 
 def slab_temporal_matrices(q, slab):

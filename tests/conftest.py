@@ -4,8 +4,7 @@ from numpy.polynomial import legendre as npleg
 
 import wavext as wx
 from wavext import reference
-from wavext.timebasis import (legendre_matrix, to_normalized, trial_matrix,
-                              trial_to_legendre)
+from wavext.timebasis import trial_matrix, trial_to_legendre
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +58,12 @@ def evaluate(fn, points):
     return float(out[0]) if np.ndim(points) == 1 else out
 
 
+def to_normalized(slab, t):
+    """Times t on a slab in its normalized coordinate x in [-1, 1]."""
+    a, b = slab
+    return 2.0 * (np.asarray(t, dtype=float) - a) / (b - a) - 1.0
+
+
 def containing_slab(partition, t):
     """Index of the slab of a time partition that contains time t."""
     return int(np.clip(np.searchsorted(partition.nodes, t, side="right") - 1,
@@ -87,10 +92,10 @@ def coeffs_at(sol, t, component="u"):
     return coeffs_on_slab(sol, n, np.asarray([x]), component)[0]
 
 
-def eval_slab(poly, n, t):
-    """A SlabPoly's slab-n polynomial at the times t."""
-    P = legendre_matrix(poly.coeffs.shape[1] - 1, to_normalized(poly.partition.slab(n), t))
-    return np.tensordot(P, poly.coeffs[n], axes=(0, 0))
+def eval_slab(coeffs, partition, n, t):
+    """Slab n of per-slab trial coefficients (n_slabs, q+1, ...) at the times t."""
+    sig = trial_matrix(coeffs.shape[1] - 1, to_normalized(partition.slab(n), t))
+    return np.tensordot(sig, coeffs[n], axes=(0, 0))
 
 
 def legendre_derivative_matrix(deg, x):

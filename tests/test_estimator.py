@@ -9,8 +9,7 @@ from wavext.estimator import (_source_defects, best_approx_constant,
                               compute_estimator, effectivity_index,
                               estimator_constants, gap_constant)
 from wavext.solver import SpaceTimeSolution
-from wavext.timebasis import (gauss_rule, graded_gauss_rule, legendre_matrix,
-                              to_normalized)
+from wavext.timebasis import gauss_rule, legendre_table
 
 
 def test_constant_values():
@@ -140,7 +139,9 @@ def test_reliability_on_nonuniform_partition():
 
 
 def _source_defects_per_time(sol, f, singular_at_zero):
-    """The loop _source_defects replaces: f evaluated at one time per call."""
+    """The loop _source_defects replaces: f evaluated at one time per call.
+    The Legendre tables are the ones _source_defects reads; they have their
+    own oracle in test_timebasis.py."""
     q = sol.degree
     qd = sol.space.quad_data(sol.space.norm_degree())
     X, Y = qd["pts"][..., 0].ravel(), qd["pts"][..., 1].ravel()
@@ -148,14 +149,14 @@ def _source_defects_per_time(sol, f, singular_at_zero):
     out = np.zeros(sol.partition.n_slabs)
     for n in range(sol.partition.n_slabs):
         slab = sol.partition.slab(n)
-        rule = graded_gauss_rule if singular_at_zero and n == 0 else gauss_rule
-        tp, wp = rule(q + 6, slab)
+        graded = singular_at_zero and n == 0
+        tp, wp = gauss_rule(q + 6, slab, graded)
         fv_p = np.stack([np.broadcast_to(f(X, Y, t), X.shape) for t in tp])
-        Pp = legendre_matrix(q - 1, to_normalized(slab, tp))
+        Pp = legendre_table(q - 1, q + 6, graded)
         scale = (2.0 * np.arange(q) + 1.0) / (slab[1] - slab[0])
         proj = scale[:, None] * ((Pp * wp) @ fv_p)
-        to_, wo = rule(max(q + 4, 8), slab)
-        Po = legendre_matrix(q - 1, to_normalized(slab, to_))
+        to_, wo = gauss_rule(max(q + 4, 8), slab, graded)
+        Po = legendre_table(q - 1, max(q + 4, 8), graded)
         for k, t in enumerate(to_):
             defect = np.broadcast_to(f(X, Y, t), X.shape) - Po[:, k] @ proj
             out[n] += wo[k] * math.sqrt(float(np.sum(wsp * defect ** 2)))

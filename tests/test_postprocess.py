@@ -5,11 +5,11 @@ import pytest
 
 import wavext as wx
 from conftest import (coeffs_at, coeffs_on_slab, evaluate, legendre_coeffs,
-                      small_homogeneous_run, txy_problem)
+                      small_homogeneous_run, to_normalized, txy_problem)
 from wavext.estimator import gap_constant
 from wavext.postprocess import postprocessed_solution
 from wavext.solver import SpaceTimeSolution
-from wavext.timebasis import gauss_rule, legendre_matrix, to_normalized
+from wavext.timebasis import gauss_rule, legendre_matrix
 
 
 def test_reconstruction_constant_when_velocity_vanishes():

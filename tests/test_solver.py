@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -14,8 +15,7 @@ import wavext.solver as solver_module
 from conftest import legendre_coeffs, small_homogeneous_run, txy_problem
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.solver import SLAB_TOL, SlabWorkspace
-from wavext.timebasis import (gauss_rule, graded_gauss_rule, legendre_matrix,
-                              slab_temporal_matrices, to_normalized,
+from wavext.timebasis import (gauss_rule, legendre_table, slab_temporal_matrices,
                               trial_matrix)
 
 
@@ -95,6 +95,27 @@ def test_lifting_requires_velocity_datum():
     with pytest.raises(wx.ConfigurationError):
         wx.build_lifting(broken, space, wx.uniform_time_partition(1.0, 2), 2,
                          "projection")
+
+
+@pytest.mark.parametrize("mode", ["projection", "interpolation"])
+def test_lifting_calls_each_boundary_callback_once(mode):
+    # each trajectory is sampled at all slabs' nodes in one call
+    prob = wx.dirichlet_cos()
+    calls = []
+
+    def counted(name, g):
+        def wrapped(*args):
+            calls.append(name)
+            return g(*args)
+        return wrapped
+
+    wrapped = replace(prob, g_d=counted("g_d", prob.g_d),
+                      dt_g_d=counted("dt_g_d", prob.dt_g_d))
+    space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
+    part = wx.TimePartition(np.array([0.0, 0.1, 0.3, 0.7, 0.75, 1.0]))
+    lift = wx.build_lifting(wrapped, space, part, 3, mode)
+    assert sorted(calls) == ["dt_g_d", "g_d"]
+    assert lift.u_trial.shape == lift.v_trial.shape == (5, 4, len(space.boundary_dofs))
 
 
 def test_zero_data_gives_zero_solution():
@@ -477,14 +498,15 @@ def test_zero_callback_lifting_is_zero():
 
 
 def _load_moments_per_time(ws, n):
-    """The loop load_moments replaces: one load_vector per time point."""
-    slab = ws.partition.slab(n)
+    """The loop load_moments replaces: one load_vector per time point.  The
+    Legendre table is the one load_moments reads; it has its own oracle in
+    test_timebasis.py."""
     npts = max(ws.q + 3, 6)
     graded = ws.problem.singular_at_zero and n == 0
-    ts, wts = graded_gauss_rule(npts, slab) if graded else gauss_rule(npts, slab)
+    ts, wts = gauss_rule(npts, ws.partition.slab(n), graded)
     loads = np.stack([wx.load_vector(ws.space, lambda xx, yy: ws.problem.f(xx, yy, t))[ws.I]
                       for t in ts])
-    return (legendre_matrix(ws.q - 1, to_normalized(slab, ts)) * wts) @ loads
+    return (legendre_table(ws.q - 1, npts, graded) * wts) @ loads
 
 
 @pytest.mark.parametrize("make", [lambda: wx.estimator_poly("t2.25"), wx.estimator_poly,

@@ -3,20 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import containing_slab, eval_slab, legendre_derivative_matrix
+from conftest import containing_slab, eval_slab, legendre_derivative_matrix, to_normalized
 from wavext.problem import MAX_TEMPORAL_DEGREE
-from wavext.timebasis import (TimePartition, _reference_rule, abs_legendre_integral,
-                              endpoint_exact_project, gauss_rule,
-                              graded_gauss_rule, l2_project_time,
-                              lagrange_time_interp, legendre_matrix, legendre_to_trial,
-                              slab_temporal_matrices, temporal_eigensplit,
-                              to_normalized, trial_matrix, trial_to_legendre,
+from wavext.timebasis import (TimePartition, _endpoint_exact_map, _lagrange_map,
+                              _reference_rule, abs_legendre_integral,
+                              endpoint_exact_project, gauss_rule, lagrange_time_interp,
+                              legendre_matrix, legendre_table, slab_temporal_matrices,
+                              temporal_eigensplit, trial_matrix, trial_to_legendre,
                               uniform_time_partition)
 
 
-def _values(poly, ts):
-    """A SlabPoly at the times ts, each on the slab containing it."""
-    return np.array([eval_slab(poly, containing_slab(poly.partition, t), t) for t in ts])
+def _values(coeffs, partition, ts):
+    """Per-slab trial coefficients at the times ts, each on the slab containing it."""
+    return np.array([eval_slab(coeffs, partition, containing_slab(partition, t), t)
+                     for t in ts])
+
+
+def _legendre(coeffs):
+    """Per-slab trial coefficients (n_slabs, q+1) as Legendre coefficients."""
+    return coeffs @ trial_to_legendre(coeffs.shape[1] - 1).T
+
+
+def _trial_from_legendre(coeffs):
+    """Invert trial_to_legendre along the leading (mode) axis."""
+    q = coeffs.shape[0] - 1
+    flat = coeffs.reshape(q + 1, -1)
+    return np.linalg.solve(trial_to_legendre(q), flat).reshape(coeffs.shape)
 
 
 def test_partition_validation():
@@ -91,7 +103,7 @@ def test_gauss_rule_is_the_mapped_reference_rule():
 
 
 def test_graded_rule_resolves_algebraic_singularity():
-    ts, ws = graded_gauss_rule(8, (0.0, 1.0))
+    ts, ws = gauss_rule(8, (0.0, 1.0), graded=True)
     val = np.sum(ws * ts ** 0.25)
     assert val == pytest.approx(1.0 / 1.25, rel=1e-7)
     # a plain rule of the same size is orders of magnitude worse
@@ -99,20 +111,118 @@ def test_graded_rule_resolves_algebraic_singularity():
     assert abs(np.sum(wp * tp ** 0.25) - 0.8) > 1e-4
 
 
-def test_time_projection_constant_and_mean():
-    coeffs = l2_project_time(3, lambda t: np.full_like(t, 2.5), (0.0, 1.0), 9)
-    assert coeffs == pytest.approx([2.5, 0, 0, 0], abs=1e-14)
-    mean = l2_project_time(0, lambda t: t, (0.0, 1.0), 6)
-    assert mean[0] == pytest.approx(0.5, abs=1e-14)
+def test_graded_rule_is_the_composite_rule():
+    # the npts-point rule on 11 panels graded geometrically (ratio 0.15)
+    # toward the left endpoint, each panel mapped from [-1, 1] separately
+    for slab in ((0.0, 1.0), (0.3, 0.55), (0.0, 1000.0 / 48)):
+        a, b = slab
+        cuts = [a] + [a + (b - a) * 0.15 ** k for k in range(10, 0, -1)] + [b]
+        for npts in (6, 8, 18):
+            panels = [gauss_rule(npts, (lo, hi)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+            ts, ws = gauss_rule(npts, slab, graded=True)
+            assert np.abs(ts - np.concatenate([t for t, _ in panels])).max() <= 1e-15 * b
+            assert np.abs(ws - np.concatenate([w for _, w in panels])).max() <= 1e-15 * (b - a)
 
 
-def test_time_projection_idempotent():
-    slab = (0.5, 1.25)
-    c1 = l2_project_time(4, lambda t: np.exp(t) * np.sin(3 * t), slab, 10)
-    x = lambda t: to_normalized(slab, t)
-    recon = lambda t: legendre_matrix(4, x(t)).T @ c1
-    c2 = l2_project_time(4, recon, slab, 10)
-    assert np.abs(c1 - c2).max() <= 1e-13 * max(1.0, np.abs(c1).max())
+@pytest.mark.parametrize("q", range(1, MAX_TEMPORAL_DEGREE + 1))
+def test_legendre_table_matches_per_slab_table(q):
+    # the table the solver and the estimator read in place of the per-slab
+    # legendre_matrix(q - 1, to_normalized(slab, ts)), for both rules
+    for npts in sorted({max(q + 3, 6), q + 6, max(q + 4, 8)}):
+        for graded in (False, True):
+            table = legendre_table(q - 1, npts, graded)
+            for slab in _ORACLE_SLABS + ((0.0, 1000.0 / 48),):
+                ts, _ = gauss_rule(npts, slab, graded)
+                per_slab = legendre_matrix(q - 1, to_normalized(slab, ts))
+                assert table.shape == per_slab.shape
+                assert np.abs(table - per_slab).max() <= 1e-12
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
+
+def _slab_l2_projection(r, f, slab, npts):
+    """Legendre coefficients of the slabwise L2 projection onto degree r:
+    coefficient k is (2k+1)/tau * int f L_k dt, by an npts-point Gauss rule."""
+    ts, ws = gauss_rule(npts, slab)
+    fv = np.asarray(f(ts), dtype=float)
+    P = legendre_matrix(r, to_normalized(slab, ts))
+    moments = np.tensordot(P * ws, fv, axes=(1, 0))
+    scale = (2.0 * np.arange(r + 1) + 1.0) / (slab[1] - slab[0])
+    return moments * scale.reshape((r + 1,) + (1,) * (fv.ndim - 1))
+
+
+def _endpoint_exact_per_slab(q, f, partition):
+    """The slab-by-slab construction the reference map replaces: the
+    degree-(q-2) L2 projection plus corrections along L_{q-1} and L_q from
+    the two endpoint defects, one L2 projection and two endpoint calls per
+    slab, converted to trial coefficients."""
+    sgn = (-1.0) ** q
+    signs = (-1.0) ** np.arange(q + 1)
+    out = []
+    for n in range(partition.n_slabs):
+        slab = partition.slab(n)
+        f_left = np.asarray(f(np.asarray([slab[0]])), dtype=float)[0]
+        f_right = np.asarray(f(np.asarray([slab[1]])), dtype=float)[0]
+        leg = np.zeros((q + 1,) + f_left.shape)
+        if q >= 2:
+            leg[: q - 1] = _slab_l2_projection(q - 2, f, slab, q + 6)
+        delta_left = f_left - np.tensordot(signs, leg, axes=(0, 0))
+        delta_right = f_right - leg.sum(axis=0)
+        leg[q - 1] += (sgn * delta_right - delta_left) / (2.0 * sgn)
+        leg[q] += (sgn * delta_right + delta_left) / (2.0 * sgn)
+        out.append(_trial_from_legendre(leg))
+    return np.stack(out)
+
+
+def _lagrange_per_slab(q, f, partition):
+    """Slab-by-slab interpolation at q+1 uniform nodes through the inverse
+    Legendre Vandermonde matrix, converted to trial coefficients."""
+    xs = np.linspace(-1.0, 1.0, q + 1)
+    Vinv = np.linalg.inv(legendre_matrix(q, xs).T)
+    out = []
+    for n in range(partition.n_slabs):
+        a, b = partition.slab(n)
+        fv = np.asarray(f(a + (xs + 1.0) * (b - a) / 2.0), dtype=float)
+        out.append(_trial_from_legendre(np.tensordot(Vinv, fv, axes=(1, 0))))
+    return np.stack(out)
+
+
+_LIFTING_PARTITIONS = (uniform_time_partition(1.0, 6),
+                       TimePartition(np.array([0.0, 0.1, 0.3, 0.7, 0.75, 1.0])),
+                       uniform_time_partition(1000.0, 48))
+_LIFTING_CALLBACKS = (lambda t: np.sin(3.0 * t) + t / (1.0 + t),
+                      lambda t: np.cos(np.multiply.outer(t, (1.0, 0.3, 0.05))))
+
+
+@pytest.mark.parametrize("q", range(1, MAX_TEMPORAL_DEGREE + 1))
+def test_lifting_maps_match_per_slab_oracle(q):
+    for project, oracle, cached in ((endpoint_exact_project, _endpoint_exact_per_slab,
+                                     _endpoint_exact_map),
+                                    (lagrange_time_interp, _lagrange_per_slab, _lagrange_map)):
+        for part in _LIFTING_PARTITIONS:
+            for f in _LIFTING_CALLBACKS:
+                ref = oracle(q, f, part)
+                got = project(q, f, part)
+                assert got.shape == ref.shape == (part.n_slabs, q + 1) + f(part.nodes).shape[1:]
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for table in cached(q):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+
+@pytest.mark.parametrize("project", [endpoint_exact_project, lagrange_time_interp])
+def test_lifting_samples_partition_nodes_exactly(project):
+    # one callback call for all slabs; each slab's end samples are its nodes.
+    # On slab 1 the affine map alone lands one ulp short: a + (b - a) ties
+    # to even at a = 2^-53, b = 1 + 3 * 2^-52
+    part = TimePartition(np.array([0.0, 2.0 ** -53, 1.0 + 3 * 2.0 ** -52, 2.0]))
+    calls = []
+    coeffs = project(3, lambda t: calls.append(t) or np.cos(t), part)
+    assert len(calls) == 1
+    ts = calls[0].reshape(part.n_slabs, -1)
+    assert np.array_equal(ts[:, 0], part.nodes[:-1])
+    assert np.array_equal(ts[:, -1], part.nodes[1:])
+    assert coeffs.shape == (part.n_slabs, 4)
 
 
 def _assemble_global_endpoint_projection(q, f, fprime, partition):
@@ -151,7 +261,7 @@ def test_endpoint_projection_matches_global_definition():
     fp = lambda t: 3.0 * np.cos(3.0 * t)
     local = endpoint_exact_project(3, f, part)
     ref = _assemble_global_endpoint_projection(3, f, fp, part)
-    assert np.abs(local.coeffs - ref).max() <= 1e-11
+    assert np.abs(_legendre(local) - ref).max() <= 1e-11
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -162,7 +272,7 @@ def test_endpoint_projection_reproduces_polynomials(q):
     proj = endpoint_exact_project(q, f, part)
     for n in range(part.n_slabs):
         ts = np.linspace(*part.slab(n), 7)
-        assert np.abs(eval_slab(proj, n, ts) - f(ts)).max() <= 1e-13
+        assert np.abs(eval_slab(proj, part, n, ts) - f(ts)).max() <= 1e-13
 
 
 def test_endpoint_projection_interpolates_nodes():
@@ -170,7 +280,7 @@ def test_endpoint_projection_interpolates_nodes():
     f = lambda t: np.exp(-t) * np.cos(4 * t)
     for q in (1, 2, 3):
         proj = endpoint_exact_project(q, f, part)
-        assert _values(proj, part.nodes) == pytest.approx(f(part.nodes), abs=1e-13)
+        assert _values(proj, part, part.nodes) == pytest.approx(f(part.nodes), abs=1e-13)
 
 
 def test_endpoint_projection_interior_orthogonality():
@@ -181,7 +291,7 @@ def test_endpoint_projection_interior_orthogonality():
         for n in range(part.n_slabs):
             slab = part.slab(n)
             ts, ws = gauss_rule(q + 8, slab)
-            defect = f(ts) - eval_slab(proj, n, ts)
+            defect = f(ts) - eval_slab(proj, part, n, ts)
             tst = legendre_matrix(q - 2, to_normalized(slab, ts))
             moments = (tst * ws) @ defect
             assert np.abs(moments).max() <= 1e-13
@@ -196,7 +306,7 @@ def test_endpoint_projection_sup_stability():
     for q in range(1, 7):
         for f in corpus:
             proj = endpoint_exact_project(q, f, part)
-            vals = _values(proj, ts_dense)
+            vals = _values(proj, part, ts_dense)
             assert np.abs(vals).max() <= 4.0 * np.abs(f(ts_dense)).max()
 
 
@@ -208,7 +318,7 @@ def test_endpoint_projection_convergence_rate():
             part = uniform_time_partition(1.0, N)
             proj = endpoint_exact_project(q, f, part)
             ts = np.linspace(0, 1, 801)
-            vals = _values(proj, ts)
+            vals = _values(proj, part, ts)
             sups.append(np.abs(vals - f(ts)).max())
         rate = np.log2(sups[-2] / sups[-1])
         assert rate == pytest.approx(q + 1, abs=0.25)
@@ -220,9 +330,9 @@ def test_lagrange_interp_exact_on_polynomials():
         f = lambda t: (1.0 + t) ** q
         naive = lagrange_time_interp(q, f, part)
         proj = endpoint_exact_project(q, f, part)
-        assert np.abs(naive.coeffs - proj.coeffs).max() <= 1e-12
+        assert np.abs(_legendre(naive) - _legendre(proj)).max() <= 1e-12
         ts = np.linspace(0, 1, 50)
-        vals = _values(naive, ts)
+        vals = _values(naive, part, ts)
         assert np.abs(vals - f(ts)).max() <= 1e-12
 
 
@@ -231,8 +341,8 @@ def _slab_mean_error(project, q, n_slabs):
     part = uniform_time_partition(1.0, n_slabs)
     a, b = part.nodes[:-1], part.nodes[1:]
     exact = (np.cos(3.0 * a) - np.cos(3.0 * b)) / (3.0 * (b - a))
-    poly = project(q, lambda t: np.sin(3.0 * t), part)
-    return np.abs(poly.coeffs[:, 0] - exact).max()
+    coeffs = project(q, lambda t: np.sin(3.0 * t), part)
+    return np.abs(_legendre(coeffs)[:, 0] - exact).max()
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -327,7 +437,7 @@ def test_trial_legendre_roundtrip():
     for q in (1, 3, 6):
         s = rng.normal(size=(q + 1, 2))
         c = np.tensordot(trial_to_legendre(q), s, axes=(1, 0))
-        back = legendre_to_trial(c)
+        back = _trial_from_legendre(c)
         assert np.abs(back - s).max() <= 1e-13
         # consistency of the two basis evaluations
         xs = np.linspace(-1, 1, 11)
@@ -337,13 +447,6 @@ def test_trial_legendre_roundtrip():
 
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), q=st.integers(1, MAX_TEMPORAL_DEGREE))
-def test_trial_legendre_roundtrip_property(data, q):
-    c = np.array(data.draw(st.lists(_UNIT, min_size=q + 1, max_size=q + 1)))
-    assert np.abs(legendre_to_trial(trial_to_legendre(q) @ c) - c).max() <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -357,7 +460,7 @@ def test_endpoint_projection_reproduces_random_polynomials(data, q, lengths):
     proj = endpoint_exact_project(q, f, part)
     for n in range(part.n_slabs):
         ts = np.linspace(*part.slab(n), 7)
-        assert np.abs(eval_slab(proj, n, ts) - f(ts)).max() <= 1e-12
+        assert np.abs(eval_slab(proj, part, n, ts) - f(ts)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
