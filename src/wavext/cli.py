@@ -177,14 +177,15 @@ def _validate(cfg):
         if not (math.isfinite(n_slabs) and round(n_slabs) >= 1
                 and abs(round(n_slabs) * tau - cfg.t_final) <= 1e-9 * cfg.t_final):
             raise ConfigurationError(f"tau = {tau} does not divide the final time {cfg.t_final}")
-    if not all(1 <= v <= MAX_SPATIAL_DEGREE for v in cfg.p):
-        raise ConfigurationError(f"p values must be in [1, {MAX_SPATIAL_DEGREE}]")
     if any(v < 1 for v in cfg.mesh):
         raise ConfigurationError("mesh values must be >= 1")
     res = {"converge-h": [-n for n in cfg.mesh], "converge-tau": cfg.tau,
            "estimate": cfg.tau}.get(cfg.experiment, [])
     if any(a <= b for a, b in zip(res, res[1:])):  # rates run coarse to fine
         raise ConfigurationError("rates need tau strictly decreasing, mesh strictly increasing")
+    p_min = 2 if cfg.experiment == "estimate" else 1  # the estimator needs elementwise Laplacians
+    if not all(p_min <= v <= MAX_SPATIAL_DEGREE for v in cfg.p):
+        raise ConfigurationError(f"p values must be in [{p_min}, {MAX_SPATIAL_DEGREE}]")
     if cfg.samples_per_slab < 3:
         raise ConfigurationError("samples_per_slab must be >= 3")
     if cfg.initial_mode not in ("projection", "interpolation"):

@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fem import FEFunction, assemble, broken_laplacian
-from .postprocess import postprocessed_solution
-from .timebasis import (abs_legendre_integral, gauss_rule, legendre_table,
-                        trial_matrix)
+from .postprocess import _reconstruction_slabs, _sampled
+from .timebasis import abs_legendre_integral, gauss_rule, legendre_table
 
 
 def gap_constant(q):
@@ -135,14 +134,10 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
     csq = float(c) ** 2
     M = assemble(space, "mass")
 
-    star = postprocessed_solution(sol)
-    xs = np.linspace(-1.0, 1.0, samples_per_slab)
-    sig_star, sig = trial_matrix(q + 1, xs), trial_matrix(q, xs)
-    gap = np.zeros(N)
-    for n in range(N):
-        d = np.tensordot(sig_star, star.u[n], axes=(0, 0))
-        d -= np.tensordot(sig, sol.u[n], axes=(0, 0))
-        gap[n] = float(np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0)).max())
+    diffs = (ustar - u for _, u, ustar in _sampled(partition, samples_per_slab,
+                                                   sol.u, _reconstruction_slabs(sol)))
+    gap = np.array([float(np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0)).max())
+                    for d in diffs])
     m = int(np.argmax(gap))
 
     v_defect = np.zeros(N)

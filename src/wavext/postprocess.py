@@ -1,6 +1,6 @@
 """Postprocessed approximation, error sampling, energy traces, and rates."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -8,6 +8,38 @@ from .errors import ConfigurationError
 from .fem import assemble, spatial_norm
 from .solver import SpaceTimeSolution
 from .timebasis import trial_matrix, trial_to_legendre
+
+
+def _reconstruction_slabs(sol):
+    """Yield the slabs (q+2, n_dofs) of the reconstruction u(., 0) + int_0^t v."""
+    if sol.v is None:
+        raise ConfigurationError("postprocessing needs the velocity component")
+    T = trial_to_legendre(sol.degree)
+    scale = 2.0 * np.arange(sol.degree + 1) + 1.0
+    left = sol.u[0, 0]
+    for tau, v in zip(sol.partition.lengths, sol.v):
+        rise = (tau / scale)[:, None] * np.tensordot(T, v, axes=(1, 0))
+        yield np.vstack((left, rise))
+        left = left + rise[0]
+
+
+def _sampled(partition, samples_per_slab, *tensors):
+    """Per slab, the times (S, 1, 1) of S uniform samples, endpoints included,
+    and each trial tensor's values (S, n_dofs) there.  A tensor is an array
+    or an iterable of slabs; its trial table is built once, from its first slab."""
+    if samples_per_slab < 3:
+        raise ConfigurationError("samples_per_slab must be at least 3")
+    xs = np.linspace(-1.0, 1.0, samples_per_slab)
+    sigs = None
+    for a, b, *slabs in zip(partition.nodes, partition.nodes[1:], *tensors):
+        sigs = sigs or [trial_matrix(len(slab) - 1, xs) for slab in slabs]
+        ts = (a + (xs + 1.0) * (b - a) / 2.0)[:, None, None]
+        yield (ts, *(np.tensordot(sig, slab, axes=(0, 0)) for sig, slab in zip(sigs, slabs)))
+
+
+def _at(callback, ts):
+    """The space-time callback at the sample times ts, as a callback of (x, y)."""
+    return lambda x, y: callback(x, y, ts)
 
 
 def postprocessed_solution(sol):
@@ -18,21 +50,9 @@ def postprocessed_solution(sol):
     derivative equals v exactly; for homogeneous Dirichlet data it also
     matches the solution at every partition node.
     """
-    if sol.v is None:
-        raise ConfigurationError("postprocessing needs the velocity component")
-    q = sol.degree
-    N = sol.partition.n_slabs
-    lengths = sol.partition.lengths
-    T = trial_to_legendre(q)
-    U = np.zeros((N, q + 2, sol.u.shape[2]))
-    left = sol.u[0, 0].copy()
-    scale = 2.0 * np.arange(q + 1) + 1.0
-    for n in range(N):
-        v_leg = np.tensordot(T, sol.v[n], axes=(1, 0))
-        U[n, 0] = left
-        U[n, 1:] = (lengths[n] / scale)[:, None] * v_leg
-        left = U[n, 0] + U[n, 1]
-    return SpaceTimeSolution(sol.space, sol.partition, q + 1, U, None)
+    U = np.fromiter(_reconstruction_slabs(sol), count=sol.partition.n_slabs,
+                    dtype=(float, (sol.degree + 2, sol.u.shape[2])))
+    return SpaceTimeSolution(sol.space, sol.partition, sol.degree + 1, U, None)
 
 
 def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
@@ -48,22 +68,12 @@ def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
     """
     if exact is None:
         raise ConfigurationError("error sampling needs an exact solution callback")
-    if samples_per_slab < 3:
-        raise ConfigurationError("samples_per_slab must be at least 3")
     if kind == "h1c" and exact_grad is None:
         raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
-    xs = np.linspace(-1.0, 1.0, samples_per_slab)
-    sig = trial_matrix(sol.degree, xs)
-    tensor = sol.u if component == "u" else sol.v
-    per_slab = np.zeros(sol.partition.n_slabs)
-    for n in range(sol.partition.n_slabs):
-        a, b = sol.partition.slab(n)
-        ts = (a + (xs + 1.0) * (b - a) / 2.0)[:, None, None]
-        coeffs = np.tensordot(sig, tensor[n], axes=(0, 0))
-        errs = spatial_norm(sol.space, kind, fe=coeffs,
-                            exact=lambda xx, yy: exact(xx, yy, ts),
-                            exact_grad=lambda xx, yy: exact_grad(xx, yy, ts), c=c)
-        per_slab[n] = np.max(errs)
+    per_slab = np.array([
+        np.max(spatial_norm(sol.space, kind, fe, _at(exact, ts), _at(exact_grad, ts), c))
+        for ts, fe in _sampled(sol.partition, samples_per_slab,
+                               sol.u if component == "u" else sol.v)])
     return float(per_slab.max()), per_slab
 
 
@@ -75,24 +85,24 @@ class ErrorReport:
     err_ustar: float
     err_v: float
     err_gradu: float
-    per_slab: dict = field(default_factory=dict)
-    samples_per_slab: int = 11
 
 
 def compute_error_report(sol, problem, samples_per_slab=11):
-    """All four error quantities against the problem's exact solution."""
+    """All four error quantities against the problem's exact solution, from
+    one walk over the slabs of u, its reconstruction and v."""
     if not problem.has_exact():
         raise ConfigurationError(f"problem {problem.name!r} carries no exact solution")
-    err_u, ps_u = error_C0(sol, problem.exact_u, "l2", samples_per_slab)
-    # the reconstruction is freed before the gradient pass, the largest one
-    err_us, ps_us = error_C0(postprocessed_solution(sol), problem.exact_u, "l2",
-                             samples_per_slab)
-    err_v, ps_v = error_C0(sol, problem.exact_v, "l2", samples_per_slab, component="v")
-    err_g, ps_g = error_C0(sol, problem.exact_u, "h1c", samples_per_slab,
-                           c=problem.c, exact_grad=problem.exact_grad_u)
-    return ErrorReport(err_u, err_us, err_v, err_g,
-                       per_slab={"u": ps_u, "ustar": ps_us, "v": ps_v, "gradu": ps_g},
-                       samples_per_slab=samples_per_slab)
+    if problem.exact_grad_u is None:
+        raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
+    err = np.zeros(4)
+    for ts, u, ustar, v in _sampled(sol.partition, samples_per_slab,
+                                    sol.u, _reconstruction_slabs(sol), sol.v):
+        exact_u = _at(problem.exact_u, ts)  # one evaluation serves u and u*
+        e_u = spatial_norm(sol.space, "l2", np.stack((u, ustar)), exact_u)
+        e_v = spatial_norm(sol.space, "l2", v, _at(problem.exact_v, ts))
+        e_g = spatial_norm(sol.space, "h1c", u, exact_u, _at(problem.exact_grad_u, ts), problem.c)
+        err = np.maximum(err, [*e_u.max(axis=1), e_v.max(), e_g.max()])
+    return ErrorReport(*map(float, err))
 
 
 def energy_trace(sol, c=1.0):

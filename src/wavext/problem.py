@@ -103,29 +103,30 @@ class Discretization:
 # presets
 
 
-def dirichlet_cos():
-    """Standing wave with nonhomogeneous Dirichlet data on (0,1)^2 x (0,1):
-    u = cos(sqrt(2) pi t) cos(pi x) sin(pi y); the source vanishes."""
+def _standing(name, profile, dprofile, dirichlet):
+    """Standing wave u = cos(sqrt(2) pi t) profile(pi x) sin(pi y) on
+    (0,1)^2 x (0,1), with d/dx profile(pi x) = pi dprofile(pi x); the source
+    vanishes, and the Dirichlet data is u when ``dirichlet`` is set."""
     rt2pi = np.sqrt(2.0) * np.pi
 
     def u(x, y, t):
-        return np.cos(rt2pi * t) * np.cos(np.pi * x) * np.sin(np.pi * y)
+        return np.cos(rt2pi * t) * profile(np.pi * x) * np.sin(np.pi * y)
 
     def v(x, y, t):
-        return -rt2pi * np.sin(rt2pi * t) * np.cos(np.pi * x) * np.sin(np.pi * y)
+        return -rt2pi * np.sin(rt2pi * t) * profile(np.pi * x) * np.sin(np.pi * y)
 
     def grad_u(x, y, t):
         co = np.cos(rt2pi * t)
-        return (-np.pi * co * np.sin(np.pi * x) * np.sin(np.pi * y),
-                np.pi * co * np.cos(np.pi * x) * np.cos(np.pi * y))
+        return (np.pi * co * dprofile(np.pi * x) * np.sin(np.pi * y),
+                np.pi * co * profile(np.pi * x) * np.cos(np.pi * y))
 
     return ProblemData(
-        name="dirichlet-cos",
+        name=name,
         bbox=(0.0, 1.0, 0.0, 1.0),
         c=1.0,
         f=None,
-        g_d=u,
-        dt_g_d=v,
+        g_d=u if dirichlet else None,
+        dt_g_d=v if dirichlet else None,
         u0=lambda x, y: u(x, y, 0.0),
         grad_u0=lambda x, y: grad_u(x, y, 0.0),
         v0=_zero,
@@ -133,38 +134,18 @@ def dirichlet_cos():
         exact_v=v,
         exact_grad_u=grad_u,
     )
+
+
+def dirichlet_cos():
+    """Standing wave with nonhomogeneous Dirichlet data on (0,1)^2 x (0,1):
+    u = cos(sqrt(2) pi t) cos(pi x) sin(pi y); the source vanishes."""
+    return _standing("dirichlet-cos", np.cos, lambda s: -np.sin(s), True)
 
 
 def standing_wave():
     """Homogeneous standing wave on (0,1)^2 x (0,1):
     u = cos(sqrt(2) pi t) sin(pi x) sin(pi y); zero source and boundary data."""
-    rt2pi = np.sqrt(2.0) * np.pi
-
-    def u(x, y, t):
-        return np.cos(rt2pi * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    def v(x, y, t):
-        return -rt2pi * np.sin(rt2pi * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    def grad_u(x, y, t):
-        co = np.cos(rt2pi * t)
-        return (np.pi * co * np.cos(np.pi * x) * np.sin(np.pi * y),
-                np.pi * co * np.sin(np.pi * x) * np.cos(np.pi * y))
-
-    return ProblemData(
-        name="standing-wave",
-        bbox=(0.0, 1.0, 0.0, 1.0),
-        c=1.0,
-        f=None,
-        g_d=None,
-        dt_g_d=None,
-        u0=lambda x, y: u(x, y, 0.0),
-        grad_u0=lambda x, y: grad_u(x, y, 0.0),
-        v0=_zero,
-        exact_u=u,
-        exact_v=v,
-        exact_grad_u=grad_u,
-    )
+    return _standing("standing-wave", np.sin, np.cos, False)
 
 
 _PSI_TABLE = {

@@ -153,6 +153,16 @@ def test_run_size_checked_before_any_output(tmp_path, capsys, monkeypatch, text)
     assert not out.exists()
 
 
+def test_estimate_degree_checked_before_any_output(tmp_path, capsys):
+    # the estimator needs elementwise Laplacians, which p = 1 cannot give
+    path = write(tmp_path, "est.cfg",
+                 "problem = estimator-poly\np = 1\nq = 1\nmesh = 2\ntau = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", path, "--out", str(out)]) == 2
+    assert f"p values must be in [2, {cli.MAX_SPATIAL_DEGREE}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonfinite_boundary_data_exit_2(tmp_path, capsys):
     # log(0) * 0 is NaN at the x = 0 side; the solve must not start
     path = write(tmp_path, "log.cfg",

@@ -1,9 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wavext as wx
+import wavext.estimator as estimator
+import wavext.postprocess as postprocess
 from conftest import (coeffs_at, coeffs_on_slab, evaluate, legendre_coeffs,
                       small_homogeneous_run, to_normalized, txy_problem)
 from wavext.estimator import gap_constant
@@ -190,3 +193,74 @@ def test_error_C0_equals_per_sample_loop(make):
         expect = _error_C0_per_sample(field, exact, kind, 11, prob.c, grad, component)
         assert np.array_equal(per_slab, expect)
         assert err == expect.max()
+
+
+@pytest.mark.parametrize("make", [wx.dirichlet_cos, lambda: wx.estimator_poly("t2.25"),
+                                  lambda: wx.inline_problem("x*y*t")],
+                         ids=["dirichlet-cos", "estimator-poly-t2.25", "inline-xyt"])
+def test_error_report_equals_four_error_C0_passes(make):
+    # the one walk over the slabs gives the bits of one error_C0 pass per quantity
+    prob = make()
+    space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 3)
+    sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
+    rep = wx.compute_error_report(sol, prob)
+    assert rep.err_u == wx.error_C0(sol, prob.exact_u)[0]
+    assert rep.err_ustar == wx.error_C0(postprocessed_solution(sol), prob.exact_u)[0]
+    assert rep.err_v == wx.error_C0(sol, prob.exact_v, component="v")[0]
+    assert rep.err_gradu == wx.error_C0(sol, prob.exact_u, "h1c", c=prob.c,
+                                        exact_grad=prob.exact_grad_u)[0]
+
+
+def test_error_report_evaluates_exact_u_once_per_slab():
+    # u and the reconstruction are sampled at the same times and share one
+    # evaluation of the exact u; the h1c seminorm reads only the gradient
+    prob, sol = small_homogeneous_run(q=2, n_slabs=4)
+    calls = []
+
+    def exact_u(x, y, t):
+        calls.append(t)
+        return prob.exact_u(x, y, t)
+
+    wx.compute_error_report(sol, replace(prob, exact_u=exact_u))
+    assert len(calls) == sol.partition.n_slabs
+
+
+def test_error_report_builds_one_trial_table_per_sampled_field(monkeypatch):
+    # u, the reconstruction and v: one table each for the whole walk, none
+    # per slab (one pass per quantity built four)
+    calls, trial_matrix = [], postprocess.trial_matrix
+
+    def counted(q, x):
+        calls.append(q)
+        return trial_matrix(q, x)
+
+    monkeypatch.setattr(postprocess, "trial_matrix", counted)
+    prob, sol = small_homogeneous_run(q=2, n_slabs=8)
+    wx.compute_error_report(sol, prob)
+    assert len(calls) <= 3
+
+
+def test_report_and_estimator_stream_the_reconstruction(monkeypatch):
+    def whole(sol):
+        raise AssertionError("the whole reconstruction was built")
+
+    monkeypatch.setattr(postprocess, "postprocessed_solution", whole)
+    monkeypatch.setattr(estimator, "postprocessed_solution", whole, raising=False)
+    prob, sol = small_homogeneous_run(q=2, n_slabs=4, p=3)
+    wx.compute_error_report(sol, prob)
+    wx.compute_estimator(sol, None, prob.c)
+
+
+def test_error_report_peak_below_one_reconstruction():
+    # a long horizon over a small space: the report holds a slab of the
+    # reconstruction at a time, so its peak stays below the whole tensor
+    prob, sol = small_homogeneous_run(q=2, n_slabs=256, nx=4, p=2)
+    whole = sol.u.shape[0] * (sol.degree + 2) * sol.u.shape[2] * sol.u.itemsize
+    wx.compute_error_report(sol, prob)  # fill the space's quadrature caches first
+    tracemalloc.start()
+    try:
+        wx.compute_error_report(sol, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole
