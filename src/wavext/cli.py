@@ -309,7 +309,15 @@ def _rates_report(cfg, rows):
             else _RATE_QUANTITIES
         for p, q, group in _groups(cfg, rows):
             lines.append(f"p = {p}, q = {q} (rates in {res})")
-            lines += _pairwise_block(group, res, [r[res] for r in group], quantities)
+            lines += [f"  {res}={_fmt(r[res])} "
+                      + " ".join(f"{k}={_fmt(r.get(k))}" for k in quantities) for r in group]
+            for k in quantities:
+                errs = [r.get(k) for r in group]
+                if len(group) >= 2 and None not in errs:
+                    rates = convergence_rates([r[res] for r in group], errs)
+                    lines.append(f"  rates[{k}]: "
+                                 + " ".join("n/a" if v is None else f"{v:.3f}" for v in rates))
+            lines.append("")
             if cfg.experiment == "estimate":
                 effs = [r["effectivity"] for r in group if r["effectivity"]]
                 if effs:
@@ -326,23 +334,6 @@ def _rates_report(cfg, rows):
         for r in rows:
             lines.append("  " + " ".join(f"{k}={_fmt(r[k])}" for k in _RATE_QUANTITIES))
     return "\n".join(lines) + "\n"
-
-
-def _pairwise_block(group, res_name, resolutions, quantities=_RATE_QUANTITIES):
-    lines = []
-    for r in group:
-        lines.append(f"  {res_name}={_fmt(r[res_name])} "
-                     + " ".join(f"{k}={_fmt(r.get(k))}" for k in quantities))
-    if len(group) >= 2:
-        for k in quantities:
-            errs = [r.get(k) for r in group]
-            if any(e is None for e in errs):
-                continue
-            rates = convergence_rates(resolutions, errs)
-            txt = " ".join("n/a" if v is None else f"{v:.3f}" for v in rates)
-            lines.append(f"  rates[{k}]: {txt}")
-    lines.append("")
-    return lines
 
 
 def _check(cfg, rows):
@@ -412,9 +403,11 @@ def run_experiment(cfg, jobs=1, check=False):
     log_lines = [f"experiment {cfg.experiment}: {len(cells)} cells, "
                  f"problem {cfg.problem}{(' psi=' + cfg.psi) if cfg.psi else ''}"]
     start = time.time()
-    if jobs > 1:
-        # one cell per task, so a worker shares no space between cells
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        # one cell per task, so a worker shares no space between cells; the
+        # pool forks all its workers at once, so never more than the cells
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = [one for (one,) in pool.map(_run_cells, [cfg] * len(cells),
                                                [[cell] for cell in cells])]
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fem import FEFunction, assemble, broken_laplacian
+from .fem import BrokenField, assemble
 from .postprocess import _reconstruction_slabs, _sampled
 from .timebasis import abs_legendre_integral, gauss_rule, legendre_table
 
@@ -40,13 +40,13 @@ def best_approx_constant(s):
 def estimator_constants(q, s):
     """The three constant ingredients: the gap constant for degree q, the
     best-approximation constant for degree s, and the summation-weight
-    factory (a function of slab index n and peak slab m, which for q = 1
-    depends on the distance t_m - t_{n-1})."""
+    factory (a function of slab index n, or an array of them, and peak slab
+    m, which for q = 1 depends on the distance t_m - t_{n-1})."""
 
     def weight(n, m, partition):
         if q == 1:
-            return float(partition.nodes[m + 1] - partition.nodes[n])
-        return best_approx_constant(q - 2) * float(partition.lengths[n]) / 2.0
+            return partition.nodes[m + 1] - partition.nodes[n]
+        return best_approx_constant(q - 2) * partition.lengths[n] / 2.0
 
     return gap_constant(q), best_approx_constant(s), weight
 
@@ -93,12 +93,10 @@ def _source_defects(sol, f, singular_at_zero):
         proj = scale[:, None] * ((Pp * wp) @ fv_p)  # (q, n_space_pts)
         to_, wo = gauss_rule(n_outer, slab, graded)
         Po = legendre_table(q - 1, n_outer, graded)
-        fv_o = np.broadcast_to(f(X, Y, to_[:, None]), (len(to_), X.size))
-        acc = 0.0
-        for k in range(len(to_)):
-            defect = fv_o[k] - Po[:, k] @ proj
-            acc += wo[k] * math.sqrt(float(np.sum(wsp * defect ** 2)))
-        out[n] = acc
+        # one vector-matrix product per node and a sum in node order: a single
+        # gemm, or a pairwise sum, would round differently
+        defect = f(X, Y, to_[:, None]) - (Po.T[:, None] @ proj)[:, 0]
+        out[n] = np.cumsum(wo * np.sqrt(np.sum(wsp * defect ** 2, axis=1)))[-1]
     return out
 
 
@@ -140,36 +138,31 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
                     for d in diffs])
     m = int(np.argmax(gap))
 
-    v_defect = np.zeros(N)
-    lap_u = np.zeros(N)
-    lap_v = np.zeros(N)
-    for n in range(N):
-        tau = float(partition.lengths[n])
-        # the top Legendre coefficients: row q of trial_to_legendre(q) is e_q / 2
-        v_top = 0.5 * sol.v[n, q]
-        u_top = 0.5 * sol.u[n, q]
-        v_defect[n] = math.sqrt(max(tau / (2 * q + 1) * float(v_top @ (M @ v_top)), 0.0))
-        wgt = abs_legendre_integral(q, tau)
-        lap_u[n] = broken_laplacian(FEFunction(space, u_top)).l2_norm() * wgt
-        lap_v[n] = broken_laplacian(FEFunction(space, v_top)).l2_norm() * wgt
+    lengths = partition.lengths
+    # the top Legendre coefficients: row q of trial_to_legendre(q) is e_q / 2
+    v_top = 0.5 * sol.v[:, q]
+    u_top = 0.5 * sol.u[:, q]
+    # one sparse product for all slabs; the stacked dot products keep each
+    # slab's BLAS dot, which a C-ordered right operand needs
+    Mv = np.ascontiguousarray((M @ v_top.T).T)
+    v_defect = np.sqrt(np.maximum(lengths / (2 * q + 1) * (v_top[:, None] @ Mv[..., None]).ravel(),
+                                  0.0))
+    wgt = abs_legendre_integral(q, lengths)
+    lap_u = BrokenField(space, u_top).l2_norm() * wgt
+    lap_v = BrokenField(space, v_top).l2_norm() * wgt
 
     f_defect = _source_defects(sol, f, singular_at_zero) if f is not None else np.zeros(N)
 
     cq, cpi, weight = estimator_constants(q, q - 1)
-    lengths = partition.lengths
     term_post = float(np.max(np.sqrt(cq * lengths) * v_defect))
-    tau_m = float(lengths[m])
+    tau_m, pre = float(lengths[m]), lengths[:m]
 
-    term_f = 2.0 * tau_m * f_defect[m]
+    term_f = 2.0 * tau_m * f_defect[m] + np.sum(2.0 * cpi * pre * f_defect[:m])
     # the peak-slab Laplacian-of-v term carries tau_m squared: one factor from
     # the L1 gap bound between the reconstruction and u, one from the weight
-    term_lap_v = 2.0 * csq * tau_m ** 2 * lap_v[m]
-    term_lap_u = 2.0 * csq * tau_m * lap_u[m]
-    for n in range(m):
-        tau_n = float(lengths[n])
-        term_f += 2.0 * cpi * tau_n * f_defect[n]
-        term_lap_v += 2.0 * csq * weight(n, m, partition) * tau_n * lap_v[n]
-        term_lap_u += 2.0 * csq * cpi * tau_n * lap_u[n]
+    term_lap_v = 2.0 * csq * tau_m ** 2 * lap_v[m] \
+        + np.sum(2.0 * csq * weight(np.arange(m), m, partition) * pre * lap_v[:m])
+    term_lap_u = 2.0 * csq * tau_m * lap_u[m] + np.sum(2.0 * csq * cpi * pre * lap_u[:m])
 
     eta = term_post + term_lap_v + term_lap_u
     osc = term_f

@@ -281,20 +281,23 @@ def ritz_project(space, f, grad_f, c=1.0):
 
 
 class BrokenField:
-    """Per-cell polynomial field Delta(fn|_K)."""
+    """Per-cell polynomial field Delta(u|_K) of a coefficient vector, or of
+    each vector of a stack (S, n_dofs)."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, space, values):
+        self.space, self.values = space, values
 
     def l2_norm(self):
-        space = self.fn.space
+        """The L2 norm: a float, or the S norms of a stack."""
+        space = self.space
         qd = space.quad_data(space.norm_degree())
-        coeffs = self.fn.values[space.cell_dofs]
+        coeffs = self.values[..., space.cell_dofs]
         # Delta = sum_km G_km d_k d_m, G = J^-1 J^-T: both symmetric, so 3 products
         G = _metric(space)
         vals = sum(f * G[:, k, m, None] * (coeffs @ np.ascontiguousarray(qd["href"][..., k, m]).T)
                    for k, m, f in ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0)))
-        return float(np.sqrt(np.sum(qd["wdet"] * vals ** 2)))
+        norms = np.sqrt(np.sum(qd["wdet"] * vals ** 2, axis=(-2, -1)))
+        return float(norms) if norms.ndim == 0 else norms
 
 
 def broken_laplacian(fn):
@@ -302,7 +305,7 @@ def broken_laplacian(fn):
     if fn.space.degree < 2:
         warnings.warn("broken Laplacian of a degree-1 space is identically zero",
                       stacklevel=2)
-    return BrokenField(fn)
+    return BrokenField(fn.space, fn.values)
 
 
 # ---------------------------------------------------------------------------

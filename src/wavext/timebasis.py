@@ -252,5 +252,5 @@ def _abs_legendre_reference(q):
 
 
 def abs_legendre_integral(q, tau):
-    """Exact int over a slab of |L_q(t)| dt."""
-    return float(tau) if q == 0 else float(_abs_legendre_reference(q) * tau / 2.0)
+    """Exact int over a slab of |L_q(t)| dt, per slab for an array of lengths."""
+    return tau if q == 0 else _abs_legendre_reference(q) * tau / 2.0

@@ -372,6 +372,42 @@ def test_jobs_parallel_matches_serial(tmp_path, experiment, text):
         assert len(timed) == n_cells
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, text, workers", [
+    ("5000", "problem = standing-wave\np = 1\nq = 1\nmesh = 2\nmesh = 4\ntau = 0.5\n", [2]),
+    ("5000", "problem = standing-wave\np = 1\nq = 1\nmesh = 2\ntau = 0.5\n", []),
+    ("3", _TAU_STUDY, [3]),
+], ids=["two-cells", "one-cell", "fewer-jobs-than-cells"])
+def test_jobs_start_at_most_one_worker_per_cell(tmp_path, monkeypatch, jobs, text, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    experiment = "converge-tau" if text is _TAU_STUDY else "converge-h"
+    serial, pooled = tmp_path / "ser", tmp_path / "pool"
+    assert main([experiment, "--config", write(tmp_path, "j.cfg", text), "--out", str(serial)]) == 0
+    assert main([experiment, "--config", write(tmp_path, "j.cfg", text), "--out", str(pooled),
+                 "--jobs", jobs]) == 0
+    assert _RecordingPool.made == workers
+    assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
+
+
 def test_cell_row_same_alone_and_in_its_group(tmp_path):
     cfg = parse_config(write(tmp_path, "t.cfg", _TAU_STUDY), "converge-tau")
     cells = _cells(cfg)

@@ -8,8 +8,10 @@ from conftest import coeffs_on_slab, small_homogeneous_run
 from wavext.estimator import (_source_defects, best_approx_constant,
                               compute_estimator, effectivity_index,
                               estimator_constants, gap_constant)
+from wavext.fem import FEFunction
+from wavext.postprocess import _reconstruction_slabs, _sampled
 from wavext.solver import SpaceTimeSolution
-from wavext.timebasis import gauss_rule, legendre_table
+from wavext.timebasis import abs_legendre_integral, gauss_rule, legendre_table
 
 
 def test_constant_values():
@@ -172,3 +174,63 @@ def test_source_defects_equal_per_time_loop(psi, q):
     sol = SpaceTimeSolution(space, part, q, np.zeros((4, q + 1, space.n_dofs)))
     assert np.array_equal(_source_defects(sol, prob.f, prob.singular_at_zero),
                           _source_defects_per_time(sol, prob.f, prob.singular_at_zero))
+
+
+def _estimator_per_slab(sol, f, c, singular_at_zero):
+    """The per-slab loops compute_estimator replaces: one mass product and two
+    broken Laplacians per slab, and the sums over the slabs before the peak
+    added one slab at a time."""
+    space, partition, q = sol.space, sol.partition, sol.degree
+    M = wx.assemble(space, "mass")
+    diffs = (ustar - u for _, u, ustar in _sampled(partition, 11, sol.u,
+                                                   _reconstruction_slabs(sol)))
+    gap = np.array([float(np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0)).max())
+                    for d in diffs])
+    m = int(np.argmax(gap))
+    N = partition.n_slabs
+    v_defect, lap_u, lap_v = np.zeros(N), np.zeros(N), np.zeros(N)
+    for n in range(N):
+        tau = float(partition.lengths[n])
+        v_top = 0.5 * sol.v[n, q]
+        u_top = 0.5 * sol.u[n, q]
+        v_defect[n] = math.sqrt(max(tau / (2 * q + 1) * float(v_top @ (M @ v_top)), 0.0))
+        wgt = float(abs_legendre_integral(q, tau))
+        lap_u[n] = wx.broken_laplacian(FEFunction(space, u_top)).l2_norm() * wgt
+        lap_v[n] = wx.broken_laplacian(FEFunction(space, v_top)).l2_norm() * wgt
+    f_defect = _source_defects_per_time(sol, f, singular_at_zero)
+    cq, cpi, weight = estimator_constants(q, q - 1)
+    lengths = partition.lengths
+    term_post = float(np.max(np.sqrt(cq * lengths) * v_defect))
+    tau_m = float(lengths[m])
+    term_f = 2.0 * tau_m * f_defect[m]
+    term_lap_v = 2.0 * c ** 2 * tau_m ** 2 * lap_v[m]
+    term_lap_u = 2.0 * c ** 2 * tau_m * lap_u[m]
+    for n in range(m):
+        tau_n = float(lengths[n])
+        term_f += 2.0 * cpi * tau_n * f_defect[n]
+        term_lap_v += 2.0 * c ** 2 * float(weight(n, m, partition)) * tau_n * lap_v[n]
+        term_lap_u += 2.0 * c ** 2 * cpi * tau_n * lap_u[n]
+    return dict(m_star=m, term_post=term_post, term_f=term_f, term_lap_v=term_lap_v,
+                term_lap_u=term_lap_u, eta=term_post + term_lap_v + term_lap_u,
+                gap=gap, v_defect=v_defect, f_defect=f_defect, lap_u=lap_u, lap_v=lap_v)
+
+
+@pytest.mark.parametrize("nodes", [None, [0.0, 0.1, 0.3, 0.45, 0.7, 1.0]],
+                         ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("psi", ["t2.25", "cos4t"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_estimator_equals_per_slab_loop(q, psi, nodes):
+    prob = wx.estimator_poly(psi)
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 3)
+    part = wx.uniform_time_partition(1.0, 6) if nodes is None else wx.TimePartition(np.array(nodes))
+    sol = wx.solve(prob, wx.Discretization(space, part, q=q))
+    br = compute_estimator(sol, prob.f, prob.c, singular_at_zero=prob.singular_at_zero)
+    expect = _estimator_per_slab(sol, prob.f, prob.c, prob.singular_at_zero)
+    assert br.m_star == expect["m_star"]
+    for name in ("gap", "v_defect", "lap_u", "lap_v", "f_defect"):
+        assert np.array_equal(br.per_slab[name], expect[name]), name
+    assert br.term_post == expect["term_post"]
+    # the terms add the slabs before the peak as one array sum, not onto the
+    # peak term one slab at a time: the same products, added in another order
+    for name in ("term_f", "term_lap_v", "term_lap_u", "eta"):
+        assert abs(getattr(br, name) - expect[name]) <= 1e-15 * expect[name], name

@@ -7,7 +7,7 @@ import pytest
 import wavext as wx
 from conftest import evaluate
 from wavext import reference
-from wavext.fem import (FEFunction, _gradient_load, broken_laplacian,
+from wavext.fem import (BrokenField, FEFunction, _gradient_load, broken_laplacian,
                         local_matrices, spatial_norm)
 from wavext.mesh import build_structured_mesh
 
@@ -456,6 +456,16 @@ def test_broken_laplacian_matches_per_cell_oracle(p):
         return
     expect = _broken_laplacian_oracle(fn)
     assert abs(broken_laplacian(fn).l2_norm() - expect) <= 1e-13 * expect
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_broken_laplacian_of_a_stack_equals_per_vector_calls(p):
+    sp = _offset_space(p)
+    stack = np.random.default_rng(20 + p).normal(size=(5, sp.n_dofs))
+    norms = BrokenField(sp, stack).l2_norm()
+    assert norms.shape == (5,)
+    assert np.array_equal(norms, [BrokenField(sp, u).l2_norm() for u in stack])
+    assert isinstance(BrokenField(sp, stack[0]).l2_norm(), float)
 
 
 def test_quad_data_holds_reference_tables_only():
