@@ -52,13 +52,14 @@ def golden_runs(tmp_path_factory):
     """Every reduced config run by the CLI at one BLAS thread: name -> (exit
     code, output directory)."""
     root = tmp_path_factory.mktemp("golden")
-    jobs = [(_experiment(GOLDEN / f"{name}.cfg"), str(GOLDEN / f"{name}.cfg"), str(root / name))
+    runs = [(_experiment(GOLDEN / f"{name}.cfg"), str(GOLDEN / f"{name}.cfg"), str(root / name))
             for name in CASES]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(wavext.__file__).parents[1]),
                                            os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(jobs)], env=env,
-                           capture_output=True, text=True, check=True)
+    child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(runs)], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
     codes = json.loads(child.stdout.splitlines()[-1])
     return {name: (code, root / name) for name, code in zip(CASES, codes)}
 
