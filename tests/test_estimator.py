@@ -176,6 +176,25 @@ def test_source_defects_equal_per_time_loop(psi, q):
                           _source_defects_per_time(sol, prob.f, prob.singular_at_zero))
 
 
+@pytest.mark.parametrize("q, calls_per_slab", [(1, 2), (2, 1), (3, 2)])
+def test_source_evaluated_once_per_slab_when_rules_coincide(q, calls_per_slab):
+    # at q = 2 the projection rule (q + 6 points) is the outer rule
+    # (max(q + 4, 8) points), so one evaluation serves both
+    prob = wx.estimator_poly("t2.25")
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
+    part = wx.uniform_time_partition(1.0, 8)
+    sol = SpaceTimeSolution(space, part, q, np.zeros((8, q + 1, space.n_dofs)))
+    calls = []
+
+    def f(x, y, t):
+        calls.append(t.size)
+        return prob.f(x, y, t)
+
+    assert np.array_equal(_source_defects(sol, f, True),
+                          _source_defects(sol, prob.f, True))
+    assert len(calls) == 8 * calls_per_slab
+
+
 def _estimator_per_slab(sol, f, c, singular_at_zero):
     """The per-slab loops compute_estimator replaces: one mass product and two
     broken Laplacians per slab, and the sums over the slabs before the peak

@@ -11,7 +11,11 @@ runs it: the p = 8 solves' roundoff depends on the thread count, which is
 fixed when numpy loads.
 """
 
+import csv
+import difflib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,10 +68,90 @@ def golden_runs(tmp_path_factory):
     return {name: (code, root / name) for name, code in zip(CASES, codes)}
 
 
+def _relative_move(old, new):
+    """|new - old| / |old| for two printed numbers; inf for a text cell, a
+    cell that left zero, or one that appeared or vanished."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def _moved_cells(golden, new):
+    """Each results.csv cell whose text differs, as (run_id, column, golden,
+    new, relative move), worst first; a row present on one side only moves
+    every one of its cells."""
+    old_rows, new_rows = (list(csv.DictReader(io.StringIO(text))) for text in (golden, new))
+    moved = []
+    for k in range(max(len(old_rows), len(new_rows))):
+        a = old_rows[k] if k < len(old_rows) else {}
+        b = new_rows[k] if k < len(new_rows) else {}
+        run_id = a.get("run_id") or b.get("run_id")
+        for col in dict.fromkeys([*a, *b]):
+            old, new = a.get(col, "<absent>"), b.get(col, "<absent>")
+            if old != new:
+                moved.append((run_id, col, old, new, _relative_move(old, new)))
+    return sorted(moved, key=lambda cell: -cell[4])
+
+
+def _golden_mismatch(name, golden_dir, out_dir):
+    """A report of how a run's outputs differ from the golden copy, or "" if
+    they are byte-identical: every moved results.csv cell, worst first, and
+    every differing rates.txt line."""
+    report = []
+    old, new = ((d / "results.csv").read_text() for d in (golden_dir, out_dir))
+    if old != new:
+        cells = _moved_cells(old, new)
+        report.append(f"{name}/results.csv: {len(cells)} moved cells, worst first")
+        report += [f"  {run_id} {col}: {a} -> {b} (relative {rel:.2g})"
+                   for run_id, col, a, b, rel in cells]
+    old, new = ((d / "rates.txt").read_text().splitlines() for d in (golden_dir, out_dir))
+    if old != new:
+        report.append(f"{name}/rates.txt: differing lines (- golden, + new)")
+        report += [f"  {line}" for line in difflib.unified_diff(old, new, lineterm="", n=0)
+                   if line[:1] in "+-" and not line.startswith(("---", "+++"))]
+    return "\n".join(report)
+
+
+def test_golden_mismatch_names_each_moved_cell(tmp_path):
+    golden, new = tmp_path / "golden", tmp_path / "new"
+    for d in (golden, new):
+        d.mkdir()
+    header = "run_id,p,err_u,energy_drift\n"
+    (golden / "results.csv").write_text(header + "r000,2,1.00000000000e-03,4.0e-16\n"
+                                        "r001,2,2.00000000000e-04,5.0e-16\n")
+    (new / "results.csv").write_text(header + "r000,2,1.00000000001e-03,2.0e-16\n"
+                                     "r001,2,2.00000000000e-04,5.0e-16\n")
+    rates = "p = 2\n  rates[err_u]: 2.001\n  rates[err_v]: 1.990\n"
+    (golden / "rates.txt").write_text(rates)
+    (new / "rates.txt").write_text(rates.replace("2.001", "2.002"))
+    report = _golden_mismatch("case", golden, new).splitlines()
+    assert report == [
+        "case/results.csv: 2 moved cells, worst first",
+        "  r000 energy_drift: 4.0e-16 -> 2.0e-16 (relative 0.5)",
+        "  r000 err_u: 1.00000000000e-03 -> 1.00000000001e-03 (relative 1e-11)",
+        "case/rates.txt: differing lines (- golden, + new)",
+        "  -  rates[err_u]: 2.001",
+        "  +  rates[err_u]: 2.002",
+    ]
+    (new / "results.csv").write_text(header + "r000,2,1.00000000000e-03,4.0e-16\n")
+    (new / "rates.txt").write_text(rates)
+    assert _golden_mismatch("case", golden, new).splitlines()[1:] == [
+        "  r001 run_id: r001 -> <absent> (relative inf)",
+        "  r001 p: 2 -> <absent> (relative inf)",
+        "  r001 err_u: 2.00000000000e-04 -> <absent> (relative inf)",
+        "  r001 energy_drift: 5.0e-16 -> <absent> (relative inf)",
+    ]
+    assert _golden_mismatch("case", golden, golden) == ""
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_golden_bytes(golden_runs, name):
     code, out = golden_runs[name]
     assert code == 0
     for fname in ("results.csv", "rates.txt"):
-        assert (out / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), \
-            f"{name}/{fname} differs from the golden copy"
+        if (out / fname).read_bytes() != (GOLDEN / name / fname).read_bytes():
+            pytest.fail(_golden_mismatch(name, GOLDEN / name, out)
+                        or f"{name}/{fname} differs from the golden copy in line endings",
+                        pytrace=False)
