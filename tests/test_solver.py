@@ -376,6 +376,29 @@ def test_slab_solve_refinement_runs_and_succeeds(q, p):
     assert np.linalg.norm(_interleave(U, V) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
+@pytest.mark.parametrize("method", ["gradient", "mass"])
+@pytest.mark.parametrize("q", range(1, MAX_TEMPORAL_DEGREE + 1))
+def test_slab_solve_meets_contract_with_indefinite_modes(method, q):
+    # from q = 4 on, some kept eigenvalues have Re lam < 0, so the Hermitian
+    # part of M_II + tau^2 lam K_II need not be definite; the fill-reducing
+    # order keeps SuperLU's threshold pivoting, and the solve its residual
+    ws = _oracle_workspace(method, q, p=8, nx=2)
+    assert (ws._lam.real.min() < 0) == (q >= 4)
+    ws.system(1.0)
+    A = _oracle_matrix(ws, ws.Nm)
+    r1, r2 = np.random.default_rng(q).normal(size=(2, q, len(ws.I)))
+    U, V = ws.solve(r1, r2)
+    assert _block_residual(A, _interleave(r1, r2), U, V) <= SLAB_TOL
+
+
+def test_mode_factorization_fill_below_colamd():
+    # the big-slab mode matrix (p = 3, 16 x 16, q = 4): a minimum-degree order
+    # on A^T + A fills at least 30% less than SuperLU's default COLAMD order
+    ws = _oracle_workspace("gradient", 4, p=3, nx=16)
+    A = ws.M_II + (ws._lam[0] / 32 ** 2) * ws.K_II
+    assert solver_module.factorize(A).nnz <= 0.7 * splu(sparse.csc_matrix(A)).nnz
+
+
 def test_temporal_degree_bounded():
     space = _oracle_space(2, 3)
     part = wx.uniform_time_partition(1.0, 4)
