@@ -22,14 +22,11 @@ def compressed(A):
 
 
 def factorize(A):
-    """SuperLU factors of a square sparse matrix, real or complex.
-
-    Every matrix factorized here has the symmetric pattern of an interior
-    block of the mesh, so the columns take a minimum-degree order on the
-    pattern of A^T + A (Liu, ACM TOMS 11, 1985) rather than SuperLU's default
-    COLAMD order for A^T A.  Threshold partial pivoting stays on: the slab
-    modes' Hermitian part need not be definite.
-    """
+    """SuperLU factors of a square sparse matrix, real or complex, in a
+    minimum-degree order on the pattern of A^T + A (Liu, ACM TOMS 11, 1985):
+    every matrix factorized here has the symmetric pattern of an interior
+    block.  Threshold partial pivoting stays on, since a slab mode's
+    Hermitian part need not be definite."""
     try:
         return splu(sparse.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU signals singularity this way
