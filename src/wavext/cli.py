@@ -257,7 +257,6 @@ def run_cell(cfg, cell, problem, space):
                    err_v=rep.err_v, err_gradu=rep.err_gradu)
     if cfg.experiment == "estimate":
         br = compute_estimator(sol, problem.f, problem.c,
-                               samples_per_slab=cfg.samples_per_slab,
                                singular_at_zero=problem.singular_at_zero)
         eff = effectivity_index(br.eta, row["err_u"]) if row["err_u"] else None
         row.update(eta=br.eta, osc_f=br.osc_f,

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fem import BrokenField, assemble
-from .postprocess import _reconstruction_slabs, _sampled
-from .timebasis import abs_legendre_integral, gauss_rule, legendre_table
+from .timebasis import abs_legendre_integral, gauss_rule, legendre_table, sup_legendre_integral
 
 
 def gap_constant(q):
@@ -102,16 +101,19 @@ def _source_defects(sol, f, singular_at_zero):
     return out
 
 
-def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
-                      singular_at_zero=False):
+def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
     """Evaluate the a posteriori bound on a computed solution.
+
+    The peak slab m* maximizes the L2 gap between u and u* = u(0) + int v,
+    taken in closed form: for ``sol`` from :func:`~wavext.solver.solve`,
+    u* - u = v_q int_{t_{n-1}}^t L_q on slab n, v_q the top Legendre
+    coefficient of v, up to the slab residual.
 
     Parameters
     ----------
     sol : solution with both fields, homogeneous Dirichlet data.
     f : source callback f(x, y, t) or None for a zero source.
     c : constant wavespeed.
-    samples_per_slab : sampling density used to locate the peak-gap slab.
 
     Returns an :class:`EstimatorBreakdown`; its ``total`` bounds the
     max-in-time L2 error of u (up to spatial resolution).
@@ -134,12 +136,6 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
     csq = float(c) ** 2
     M = assemble(space, "mass")
 
-    diffs = (ustar - u for _, u, ustar in _sampled(partition, samples_per_slab,
-                                                   sol.u, _reconstruction_slabs(sol)))
-    gap = np.array([float(np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0)).max())
-                    for d in diffs])
-    m = int(np.argmax(gap))
-
     lengths = partition.lengths
     # the top Legendre coefficients: row q of trial_to_legendre(q) is e_q / 2
     v_top = 0.5 * sol.v[:, q]
@@ -147,8 +143,10 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
     # one sparse product for all slabs; the stacked dot products keep each
     # slab's BLAS dot, which a C-ordered right operand needs
     Mv = np.ascontiguousarray((M @ v_top.T).T)
-    v_defect = np.sqrt(np.maximum(lengths / (2 * q + 1) * (v_top[:, None] @ Mv[..., None]).ravel(),
-                                  0.0))
+    vMv = (v_top[:, None] @ Mv[..., None]).ravel()
+    v_defect = np.sqrt(np.maximum(lengths / (2 * q + 1) * vMv, 0.0))
+    gap = sup_legendre_integral(q, lengths) * np.sqrt(np.maximum(vMv, 0.0))
+    m = int(np.argmax(gap))
     wgt = abs_legendre_integral(q, lengths)
     lap_u = BrokenField(space, u_top).l2_norm() * wgt
     lap_v = BrokenField(space, v_top).l2_norm() * wgt
@@ -167,19 +165,11 @@ def compute_estimator(sol, f=None, c=1.0, samples_per_slab=11,
     term_lap_u = 2.0 * csq * tau_m * lap_u[m] + np.sum(2.0 * csq * cpi * pre * lap_u[:m])
 
     eta = term_post + term_lap_v + term_lap_u
-    osc = term_f
     return EstimatorBreakdown(
-        m_star=m,
-        term_post=term_post,
-        term_f=term_f,
-        term_lap_v=term_lap_v,
-        term_lap_u=term_lap_u,
-        eta=eta,
-        osc_f=osc,
-        total=eta + osc,
+        m_star=m, term_post=term_post, term_f=term_f, term_lap_v=term_lap_v,
+        term_lap_u=term_lap_u, eta=eta, osc_f=term_f, total=eta + term_f,
         per_slab={"gap": gap, "v_defect": v_defect, "f_defect": f_defect,
-                  "lap_u": lap_u, "lap_v": lap_v},
-    )
+                  "lap_u": lap_u, "lap_v": lap_v})
 
 
 def effectivity_index(eta, error):

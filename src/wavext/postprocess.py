@@ -70,6 +70,8 @@ def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
         raise ConfigurationError("error sampling needs an exact solution callback")
     if kind == "h1c" and exact_grad is None:
         raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
+    if component == "v" and sol.v is None:
+        raise ConfigurationError("error sampling of v needs the velocity component")
     per_slab = np.array([
         np.max(spatial_norm(sol.space, kind, fe, _at(exact, ts), _at(exact_grad, ts), c))
         for ts, fe in _sampled(sol.partition, samples_per_slab,
@@ -92,8 +94,8 @@ def compute_error_report(sol, problem, samples_per_slab=11):
     one walk over the slabs of u, its reconstruction and v."""
     if not problem.has_exact():
         raise ConfigurationError(f"problem {problem.name!r} carries no exact solution")
-    if problem.exact_grad_u is None:
-        raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
+    if problem.exact_grad_u is None or problem.exact_v is None:
+        raise ConfigurationError("the error report needs exact_grad_u and exact_v")
     err = np.zeros(4)
     for ts, u, ustar, v in _sampled(sol.partition, samples_per_slab,
                                     sol.u, _reconstruction_slabs(sol), sol.v):
@@ -107,6 +109,8 @@ def compute_error_report(sol, problem, samples_per_slab=11):
 
 def energy_trace(sol, c=1.0):
     """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes."""
+    if sol.v is None:
+        raise ConfigurationError("the energy needs the velocity component")
     M = assemble(sol.space, "mass")
     K = assemble(sol.space, "stiffness", c)
     out = np.empty(sol.partition.n_slabs + 1)

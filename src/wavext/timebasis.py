@@ -243,14 +243,20 @@ def temporal_eigensplit(q):
 
 
 @lru_cache(maxsize=None)
-def _abs_legendre_reference(q):
-    """int_{-1}^{1} |P_q(x)| dx for q >= 1: the antiderivative
-    (P_{q+1} - P_{q-1}) / (2q + 1) summed signwise between the roots of P_q."""
+def _legendre_antiderivative_reference(q):
+    """For q >= 1, int_{-1}^{1} |P_q| and the max over [-1, 1] of |F|, both from
+    F = int_{-1}^x P_q = (P_{q+1} - P_{q-1}) / (2q + 1) at -1, the roots of
+    P_q, where its extrema lie, and 1."""
     x = np.concatenate([[-1.0], np.sort(_reference_rule(q)[0]), [1.0]])
     F = (npleg.legval(x, np.eye(q + 2)[q + 1]) - npleg.legval(x, np.eye(q)[q - 1])) / (2 * q + 1)
-    return sum(np.abs(np.diff(F)))
+    return sum(np.abs(np.diff(F))), np.abs(F).max()
 
 
 def abs_legendre_integral(q, tau):
     """Exact int over a slab of |L_q(t)| dt, per slab for an array of lengths."""
-    return tau if q == 0 else _abs_legendre_reference(q) * tau / 2.0
+    return tau if q == 0 else _legendre_antiderivative_reference(q)[0] * tau / 2.0
+
+
+def sup_legendre_integral(q, tau):
+    """Exact max over a slab of |int_{t_{n-1}}^t L_q ds| for q >= 1, per slab."""
+    return _legendre_antiderivative_reference(q)[1] * tau / 2.0

@@ -78,6 +78,19 @@ def coeffs_on_slab(sol, n, xnorm, component="u"):
     return np.tensordot(sig, tensor[n], axes=(0, 0))
 
 
+def sampled_gap(sol, xnorm):
+    """Per slab, the largest spatial L2 norm of u* - u over the normalized
+    times xnorm, u* the reconstruction u(., 0) + int_0^t v: the estimator's
+    gap, sampled."""
+    star = wx.postprocessed_solution(sol)
+    M = wx.assemble(sol.space, "mass")
+    gap = np.zeros(sol.partition.n_slabs)
+    for n in range(sol.partition.n_slabs):
+        d = coeffs_on_slab(star, n, xnorm) - coeffs_on_slab(sol, n, xnorm)
+        gap[n] = np.sqrt(np.maximum(np.einsum("sd,ds->s", d, M @ d.T), 0.0)).max()
+    return gap
+
+
 def legendre_coeffs(sol, n, component="u"):
     """Per-slab Legendre coefficients of a space-time solution on slab n,
     shape (degree+1, n_dofs)."""

@@ -75,7 +75,8 @@ def test_smoke_workloads_pass_the_correctness_gate(tmp_path, run):
 NEVER_ENTERED = {
     # no caller in src/: the space owns the interior solves (ROADMAP item 4)
     "linalg.solve_spd",
-    # library only: the error report and the estimator stream the reconstruction
+    # library only: the error report streams the reconstruction; the estimator
+    # takes its gap in closed form and never forms it
     "postprocess.postprocessed_solution",
     # library only: the error report samples u, u* and v in one walk
     "postprocess.error_C0",

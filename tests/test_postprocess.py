@@ -119,6 +119,26 @@ def test_error_report_requires_exact_solution():
         wx.compute_error_report(sol, replace(prob, exact_grad_u=None))
 
 
+def test_error_report_requires_exact_v():
+    prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
+    with pytest.raises(wx.ConfigurationError, match="exact_v"):
+        wx.compute_error_report(sol, replace(prob, exact_v=None))
+
+
+def test_error_sampling_of_v_requires_the_velocity():
+    prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
+    star = postprocessed_solution(sol)  # a u-only solution
+    wx.error_C0(star, prob.exact_u)
+    with pytest.raises(wx.ConfigurationError, match="velocity"):
+        wx.error_C0(star, prob.exact_v, component="v")
+
+
+def test_energy_trace_requires_the_velocity():
+    prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
+    with pytest.raises(wx.ConfigurationError, match="velocity"):
+        wx.energy_trace(postprocessed_solution(sol), prob.c)
+
+
 def test_energy_trace_values():
     space = wx.build_space(wx.build_structured_mesh(2, 2), 1)
     part = wx.uniform_time_partition(1.0, 2)

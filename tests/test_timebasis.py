@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre as npleg
 
 from conftest import containing_slab, eval_slab, legendre_derivative_matrix, to_normalized
 from wavext.problem import MAX_TEMPORAL_DEGREE
@@ -9,8 +10,8 @@ from wavext.timebasis import (TimePartition, _endpoint_exact_map, _lagrange_map,
                               _reference_rule, abs_legendre_integral,
                               endpoint_exact_project, gauss_rule, lagrange_time_interp,
                               legendre_matrix, legendre_table, slab_temporal_matrices,
-                              temporal_eigensplit, trial_matrix, trial_to_legendre,
-                              uniform_time_partition)
+                              sup_legendre_integral, temporal_eigensplit, trial_matrix,
+                              trial_to_legendre, uniform_time_partition)
 
 
 def _values(coeffs, partition, ts):
@@ -475,3 +476,15 @@ def test_abs_legendre_integral_against_quadrature(q):
                     points=breaks, limit=200)
     assert abs_legendre_integral(q, tau) == pytest.approx(brute, rel=1e-10)
     assert abs_legendre_integral(0, tau) == pytest.approx(tau)
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_sup_legendre_integral_against_dense_sampling(q):
+    # |int_{-1}^x P_q| on 200,001 points: below the exact max, and within the
+    # grid's quadratic error of it (measured 1.1e-9 relative at most, q = 10)
+    tau = 0.8
+    x = np.linspace(-1.0, 1.0, 200_001)
+    dense = tau / 2.0 * np.abs(npleg.legval(x, npleg.legint(np.eye(q + 1)[q], lbnd=-1))).max()
+    sup = sup_legendre_integral(q, tau)
+    assert dense <= sup * (1.0 + 1e-13)
+    assert sup - dense <= 1e-8 * sup
