@@ -3,22 +3,23 @@
 The wave problem is solved in first-order (velocity) form with trial
 functions continuous and piecewise polynomial in time and test functions one
 degree lower and discontinuous, marching slab by slab.  The package also
-provides the time-antiderivative reconstruction of u, max-in-time error
-sampling against manufactured solutions, a constant-free a posteriori error
-bound, and a batch experiment driver (the ``wavext`` command).
+provides the max-in-time errors of u, of its time-antiderivative
+reconstruction u*, of v and of c grad u against manufactured solutions, a
+constant-free a posteriori error bound, and a batch experiment driver (the
+``wavext`` command).
 """
 
 from .errors import ConfigurationError, SolverFailure
 from .estimator import (EstimatorBreakdown, best_approx_constant,
                         compute_estimator, effectivity_index,
                         estimator_constants, gap_constant)
-from .fem import (FEFunction, LagrangeSpace, assemble, broken_laplacian,
-                  build_space, interior_factorization, interpolate_nodal,
-                  load_vector, ritz_project, spatial_norm)
-from .linalg import Factorization, compressed, solve_spd
+from .fem import (FEFunction, LagrangeSpace, assemble, build_space,
+                  interior_factorization, interpolate_nodal, load_vector,
+                  ritz_project, spatial_norm)
+from .linalg import Factorization, compressed
 from .mesh import Mesh, build_structured_mesh, mesh_size
 from .postprocess import (ErrorReport, compute_error_report, convergence_rates,
-                          energy_trace, error_C0, postprocessed_solution)
+                          energy_trace)
 from .problem import (Discretization, ProblemData, dirichlet_cos,
                       estimator_poly, inline_problem, make_preset,
                       standing_wave)

@@ -10,6 +10,7 @@ produce byte-identical ``results.csv``.
 import argparse
 import copy
 import csv
+import itertools
 import math
 import sys
 import time
@@ -25,7 +26,8 @@ from .fem import MAX_SPATIAL_DEGREE, build_space
 from .mesh import build_structured_mesh, mesh_size
 from .postprocess import (compute_error_report, convergence_rates,
                           energy_trace)
-from .problem import Discretization, inline_problem, make_preset
+from .problem import (MAX_TEMPORAL_DEGREE, Discretization, inline_problem,
+                      make_preset)
 from .solver import solve
 from .timebasis import uniform_time_partition
 
@@ -79,6 +81,10 @@ _DEFAULTS = {
 }
 
 EXPERIMENTS = tuple(_DEFAULTS)
+
+#: Rated study -> the row key of the resolution it sweeps, coarse to fine;
+#: its rates are taken over each (p, q) group.
+_RATED = {"converge-h": "h", "converge-tau": "tau", "estimate": "tau"}
 
 _METHOD_ALIASES = {"gradient": "gradient", "gradientcoupling": "gradient",
                    "i": "gradient", "mass": "mass", "masscoupling": "mass",
@@ -165,8 +171,11 @@ def default_config(experiment):
 
 
 def _validate(cfg):
-    if cfg.experiment != "converge-pq" and not cfg.q:
-        raise ConfigurationError("q list must not be empty")
+    if cfg.experiment != "converge-pq":  # converge-pq runs q = p
+        if not cfg.q:
+            raise ConfigurationError("q list must not be empty")
+        if not all(1 <= v <= MAX_TEMPORAL_DEGREE for v in cfg.q):
+            raise ConfigurationError(f"q values must be in [1, {MAX_TEMPORAL_DEGREE}]")
     for name, values in (("p", cfg.p), ("mesh", cfg.mesh), ("tau", cfg.tau)):
         if not values:
             raise ConfigurationError(f"{name} list must not be empty")
@@ -179,8 +188,7 @@ def _validate(cfg):
             raise ConfigurationError(f"tau = {tau} does not divide the final time {cfg.t_final}")
     if any(v < 1 for v in cfg.mesh):
         raise ConfigurationError("mesh values must be >= 1")
-    res = {"converge-h": [-n for n in cfg.mesh], "converge-tau": cfg.tau,
-           "estimate": cfg.tau}.get(cfg.experiment, [])
+    res = {"h": [-n for n in cfg.mesh], "tau": cfg.tau}.get(_RATED.get(cfg.experiment), [])
     if any(a <= b for a, b in zip(res, res[1:])):  # rates run coarse to fine
         raise ConfigurationError("rates need tau strictly decreasing, mesh strictly increasing")
     p_min = 2 if cfg.experiment == "estimate" else 1  # the estimator needs elementwise Laplacians
@@ -197,6 +205,7 @@ def _validate(cfg):
         raise ConfigurationError(f"bbox {cfg.inline_bbox} is not a finite nondegenerate box")
     if cfg.problem == "inline" and not cfg.inline_u:
         raise ConfigurationError("inline problems need a u = <expression> line")
+    _make_problem(cfg)  # an unknown preset or psi, or an unusable u
     for cell in _cells(cfg):
         floats = 2 * round(cfg.t_final / cell["tau"]) * (cell["q"] + 1) \
             * (cell["nx"] * cell["p"] + 1) ** 2
@@ -213,24 +222,16 @@ def _make_problem(cfg):
 
 
 def _cells(cfg):
-    """Deterministic run matrix for an experiment config."""
-    cells = []
-    if cfg.experiment == "converge-pq":
-        for p in cfg.p:
-            cells.append(dict(p=p, q=p, nx=cfg.mesh[0], tau=cfg.tau[0]))
-    elif cfg.experiment in ("solve", "energy"):
-        cells.append(dict(p=cfg.p[0], q=cfg.q[0], nx=cfg.mesh[0], tau=cfg.tau[0]))
-    elif cfg.experiment == "converge-h":
-        for p in cfg.p:
-            for q in cfg.q:
-                for nx in cfg.mesh:
-                    cells.append(dict(p=p, q=q, nx=nx, tau=cfg.tau[0]))
-    else:  # converge-tau, estimate
-        for p in cfg.p:
-            for q in cfg.q:
-                for tau in cfg.tau:
-                    cells.append(dict(p=p, q=q, nx=cfg.mesh[0], tau=tau))
-    return cells
+    """Deterministic run matrix for an experiment config: a rated study
+    crosses p and q with the axis it sweeps, converge-pq runs p = q, and
+    every axis not swept takes its first value."""
+    res = _RATED.get(cfg.experiment)
+    pq = cfg.experiment == "converge-pq"
+    axes = itertools.product(cfg.p if res or pq else cfg.p[:1],
+                             [None] if pq else cfg.q if res else cfg.q[:1],
+                             cfg.mesh if res == "h" else cfg.mesh[:1],
+                             cfg.tau if res == "tau" else cfg.tau[:1])
+    return [dict(p=p, q=p if pq else q, nx=nx, tau=tau) for p, q, nx, tau in axes]
 
 
 def run_cell(cfg, cell, problem, space):
@@ -302,8 +303,8 @@ def _groups(cfg, rows):
 
 def _rates_report(cfg, rows):
     lines = [f"experiment: {cfg.experiment}", ""]
-    if cfg.experiment in ("converge-h", "converge-tau", "estimate"):
-        res = "h" if cfg.experiment == "converge-h" else "tau"
+    res = _RATED.get(cfg.experiment)
+    if res:
         quantities = ("err_u", "eta", "osc_f") if cfg.experiment == "estimate" \
             else _RATE_QUANTITIES
         for p, q, group in _groups(cfg, rows):
@@ -338,9 +339,16 @@ def _rates_report(cfg, rows):
 def _check(cfg, rows):
     """Experiment-specific sanity thresholds used by --check."""
     failures = []
-    if cfg.experiment == "converge-h" or (cfg.experiment == "converge-tau"
-                                          and cfg.bc_mode == "projection"):
-        res = "h" if cfg.experiment == "converge-h" else "tau"
+    res = _RATED.get(cfg.experiment)
+    if cfg.experiment == "estimate":
+        for r in rows:
+            if r["err_u"] is not None and r["err_u"] > r["eta"] + r["osc_f"]:
+                failures.append(f"p={r['p']} q={r['q']} tau={r['tau']}: error exceeds eta + osc_f")
+        for p, q, group in _groups(cfg, rows):
+            effs = [r["effectivity"] for r in group if r["effectivity"]]
+            if effs and max(effs) / min(effs) > 3.0:
+                failures.append(f"p={p} q={q}: effectivity ratio {max(effs)/min(effs):.2f} > 3")
+    elif res == "h" or (res == "tau" and cfg.bc_mode == "projection"):
         for p, q, group in _groups(cfg, rows):
             if len(group) < 2:
                 continue
@@ -357,14 +365,6 @@ def _check(cfg, rows):
                 if rate is None or abs(rate - target) > tol:
                     failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
                                     f"within {target}+-{tol}")
-    elif cfg.experiment == "estimate":
-        for r in rows:
-            if r["err_u"] is not None and r["err_u"] > r["eta"] + r["osc_f"]:
-                failures.append(f"p={r['p']} q={r['q']} tau={r['tau']}: error exceeds eta + osc_f")
-        for p, q, group in _groups(cfg, rows):
-            effs = [r["effectivity"] for r in group if r["effectivity"]]
-            if effs and max(effs) / min(effs) > 3.0:
-                failures.append(f"p={p} q={q}: effectivity ratio {max(effs)/min(effs):.2f} > 3")
     elif cfg.experiment == "energy":
         drift = rows[0]["energy_drift"]
         if drift is None or drift > 1e-10:
@@ -397,7 +397,10 @@ def run_experiment(cfg, jobs=1, check=False):
     Returns the process exit code (0 ok, 4 when --check thresholds fail).
     """
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from exc
     cells = _cells(cfg)
     log_lines = [f"experiment {cfg.experiment}: {len(cells)} cells, "
                  f"problem {cfg.problem}{(' psi=' + cfg.psi) if cfg.psi else ''}"]

@@ -7,7 +7,6 @@ across cells is pure integer arithmetic.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,14 +297,6 @@ class BrokenField:
                    for k, m, f in ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0)))
         norms = np.sqrt(np.sum(qd["wdet"] * vals ** 2, axis=(-2, -1)))
         return float(norms) if norms.ndim == 0 else norms
-
-
-def broken_laplacian(fn):
-    """Elementwise Laplacian of an FE function."""
-    if fn.space.degree < 2:
-        warnings.warn("broken Laplacian of a degree-1 space is identically zero",
-                      stacklevel=2)
-    return BrokenField(fn.space, fn.values)
 
 
 # ---------------------------------------------------------------------------

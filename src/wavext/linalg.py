@@ -54,11 +54,6 @@ def checked_solve(solve, apply, b, tol, label):
     return x
 
 
-def solve_spd(A, b):
-    """Solve a symmetric positive definite system to relative residual 1e-12."""
-    return Factorization(A).solve(b)
-
-
 class Factorization:
     """Reusable LU factorization; each solve is held to relative residual 1e-12."""
 

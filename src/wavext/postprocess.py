@@ -1,4 +1,4 @@
-"""Postprocessed approximation, error sampling, energy traces, and rates."""
+"""Error sampling of a solution and of its reconstruction, energy traces, and rates."""
 
 from dataclasses import dataclass
 
@@ -6,14 +6,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fem import assemble, spatial_norm
-from .solver import SpaceTimeSolution
 from .timebasis import trial_matrix, trial_to_legendre
 
 
 def _reconstruction_slabs(sol):
     """Yield the slabs (q+2, n_dofs) of the reconstruction u(., 0) + int_0^t v."""
-    if sol.v is None:
-        raise ConfigurationError("postprocessing needs the velocity component")
     T = trial_to_legendre(sol.degree)
     scale = 2.0 * np.arange(sol.degree + 1) + 1.0
     left = sol.u[0, 0]
@@ -42,43 +39,6 @@ def _at(callback, ts):
     return lambda x, y: callback(x, y, ts)
 
 
-def postprocessed_solution(sol):
-    """Time-antiderivative reconstruction u(., 0) + int_0^t v, one temporal
-    degree higher than the solution it is built from.
-
-    By construction its value at t = 0 matches the solution and its time
-    derivative equals v exactly; for homogeneous Dirichlet data it also
-    matches the solution at every partition node.
-    """
-    U = np.fromiter(_reconstruction_slabs(sol), count=sol.partition.n_slabs,
-                    dtype=(float, (sol.degree + 2, sol.u.shape[2])))
-    return SpaceTimeSolution(sol.space, sol.partition, sol.degree + 1, U, None)
-
-
-def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
-             exact_grad=None, component="u"):
-    """Max-in-time spatial error against an exact space-time callback.
-
-    Each slab is sampled at ``samples_per_slab`` uniformly spaced times
-    (endpoints included); the spatial L2 norm (or weighted gradient seminorm,
-    kind="h1c") of the difference is maximized over all samples.  The
-    callbacks see all times of a slab at once, as t of shape (S, 1, 1).
-
-    Returns (global max, per-slab maxima).
-    """
-    if exact is None:
-        raise ConfigurationError("error sampling needs an exact solution callback")
-    if kind == "h1c" and exact_grad is None:
-        raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
-    if component == "v" and sol.v is None:
-        raise ConfigurationError("error sampling of v needs the velocity component")
-    per_slab = np.array([
-        np.max(spatial_norm(sol.space, kind, fe, _at(exact, ts), _at(exact_grad, ts), c))
-        for ts, fe in _sampled(sol.partition, samples_per_slab,
-                               sol.u if component == "u" else sol.v)])
-    return float(per_slab.max()), per_slab
-
-
 @dataclass
 class ErrorReport:
     """The four max-in-time error quantities of a run."""
@@ -92,6 +52,8 @@ class ErrorReport:
 def compute_error_report(sol, problem, samples_per_slab=11):
     """All four error quantities against the problem's exact solution, from
     one walk over the slabs of u, its reconstruction and v."""
+    if sol.v is None:
+        raise ConfigurationError("the error report needs the velocity component")
     if not problem.has_exact():
         raise ConfigurationError(f"problem {problem.name!r} carries no exact solution")
     if problem.exact_grad_u is None or problem.exact_v is None:

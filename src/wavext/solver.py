@@ -52,9 +52,11 @@ from .timebasis import (endpoint_exact_project, gauss_rule, lagrange_time_interp
 class SpaceTimeSolution:
     """Per-slab trial-coefficient tensors of shape (n_slabs, degree+1, n_dofs).
 
-    ``v`` may be None for derived fields that only carry a u-component (the
-    postprocessed approximation).  Values at the right slab endpoint are the
-    sum of the first two coefficient rows; at the left endpoint, row 0.
+    ``v`` may be None only in a u-only field built by hand: no function of
+    the package returns one, and the error report, the energy trace and the
+    estimator reject it with ConfigurationError.  Values at the right slab
+    endpoint are the sum of the first two coefficient rows; at the left
+    endpoint, row 0.
     """
 
     space: object

@@ -4,6 +4,10 @@ from numpy.polynomial import legendre as npleg
 
 import wavext as wx
 from wavext import reference
+from wavext.errors import ConfigurationError
+from wavext.fem import spatial_norm
+from wavext.postprocess import _at, _reconstruction_slabs, _sampled
+from wavext.solver import SpaceTimeSolution
 from wavext.timebasis import trial_matrix, trial_to_legendre
 
 
@@ -78,11 +82,48 @@ def coeffs_on_slab(sol, n, xnorm, component="u"):
     return np.tensordot(sig, tensor[n], axes=(0, 0))
 
 
+def postprocessed_solution(sol):
+    """Time-antiderivative reconstruction u(., 0) + int_0^t v, one temporal
+    degree higher than the solution it is built from.
+
+    By construction its value at t = 0 matches the solution and its time
+    derivative equals v exactly; for homogeneous Dirichlet data it also
+    matches the solution at every partition node.
+    """
+    U = np.fromiter(_reconstruction_slabs(sol), count=sol.partition.n_slabs,
+                    dtype=(float, (sol.degree + 2, sol.u.shape[2])))
+    return SpaceTimeSolution(sol.space, sol.partition, sol.degree + 1, U, None)
+
+
+def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
+             exact_grad=None, component="u"):
+    """Max-in-time spatial error against an exact space-time callback.
+
+    Each slab is sampled at ``samples_per_slab`` uniformly spaced times
+    (endpoints included); the spatial L2 norm (or weighted gradient seminorm,
+    kind="h1c") of the difference is maximized over all samples.  The
+    callbacks see all times of a slab at once, as t of shape (S, 1, 1).
+
+    Returns (global max, per-slab maxima).
+    """
+    if exact is None:
+        raise ConfigurationError("error sampling needs an exact solution callback")
+    if kind == "h1c" and exact_grad is None:
+        raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
+    if component == "v" and sol.v is None:
+        raise ConfigurationError("error sampling of v needs the velocity component")
+    per_slab = np.array([
+        np.max(spatial_norm(sol.space, kind, fe, _at(exact, ts), _at(exact_grad, ts), c))
+        for ts, fe in _sampled(sol.partition, samples_per_slab,
+                               sol.u if component == "u" else sol.v)])
+    return float(per_slab.max()), per_slab
+
+
 def sampled_gap(sol, xnorm):
     """Per slab, the largest spatial L2 norm of u* - u over the normalized
     times xnorm, u* the reconstruction u(., 0) + int_0^t v: the estimator's
     gap, sampled."""
-    star = wx.postprocessed_solution(sol)
+    star = postprocessed_solution(sol)
     M = wx.assemble(sol.space, "mass")
     gap = np.zeros(sol.partition.n_slabs)
     for n in range(sol.partition.n_slabs):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import (coeffs_on_slab, legendre_coeffs, legendre_derivative_matrix,
-                      to_normalized)
+from conftest import (coeffs_on_slab, error_C0, legendre_coeffs,
+                      legendre_derivative_matrix, postprocessed_solution, to_normalized)
 from test_timebasis import _assemble_global_endpoint_projection, _legendre
 from wavext.cli import parse_config, run_experiment
 from wavext.estimator import gap_constant
@@ -211,7 +211,7 @@ def _gap_bound_ratios(space, sols):
     M = wx.assemble(space, "mass")
     worst_by_q = {}
     for (q, _), sol in sols.items():
-        star = wx.postprocessed_solution(sol)
+        star = postprocessed_solution(sol)
         for n in range(sol.partition.n_slabs):
             slab = sol.partition.slab(n)
             tau = slab[1] - slab[0]
@@ -285,7 +285,7 @@ def estimator_smooth_study():
         for n_slabs in (8, 16, 32, 64):
             disc = wx.Discretization(space, wx.uniform_time_partition(1.0, n_slabs), q=q)
             sol = wx.solve(prob, disc)
-            err, _ = wx.error_C0(sol, prob.exact_u, "l2", 11)
+            err, _ = error_C0(sol, prob.exact_u, "l2", 11)
             br = wx.compute_estimator(sol, prob.f, prob.c)
             out[(q, n_slabs)] = (err, br)
     return out
@@ -319,7 +319,7 @@ def test_criterion_9_estimator_rate_tracking():
     for n_slabs in (8, 16, 32, 64):
         disc = wx.Discretization(space, wx.uniform_time_partition(1.0, n_slabs), q=2)
         sol = wx.solve(prob, disc)
-        err, _ = wx.error_C0(sol, prob.exact_u, "l2", 11)
+        err, _ = error_C0(sol, prob.exact_u, "l2", 11)
         br = wx.compute_estimator(sol, prob.f, prob.c,
                                   singular_at_zero=prob.singular_at_zero)
         errs.append(err)

@@ -88,11 +88,27 @@ def test_main_exit_codes(tmp_path):
     "problem = inline\nu = z*t\n",
     "problem = inline\nu = foo(x)*t\n",
     "problem = inline\nu = 1/0\n",
+    "q = 13\n",
+    "q = 0\n",
+    "q = 1\nq = 13\n",
+    "problem = nosuch\n",
+    "problem = estimator-poly\npsi = t0.5\n",
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
+    # every value is checked before the output directory is made
     path = write(tmp_path, "bad.cfg", "mesh = 2\n" + text)
-    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unusable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["solve", "--out", str(out)]) == 2
+        assert "configuration error: cannot create output directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau", ["1e-320", "0.3"])

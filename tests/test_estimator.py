@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import sampled_gap, small_homogeneous_run
+from conftest import error_C0, sampled_gap, small_homogeneous_run
 from wavext.estimator import (_source_defects, best_approx_constant,
                               compute_estimator, effectivity_index,
                               estimator_constants, gap_constant)
-from wavext.fem import FEFunction
+from wavext.fem import BrokenField
 from wavext.solver import SpaceTimeSolution
 from wavext.timebasis import abs_legendre_integral, gauss_rule, legendre_table
 
@@ -128,7 +128,7 @@ def test_reliability_single_cell():
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
     disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 16), q=1)
     sol = wx.solve(prob, disc)
-    err, _ = wx.error_C0(sol, prob.exact_u, "l2", 11)
+    err, _ = error_C0(sol, prob.exact_u, "l2", 11)
     br = compute_estimator(sol, prob.f, prob.c)
     assert err <= br.total
     eff = effectivity_index(br.eta, err)
@@ -141,7 +141,7 @@ def test_reliability_on_nonuniform_partition():
     part = wx.TimePartition(np.array([0.0, 0.1, 0.3, 0.45, 0.7, 1.0]))
     disc = wx.Discretization(space, part, q=2)
     sol = wx.solve(prob, disc)
-    err, _ = wx.error_C0(sol, prob.exact_u, "l2", 11)
+    err, _ = error_C0(sol, prob.exact_u, "l2", 11)
     br = compute_estimator(sol, prob.f, prob.c)
     assert err <= br.total
     assert br.total == br.eta + br.osc_f
@@ -219,8 +219,8 @@ def _estimator_per_slab(sol, f, c, singular_at_zero):
         u_top = 0.5 * sol.u[n, q]
         v_defect[n] = math.sqrt(max(tau / (2 * q + 1) * float(v_top @ (M @ v_top)), 0.0))
         wgt = float(abs_legendre_integral(q, tau))
-        lap_u[n] = wx.broken_laplacian(FEFunction(space, u_top)).l2_norm() * wgt
-        lap_v[n] = wx.broken_laplacian(FEFunction(space, v_top)).l2_norm() * wgt
+        lap_u[n] = BrokenField(space, u_top).l2_norm() * wgt
+        lap_v[n] = BrokenField(space, v_top).l2_norm() * wgt
     f_defect = _source_defects_per_time(sol, f, singular_at_zero)
     cq, cpi, weight = estimator_constants(q, q - 1)
     lengths = partition.lengths

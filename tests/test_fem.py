@@ -7,8 +7,8 @@ import pytest
 import wavext as wx
 from conftest import evaluate
 from wavext import reference
-from wavext.fem import (BrokenField, FEFunction, _gradient_load, broken_laplacian,
-                        local_matrices, spatial_norm)
+from wavext.fem import (BrokenField, FEFunction, _gradient_load, local_matrices,
+                        spatial_norm)
 from wavext.mesh import build_structured_mesh
 
 
@@ -201,9 +201,9 @@ def test_broken_laplacian_values():
     # Delta(x^2 + y^2) = 4 on the unit square, so the L2 norm is 4
     sp = wx.build_space(build_structured_mesh(2, 2), 2)
     fn = wx.interpolate_nodal(sp, lambda x, y: x ** 2 + y ** 2)
-    assert abs(broken_laplacian(fn).l2_norm() - 4.0) <= 1e-10
+    assert abs(BrokenField(sp, fn.values).l2_norm() - 4.0) <= 1e-10
     lin = wx.interpolate_nodal(sp, lambda x, y: 1 + 2 * x - y)
-    assert broken_laplacian(lin).l2_norm() <= 1e-11
+    assert BrokenField(sp, lin.values).l2_norm() <= 1e-11
 
 
 def test_broken_laplacian_quartic_profile():
@@ -211,15 +211,7 @@ def test_broken_laplacian_quartic_profile():
     # norm over (-1, 1)^2 is 4 (2 * 32/15 + 2 * (4/3)^2) = 1408/45
     sp = wx.build_space(build_structured_mesh(2, 2, (-1, 1, -1, 1)), 4)
     fn = wx.interpolate_nodal(sp, lambda x, y: (1 - x ** 2) * (1 - y ** 2))
-    assert abs(broken_laplacian(fn).l2_norm() - np.sqrt(1408 / 45)) <= 1e-10
-
-
-def test_broken_laplacian_p1_warns():
-    sp = wx.build_space(build_structured_mesh(2, 2), 1)
-    fn = wx.interpolate_nodal(sp, lambda x, y: x)
-    with pytest.warns(UserWarning):
-        field = broken_laplacian(fn)
-    assert field.l2_norm() <= 1e-13
+    assert abs(BrokenField(sp, fn.values).l2_norm() - np.sqrt(1408 / 45)) <= 1e-10
 
 
 def test_spatial_norm_values():
@@ -451,11 +443,10 @@ def test_broken_laplacian_matches_per_cell_oracle(p):
     if p == 1:
         # the reference Hessians of a degree-1 basis vanish identically
         assert _broken_laplacian_oracle(fn) == 0.0
-        with pytest.warns(UserWarning):
-            assert broken_laplacian(fn).l2_norm() == 0.0
+        assert BrokenField(sp, fn.values).l2_norm() == 0.0
         return
     expect = _broken_laplacian_oracle(fn)
-    assert abs(broken_laplacian(fn).l2_norm() - expect) <= 1e-13 * expect
+    assert abs(BrokenField(sp, fn.values).l2_norm() - expect) <= 1e-13 * expect
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])

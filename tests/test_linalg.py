@@ -3,18 +3,18 @@ import pytest
 from scipy import sparse
 
 from wavext.errors import SolverFailure
-from wavext.linalg import Factorization, compressed, solve_spd
+from wavext.linalg import Factorization, compressed
 
 
 def test_identity():
     A = sparse.eye(5, format="csr")
     b = np.arange(5.0)
-    assert np.allclose(solve_spd(A, b), b)
+    assert np.allclose(Factorization(A).solve(b), b)
 
 
 def test_small_spd_hand_solve():
     A = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = solve_spd(A, np.array([3.0, 3.0]))
+    x = Factorization(A).solve(np.array([3.0, 3.0]))
     assert x == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
@@ -35,7 +35,7 @@ def test_random_spd_residual_contract(seed):
     B = rng.normal(size=(50, 50))
     A = sparse.csr_matrix(B.T @ B + np.eye(50))
     b = rng.normal(size=50)
-    x = solve_spd(A, b)
+    x = Factorization(A).solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 

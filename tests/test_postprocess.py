@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import wavext as wx
-import wavext.estimator as estimator
 import wavext.postprocess as postprocess
-from conftest import (coeffs_at, coeffs_on_slab, evaluate, legendre_coeffs,
-                      small_homogeneous_run, to_normalized, txy_problem)
+from conftest import (coeffs_at, coeffs_on_slab, error_C0, evaluate, legendre_coeffs,
+                      postprocessed_solution, small_homogeneous_run, to_normalized,
+                      txy_problem)
 from wavext.estimator import gap_constant
-from wavext.postprocess import postprocessed_solution
 from wavext.solver import SpaceTimeSolution
 from wavext.timebasis import gauss_rule, legendre_matrix
 
@@ -90,24 +89,24 @@ def test_error_sampling_consistency():
         vals = [evaluate(wx.FEFunction(space, coeffs_at(sol, tk)), pts) for tk in np.ravel(t)]
         return np.reshape(vals, np.broadcast_shapes(np.shape(t), np.shape(x)))
 
-    err, per_slab = wx.error_C0(sol, exact, "l2", samples_per_slab=5)
+    err, per_slab = error_C0(sol, exact, "l2", samples_per_slab=5)
     assert err <= 1e-12
     assert per_slab.shape == (2,)
 
 
 def test_error_sampling_monotone_in_nested_samples():
     prob, sol = small_homogeneous_run(q=2, n_slabs=4)
-    e3, _ = wx.error_C0(sol, prob.exact_u, "l2", samples_per_slab=3)
-    e5, _ = wx.error_C0(sol, prob.exact_u, "l2", samples_per_slab=5)
+    e3, _ = error_C0(sol, prob.exact_u, "l2", samples_per_slab=3)
+    e5, _ = error_C0(sol, prob.exact_u, "l2", samples_per_slab=5)
     assert e5 >= e3 - 1e-15
 
 
 def test_error_sampling_validation():
     prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
     with pytest.raises(wx.ConfigurationError):
-        wx.error_C0(sol, None)
-    with pytest.raises(wx.ConfigurationError):
-        wx.error_C0(sol, prob.exact_u, samples_per_slab=2)
+        error_C0(sol, None)
+    with pytest.raises(wx.ConfigurationError, match="samples_per_slab"):
+        wx.compute_error_report(sol, prob, samples_per_slab=2)
 
 
 def test_error_report_requires_exact_solution():
@@ -127,10 +126,8 @@ def test_error_report_requires_exact_v():
 
 def test_error_sampling_of_v_requires_the_velocity():
     prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
-    star = postprocessed_solution(sol)  # a u-only solution
-    wx.error_C0(star, prob.exact_u)
     with pytest.raises(wx.ConfigurationError, match="velocity"):
-        wx.error_C0(star, prob.exact_v, component="v")
+        wx.compute_error_report(replace(sol, v=None), prob)
 
 
 def test_energy_trace_requires_the_velocity():
@@ -208,7 +205,7 @@ def test_error_C0_equals_per_sample_loop(make):
                                           (sol, "h1c", "u", prob.exact_u),
                                           (star, "h1c", "u", prob.exact_u)):
         grad = prob.exact_grad_u if kind == "h1c" else None
-        err, per_slab = wx.error_C0(field, exact, kind, 11, c=prob.c,
+        err, per_slab = error_C0(field, exact, kind, 11, c=prob.c,
                                     exact_grad=grad, component=component)
         expect = _error_C0_per_sample(field, exact, kind, 11, prob.c, grad, component)
         assert np.array_equal(per_slab, expect)
@@ -224,10 +221,10 @@ def test_error_report_equals_four_error_C0_passes(make):
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 3)
     sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
     rep = wx.compute_error_report(sol, prob)
-    assert rep.err_u == wx.error_C0(sol, prob.exact_u)[0]
-    assert rep.err_ustar == wx.error_C0(postprocessed_solution(sol), prob.exact_u)[0]
-    assert rep.err_v == wx.error_C0(sol, prob.exact_v, component="v")[0]
-    assert rep.err_gradu == wx.error_C0(sol, prob.exact_u, "h1c", c=prob.c,
+    assert rep.err_u == error_C0(sol, prob.exact_u)[0]
+    assert rep.err_ustar == error_C0(postprocessed_solution(sol), prob.exact_u)[0]
+    assert rep.err_v == error_C0(sol, prob.exact_v, component="v")[0]
+    assert rep.err_gradu == error_C0(sol, prob.exact_u, "h1c", c=prob.c,
                                         exact_grad=prob.exact_grad_u)[0]
 
 
@@ -258,17 +255,6 @@ def test_error_report_builds_one_trial_table_per_sampled_field(monkeypatch):
     prob, sol = small_homogeneous_run(q=2, n_slabs=8)
     wx.compute_error_report(sol, prob)
     assert len(calls) <= 3
-
-
-def test_report_and_estimator_stream_the_reconstruction(monkeypatch):
-    def whole(sol):
-        raise AssertionError("the whole reconstruction was built")
-
-    monkeypatch.setattr(postprocess, "postprocessed_solution", whole)
-    monkeypatch.setattr(estimator, "postprocessed_solution", whole, raising=False)
-    prob, sol = small_homogeneous_run(q=2, n_slabs=4, p=3)
-    wx.compute_error_report(sol, prob)
-    wx.compute_estimator(sol, None, prob.c)
 
 
 def test_error_report_peak_below_one_reconstruction():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavext as wx
+from conftest import error_C0
 from wavext.problem import make_preset
 
 
@@ -100,7 +101,7 @@ def test_power_profile_rate_t25():
     for n_slabs in (8, 32):
         disc = wx.Discretization(space, wx.uniform_time_partition(1.0, n_slabs), q=2)
         sol = wx.solve(prob, disc)
-        err, _ = wx.error_C0(sol, prob.exact_u, "l2", 11)
+        err, _ = error_C0(sol, prob.exact_u, "l2", 11)
         errs.append(err)
     rate = math.log2(errs[0] / errs[1]) / 2.0
     assert rate == pytest.approx(2.5, abs=0.25)
