@@ -165,9 +165,7 @@ def parse_config(path, experiment):
 def default_config(experiment):
     if experiment not in _DEFAULTS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
-    cfg = ExperimentConfig(experiment, **copy.deepcopy(_DEFAULTS[experiment]))
-    _validate(cfg)
-    return cfg
+    return ExperimentConfig(experiment, **copy.deepcopy(_DEFAULTS[experiment]))
 
 
 def _validate(cfg):
@@ -179,6 +177,8 @@ def _validate(cfg):
     for name, values in (("p", cfg.p), ("mesh", cfg.mesh), ("tau", cfg.tau)):
         if not values:
             raise ConfigurationError(f"{name} list must not be empty")
+    if len(set(cfg.p)) < len(cfg.p) or len(set(cfg.q)) < len(cfg.q):
+        raise ConfigurationError("p and q values must not repeat")
     if not all(0 < v < math.inf for v in cfg.tau + [cfg.t_final]):
         raise ConfigurationError("tau and T values must be positive and finite")
     for tau in cfg.tau:
@@ -417,12 +417,15 @@ def run_experiment(cfg, jobs=1, check=False):
     rows = [row for row, _ in done]
     log_lines += [f"  p={c['p']} q={c['q']} nx={c['nx']} tau={c['tau']} done in {secs:.2f}s"
                   for c, (_, secs) in zip(cells, done)]
-    csv_path = _write_results(rows, out_dir)
-    (out_dir / "rates.txt").write_text(_rates_report(cfg, rows))
-    log_lines.append(f"total {time.time() - start:.2f}s -> {csv_path}")
-    failures = _check(cfg, rows) if check else []
-    log_lines += [f"CHECK FAIL: {msg}" for msg in failures]
-    (out_dir / "run.log").write_text("\n".join(log_lines) + "\n")
+    try:  # a directory or a read-only file where an output goes
+        csv_path = _write_results(rows, out_dir)
+        (out_dir / "rates.txt").write_text(_rates_report(cfg, rows))
+        log_lines.append(f"total {time.time() - start:.2f}s -> {csv_path}")
+        failures = _check(cfg, rows) if check else []
+        log_lines += [f"CHECK FAIL: {msg}" for msg in failures]
+        (out_dir / "run.log").write_text("\n".join(log_lines) + "\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output in {out_dir}: {exc}") from exc
     for msg in failures:
         print(f"check failed: {msg}", file=sys.stderr)
     return 4 if failures else 0

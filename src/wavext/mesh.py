@@ -55,20 +55,12 @@ def build_structured_mesh(nx, ny, bbox=(0.0, 1.0, 0.0, 1.0)):
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            cells[k] = (v00, v10, v11)      # below the diagonal
-            cells[k + 1] = (v00, v11, v01)  # above the diagonal
-            k += 2
+    # per grid square, its lower-left vertex v00; v10 = v00 + 1,
+    # v01 = v00 + nx + 1, v11 = v00 + nx + 2
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    cells = np.stack([v00, v00 + 1, v00 + nx + 2,          # below the diagonal
+                      v00, v00 + nx + 2, v00 + nx + 1],    # above the diagonal
+                     axis=1).reshape(-1, 3)
 
     return Mesh(vertices, cells, (x_min, x_max, y_min, y_max), int(nx), int(ny))
 

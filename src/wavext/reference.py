@@ -3,11 +3,13 @@
 The reference cell is the unit triangle {(r, s): r, s >= 0, r + s <= 1}.
 Nodal Lagrange bases on the principal lattice are evaluated through a
 Bernstein backing basis, whose lattice collocation matrix stays well
-conditioned up to degree 10.
+conditioned up to degree 10.  Its tables come from index arithmetic on the
+multi-indices alpha: B_alpha = (p!/alpha!) lam^alpha, and
+dB_alpha/dlam_k = alpha_k (p!/alpha!) lam^(alpha - e_k) (Kirby 2011;
+Ainsworth, Andriamaro and Davydov 2011), applied twice for the Hessians.
 """
 
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -16,14 +18,11 @@ from numpy.polynomial.legendre import leggauss
 def lattice_multi_indices(p):
     """Barycentric integer triples (c1, c2, c3) with c1+c2+c3 = p.
 
-    The ordering (outer loop over c3, inner over c2) fixes the local DOF
+    The ordering (by c3, then by c2, both ascending) fixes the local DOF
     numbering used everywhere else.
     """
-    out = []
-    for c3 in range(p + 1):
-        for c2 in range(p + 1 - c3):
-            out.append((p - c2 - c3, c2, c3))
-    return np.asarray(out, dtype=np.int64)
+    c3, c2 = np.nonzero(np.add.outer(np.arange(p + 1), np.arange(p + 1)) <= p)
+    return np.column_stack([p - c2 - c3, c2, c3])
 
 
 def lattice_points(p):
@@ -39,57 +38,40 @@ def _bernstein_tables(p, rs, order):
     vals has shape (npts, nb); grads (npts, nb, 2); hessians (npts, nb, 2, 2).
     """
     rs = np.asarray(rs, dtype=float)
-    npts = rs.shape[0]
-    lam = np.empty((npts, 3))
-    lam[:, 0] = 1.0 - rs[:, 0] - rs[:, 1]
-    lam[:, 1] = rs[:, 0]
-    lam[:, 2] = rs[:, 1]
+    lam = np.column_stack([1.0 - rs[:, 0] - rs[:, 1], rs[:, 0], rs[:, 1]])
 
-    # lam powers 0..p, guarded so that 0**0 == 1 and negative powers never occur
-    pw = np.ones((3, p + 1, npts))
+    # lam powers 0..p, so that 0**0 == 1
+    pw = np.ones((3, p + 1, len(rs)))
     for k in range(1, p + 1):
         pw[:, k] = pw[:, k - 1] * lam.T
 
     multi = lattice_multi_indices(p)
-    nb = len(multi)
-    coef = np.array([factorial(p) / (factorial(a) * factorial(b) * factorial(c))
-                     for a, b, c in multi])
+    fact = np.cumprod(np.arange(p + 1).clip(1))  # 0!, 1!, ..., p!
+    coef = fact[p] / fact[multi].prod(axis=1)
+    eye = np.eye(3, dtype=np.int64)
 
-    def mono(e):
-        """prod_k lam_k**e_k with the convention that a negative exponent kills
-        the term (caller multiplies by the exponent, which is then zero)."""
-        out = np.ones(npts)
-        for k in range(3):
-            ek = e[k]
-            if ek < 0:
-                return np.zeros(npts)
-            out = out * pw[k, ek]
+    def table(e, fac):
+        """fac * prod_k lam_k**e_k over exponent triples e (..., 3), points
+        first.  A negative exponent comes with fac == 0, so clipping it to 0
+        keeps the term 0."""
+        e = np.maximum(e, 0)
+        out = np.take(pw[0].T, e[..., 0], axis=1)
+        out *= np.take(pw[1].T, e[..., 1], axis=1)
+        out *= np.take(pw[2].T, e[..., 2], axis=1)
+        out *= fac
         return out
 
-    vals = np.empty((npts, nb))
-    for i, e in enumerate(multi):
-        vals[:, i] = coef[i] * mono(e)
-
-    grads = None
-    hess = None
+    vals = table(multi, coef)
+    grads = hess = None
     if order >= 1:
-        dlam = np.empty((npts, nb, 3))
-        for i, e in enumerate(multi):
-            for k in range(3):
-                dlam[:, i, k] = coef[i] * e[k] * mono(e - np.eye(3, dtype=int)[k])
+        dlam = table(multi[:, None] - eye, coef[:, None] * multi)
         # chain rule: lam = (1-r-s, r, s)
-        grads = np.empty((npts, nb, 2))
-        grads[:, :, 0] = dlam[:, :, 1] - dlam[:, :, 0]
-        grads[:, :, 1] = dlam[:, :, 2] - dlam[:, :, 0]
+        grads = np.stack([dlam[..., 1] - dlam[..., 0], dlam[..., 2] - dlam[..., 0]], axis=-1)
     if order >= 2:
-        d2 = np.empty((npts, nb, 3, 3))
-        eye = np.eye(3, dtype=int)
-        for i, e in enumerate(multi):
-            for k in range(3):
-                for m in range(3):
-                    fac = e[k] * (e[k] - 1) if k == m else e[k] * e[m]
-                    d2[:, i, k, m] = coef[i] * fac * mono(e - eye[k] - eye[m])
-        hess = np.empty((npts, nb, 2, 2))
+        # alpha_k (alpha_m - delta_km) as integers first, so a zero is +0.0
+        d2 = table(multi[:, None, None] - eye[:, None] - eye,
+                   coef[:, None, None] * (multi[:, :, None] * (multi[:, None] - eye)))
+        hess = np.empty(d2.shape[:2] + (2, 2))
         hess[:, :, 0, 0] = d2[:, :, 1, 1] - 2 * d2[:, :, 0, 1] + d2[:, :, 0, 0]
         hess[:, :, 1, 1] = d2[:, :, 2, 2] - 2 * d2[:, :, 0, 2] + d2[:, :, 0, 0]
         hess[:, :, 0, 1] = d2[:, :, 1, 2] - d2[:, :, 0, 1] - d2[:, :, 0, 2] + d2[:, :, 0, 0]

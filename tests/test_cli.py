@@ -93,6 +93,8 @@ def test_main_exit_codes(tmp_path):
     "q = 1\nq = 13\n",
     "problem = nosuch\n",
     "problem = estimator-poly\npsi = t0.5\n",
+    "p = 1\np = 1\n",
+    "q = 1\nq = 1\n",
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     # every value is checked before the output directory is made
@@ -109,6 +111,16 @@ def test_unusable_out_exits_2(tmp_path, capsys):
     for out in (blocker, blocker / "sub"):
         assert main(["solve", "--out", str(out)]) == 2
         assert "configuration error: cannot create output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["results.csv", "rates.txt", "run.log"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, name):
+    # checked only when the outputs are written, after the cells have run
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    path = write(tmp_path, "s.cfg", "p = 1\nmesh = 2\ntau = 0.5\n")
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"configuration error: cannot write output in {out}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau", ["1e-320", "0.3"])
@@ -350,10 +362,11 @@ def test_inline_problem_roundtrip(tmp_path):
 
 
 def test_default_configs_valid():
-    for name in ("converge-h", "converge-tau", "converge-pq", "estimate",
-                 "solve", "energy"):
+    # main runs default_config unvalidated when no --config is given
+    for name in EXPERIMENTS:
         cfg = default_config(name)
         assert cfg.experiment == name
+        cli._validate(cfg)
 
 
 #: A 4-cell converge-tau study: 2 q x 2 tau on one space.

@@ -87,3 +87,31 @@ def test_invalid_arguments():
         build_structured_mesh(2, 2, (0.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         build_structured_mesh(2.5, 2)
+
+
+def cells_loops(nx, ny):
+    """Oracle: the per-square loop that the index arithmetic replaces."""
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    cells = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    k = 0
+    for j in range(ny):
+        for i in range(nx):
+            v00 = vid(i, j)
+            v10 = vid(i + 1, j)
+            v01 = vid(i, j + 1)
+            v11 = vid(i + 1, j + 1)
+            cells[k] = (v00, v10, v11)
+            cells[k + 1] = (v00, v11, v01)
+            k += 2
+    return cells
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3, 5, 8, 19])
+@pytest.mark.parametrize("ny", [1, 2, 4, 7])
+def test_cells_match_loops(nx, ny):
+    cells = build_structured_mesh(nx, ny).cells
+    want = cells_loops(nx, ny)
+    assert cells.dtype == want.dtype and np.array_equal(cells, want)
+    assert np.array_equal(build_structured_mesh(np.int64(nx), ny).cells, want)
