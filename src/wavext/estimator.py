@@ -72,32 +72,38 @@ class EstimatorBreakdown:
 
 def _source_defects(sol, f, singular_at_zero):
     """Per-slab L1-in-time norms of the spatial L2 norm of (f - its slabwise
-    degree-(q-1) temporal L2 projection)."""
-    space = sol.space
-    q = sol.degree
+    degree-(q-1) temporal L2 projection), from one evaluation of f per rule
+    and block of slabs (the graded slab 0 is a block of its own)."""
+    space, partition, q = sol.space, sol.partition, sol.degree
     qd = space.quad_data(space.norm_degree())
     X = qd["pts"][..., 0].ravel()
     Y = qd["pts"][..., 1].ravel()
     wsp = qd["wdet"].ravel()
-    out = np.zeros(sol.partition.n_slabs)
-    n_outer = max(q + 4, 8)
-    for n in range(sol.partition.n_slabs):
-        slab = sol.partition.slab(n)
-        tau = slab[1] - slab[0]
-        graded = singular_at_zero and n == 0
-        tp, wp = gauss_rule(q + 6, slab, graded)
-        fv_p = np.broadcast_to(f(X, Y, tp[:, None]), (len(tp), X.size))
-        Pp = legendre_table(q - 1, q + 6, graded)
-        scale = (2.0 * np.arange(q) + 1.0) / tau
-        proj = scale[:, None] * ((Pp * wp) @ fv_p)  # (q, n_space_pts)
-        to_, wo = gauss_rule(n_outer, slab, graded)
-        Po = legendre_table(q - 1, n_outer, graded)
+    out = np.zeros(partition.n_slabs)
+    n_proj, n_outer = q + 6, max(q + 4, 8)
+    scale = 2.0 * np.arange(q) + 1.0
+
+    def sampled(npts, block, graded):
+        """Weights per slab (B, nt) and f at the times, (B, nt, P), of the
+        npts-point rule on each slab of a block."""
+        tw = [gauss_rule(npts, partition.slab(n), graded) for n in block]
+        ts, ws = (np.stack(a) for a in zip(*tw))
+        fv = np.broadcast_to(f(X, Y, ts.reshape(-1, 1)), (ts.size, X.size))
+        return ws, fv.reshape(len(block), -1, X.size)
+
+    for block in partition.blocks(max(n_proj, n_outer) * X.size, singular_at_zero):
+        graded = singular_at_zero and block.start == 0
+        wp, fv_p = sampled(n_proj, block, graded)
+        Pp = legendre_table(q - 1, n_proj, graded)
+        tau = np.array([b - a for a, b in map(partition.slab, block)])
+        proj = (scale / tau[:, None])[..., None] * ((Pp * wp[:, None]) @ fv_p)  # (B, q, P)
         # at q = 2 both rules are the same 8 points
-        fv_o = fv_p if n_outer == q + 6 else f(X, Y, to_[:, None])
+        wo, fv_o = (wp, fv_p) if n_outer == n_proj else sampled(n_outer, block, graded)
+        Po = legendre_table(q - 1, n_outer, graded)
         # one vector-matrix product per node and a sum in node order: a single
         # gemm, or a pairwise sum, would round differently
-        defect = fv_o - (Po.T[:, None] @ proj)[:, 0]
-        out[n] = np.cumsum(wo * np.sqrt(np.sum(wsp * defect ** 2, axis=1)))[-1]
+        defect = fv_o - (Po.T[:, None] @ proj[:, None])[:, :, 0]
+        out[block] = np.cumsum(wo * np.sqrt(np.sum(wsp * defect ** 2, axis=-1)), axis=-1)[:, -1]
     return out
 
 

@@ -303,20 +303,26 @@ class BrokenField:
 # norms
 
 
-def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0):
+def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0, times=None):
     """L2 norm or weighted H1 seminorm of (exact - fe) over the domain.
 
     Parameters
     ----------
     kind : "l2" or "h1c" (the latter is sqrt(int c^2 |grad .|^2)).
     fe : coefficient vector or FEFunction, a stack (S, n_dofs) of S
-        coefficient vectors, or None.
+        coefficient vectors, or None; with ``times``, coefficient rows
+        (..., R, n_dofs).
     exact : callback exact(x, y), or None; the norm is of the difference.
-        Its values may carry a leading axis of S samples, (S, nc, nq).
+        Its values may carry leading axes, (..., S, nc, nq), that broadcast
+        against the samples of fe.
     exact_grad : callback (x, y) -> (dx, dy), required for "h1c" with exact.
+    times : a temporal table (S, R), or None.  Sample s of fe is then
+        sum_r times[s, r] fe[..., r, :], the trial expansion of the rows
+        at S sample times: each row meets the spatial tables once, and
+        the table is applied to the products, giving (..., S) norms.
 
-    Returns a float, or the S norms when fe or the callback values carry a
-    sample axis.
+    Returns a float, or the norms over the sample axes of fe and of the
+    callback values.
     """
     qd = space.quad_data(space.norm_degree())
     X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
@@ -334,18 +340,24 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0):
         fe = np.zeros(space.n_dofs)
     coeffs = fe.values if isinstance(fe, FEFunction) else np.asarray(fe, dtype=float)
     cells = coeffs[..., space.cell_dofs]
-    at = lambda table: cells @ np.ascontiguousarray(table).T  # BLAS, one product per sample
+    at = lambda table: cells @ np.ascontiguousarray(table).T  # BLAS, one product per row
+    # d_k u = sum_m jacinv[c, m, k] R_m, R_m the reference derivatives; rows
+    # under a temporal table are few, so both k reuse their R_m
+    J = space.jacinv
+    ref = None if kind == "l2" or times is None else [at(qd["gref"][..., m]) for m in (0, 1)]
     sq = None
     for k in range(len(targets)):
         target, targets[k] = targets[k], None  # hold one callback value at a time
         if kind == "l2":
             diff = at(qd["val"])
         else:
-            # d_k u = sum_m jacinv[c, m, k] R_m, R_m the reference derivatives
-            diff, r1 = (at(qd["gref"][..., m]) for m in (0, 1))
-            diff *= space.jacinv[:, 0, k, None]
-            diff += np.multiply(r1, space.jacinv[:, 1, k, None], out=r1)
-            del r1
+            r0, r1 = ref or (at(qd["gref"][..., m]) for m in (0, 1))
+            diff = np.multiply(r0, J[:, 0, k, None], out=None if ref else r0)
+            diff += np.multiply(r1, J[:, 1, k, None], out=None if ref else r1)
+            del r0, r1
+        if times is not None:
+            *lead, rows, nc, nq = diff.shape
+            diff = (times @ diff.reshape(*lead, rows, nc * nq)).reshape(*lead, -1, nc, nq)
         if target is not None:
             diff = np.subtract(target, diff, out=diff if diff.ndim >= np.ndim(target) else None)
         np.square(diff, out=diff)

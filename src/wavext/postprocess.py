@@ -9,31 +9,6 @@ from .fem import assemble, spatial_norm
 from .timebasis import trial_matrix, trial_to_legendre
 
 
-def _reconstruction_slabs(sol):
-    """Yield the slabs (q+2, n_dofs) of the reconstruction u(., 0) + int_0^t v."""
-    T = trial_to_legendre(sol.degree)
-    scale = 2.0 * np.arange(sol.degree + 1) + 1.0
-    left = sol.u[0, 0]
-    for tau, v in zip(sol.partition.lengths, sol.v):
-        rise = (tau / scale)[:, None] * np.tensordot(T, v, axes=(1, 0))
-        yield np.vstack((left, rise))
-        left = left + rise[0]
-
-
-def _sampled(partition, samples_per_slab, *tensors):
-    """Per slab, the times (S, 1, 1) of S uniform samples, endpoints included,
-    and each trial tensor's values (S, n_dofs) there.  A tensor is an array
-    or an iterable of slabs; its trial table is built once, from its first slab."""
-    if samples_per_slab < 3:
-        raise ConfigurationError("samples_per_slab must be at least 3")
-    xs = np.linspace(-1.0, 1.0, samples_per_slab)
-    sigs = None
-    for a, b, *slabs in zip(partition.nodes, partition.nodes[1:], *tensors):
-        sigs = sigs or [trial_matrix(len(slab) - 1, xs) for slab in slabs]
-        ts = (a + (xs + 1.0) * (b - a) / 2.0)[:, None, None]
-        yield (ts, *(np.tensordot(sig, slab, axes=(0, 0)) for sig, slab in zip(sigs, slabs)))
-
-
 def _at(callback, ts):
     """The space-time callback at the sample times ts, as a callback of (x, y)."""
     return lambda x, y: callback(x, y, ts)
@@ -51,21 +26,46 @@ class ErrorReport:
 
 def compute_error_report(sol, problem, samples_per_slab=11):
     """All four error quantities against the problem's exact solution, from
-    one walk over the slabs of u, its reconstruction and v."""
+    one walk over blocks of slabs of u, its reconstruction u* = u(., 0) +
+    int_0^t v and v, each sampled at samples_per_slab uniform times per
+    slab, endpoints included.
+
+    u* is built one block at a time, never stored whole: on slab n its q+2
+    trial rows are its left-endpoint value, summed slab after slab, and the
+    rise (tau_n/(2j+1)) (T v_n)_j, T = trial_to_legendre(q).
+    """
     if sol.v is None:
         raise ConfigurationError("the error report needs the velocity component")
     if not problem.has_exact():
         raise ConfigurationError(f"problem {problem.name!r} carries no exact solution")
     if problem.exact_grad_u is None or problem.exact_v is None:
         raise ConfigurationError("the error report needs exact_grad_u and exact_v")
+    if samples_per_slab < 3:
+        raise ConfigurationError("samples_per_slab must be at least 3")
+    space, nodes, q = sol.space, sol.partition.nodes, sol.degree
+    xs = np.linspace(-1.0, 1.0, samples_per_slab)
+    sig, sig_star = trial_matrix(q, xs).T, trial_matrix(q + 1, xs).T
+    T = trial_to_legendre(q)
+    scale = 2.0 * np.arange(q + 1) + 1.0
+    n_points = space.quad_data(space.norm_degree())["wdet"].size
+    left = sol.u[0, 0]
     err = np.zeros(4)
-    for ts, u, ustar, v in _sampled(sol.partition, samples_per_slab,
-                                    sol.u, _reconstruction_slabs(sol), sol.v):
+    for block in sol.partition.blocks(samples_per_slab * n_points):
+        n = slice(block.start, block.stop)
+        a, b = nodes[n, None], nodes[1:][n, None]
+        ts = (a + (xs + 1.0) * (b - a) / 2.0)[..., None, None]
+        # u and u* under one table: u's rows padded with a zero top row
+        rows = np.zeros((2, len(block), q + 2, space.n_dofs))
+        rows[0, :, :-1] = sol.u[n]
+        rows[1, :, 1:] = ((b - a) / scale)[..., None] * (T @ sol.v[n])
+        lefts = np.cumsum(np.concatenate((left[None], rows[1, :, 1])), axis=0)
+        rows[1, :, 0], left = lefts[:-1], lefts[-1]
         exact_u = _at(problem.exact_u, ts)  # one evaluation serves u and u*
-        e_u = spatial_norm(sol.space, "l2", np.stack((u, ustar)), exact_u)
-        e_v = spatial_norm(sol.space, "l2", v, _at(problem.exact_v, ts))
-        e_g = spatial_norm(sol.space, "h1c", u, exact_u, _at(problem.exact_grad_u, ts), problem.c)
-        err = np.maximum(err, [*e_u.max(axis=1), e_v.max(), e_g.max()])
+        e_u = spatial_norm(space, "l2", rows, exact_u, times=sig_star)
+        e_v = spatial_norm(space, "l2", sol.v[n], _at(problem.exact_v, ts), times=sig)
+        e_g = spatial_norm(space, "h1c", sol.u[n], exact_u, _at(problem.exact_grad_u, ts),
+                           problem.c, times=sig)
+        err = np.maximum(err, [*e_u.max(axis=(1, 2)), e_v.max(), e_g.max()])
     return ErrorReport(*map(float, err))
 
 
@@ -75,12 +75,14 @@ def energy_trace(sol, c=1.0):
         raise ConfigurationError("the energy needs the velocity component")
     M = assemble(sol.space, "mass")
     K = assemble(sol.space, "stiffness", c)
-    out = np.empty(sol.partition.n_slabs + 1)
-    for n in range(sol.partition.n_slabs + 1):
-        u = sol.endpoint(n, "u")
-        v = sol.endpoint(n, "v")
-        out[n] = 0.5 * (v @ (M @ v) + u @ (K @ u))
-    return out
+    energy = 0.0
+    for A, tensor in ((M, sol.v), (K, sol.u)):
+        # all N+1 node states, one sparse product; the stacked dot products
+        # keep each node's BLAS dot, which a C-ordered right operand needs
+        x = np.concatenate((tensor[:1, 0], tensor[:, 0] + tensor[:, 1]))
+        Ax = np.ascontiguousarray((A @ x.T).T)
+        energy = energy + (x[:, None] @ Ax[..., None]).ravel()
+    return 0.5 * energy
 
 
 def convergence_rates(resolutions, errors):

@@ -67,6 +67,8 @@ class SpaceTimeSolution:
 
     def endpoint(self, n, component="u"):
         """Coefficients at partition node t_n, n = 0..n_slabs."""
+        if not 0 <= n <= self.partition.n_slabs:
+            raise IndexError(f"node {n} outside 0..{self.partition.n_slabs}")
         tensor = self.u if component == "u" else self.v
         if n == 0:
             return tensor[0, 0]
@@ -201,6 +203,11 @@ class SlabWorkspace:
         lam, self._S, self._Sinv, pairs = temporal_eigensplit(self.q)
         self._lam, self._real = lam, ~pairs
         self._tau_key = self._modes = self.Nm = None
+        # the source is evaluated once per block of slabs, at all its Gauss times
+        self._npts = max(self.q + 3, 6)
+        n_points = space.quad_data(space.norm_degree())["wdet"].size
+        self._load_blocks = self.partition.blocks(self._npts * n_points, problem.singular_at_zero)
+        self._load_block, self._loads = range(0), None
 
     def system(self, tau):
         """Factorize the modes for slab length tau unless the last call's length
@@ -237,18 +244,25 @@ class SlabWorkspace:
 
     def load_moments(self, n):
         """Temporal moments of the interior load: (q, n_interior) array of
-        int (f, L_i phi_k) dt over slab n, or None for a zero source."""
+        int (f, L_i phi_k) dt over slab n, or None for a zero source.  They
+        come from one evaluation of f per block of slabs (the graded slab 0
+        is a block of its own), and the last block's moments are kept."""
         problem = self.problem
         if problem.f is None:
             return None
-        npts = max(self.q + 3, 6)
-        graded = problem.singular_at_zero and n == 0
-        ts, ws = gauss_rule(npts, self.partition.slab(n), graded)
-        tst = legendre_table(self.q - 1, npts, graded)
-        loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts[:, None, None]))
-        loads = np.broadcast_to(loads, (len(ts), self.space.n_dofs))[:, self.I]
-        # C order: BLAS then sums the product as it does for stacked rows
-        return (tst * ws) @ np.ascontiguousarray(loads)
+        if n not in self._load_block:
+            block = next(b for b in self._load_blocks if n in b)
+            graded = problem.singular_at_zero and block.start == 0
+            rules = [gauss_rule(self._npts, self.partition.slab(k), graded) for k in block]
+            ts = np.concatenate([t for t, _ in rules])
+            ws = np.stack([w for _, w in rules])[:, None, :]
+            tst = legendre_table(self.q - 1, self._npts, graded)
+            loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts[:, None, None]))
+            loads = np.broadcast_to(loads, (len(ts), self.space.n_dofs))[:, self.I]
+            # C order: BLAS then sums each slab's product as it does for stacked rows
+            loads = np.ascontiguousarray(loads).reshape(len(block), -1, len(self.I))
+            self._load_block, self._loads = block, (tst * ws) @ loads
+        return self._loads[n - self._load_block.start]
 
 
 def solve_slab(prev_u, prev_v, n, workspace, lifting):

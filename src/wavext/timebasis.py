@@ -30,6 +30,11 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 
+#: Point values (callback values at space-time points) that a blocked
+#: evaluation over several slabs holds in one array: 2^13 floats, 64 KB.
+BLOCK_VALUES = 2 ** 13
+
+
 @dataclass(frozen=True)
 class TimePartition:
     """Strictly increasing time nodes t_0 = 0 < t_1 < ... < t_N = T."""
@@ -56,6 +61,16 @@ class TimePartition:
 
     def slab(self, n):
         return float(self.nodes[n]), float(self.nodes[n + 1])
+
+    def blocks(self, values_per_slab, first_alone=False):
+        """Consecutive ranges of slabs, as many per range as keep an
+        evaluation of values_per_slab point values per slab within
+        BLOCK_VALUES, and never less than one; with first_alone, slab 0
+        (which a graded rule fills with more points) is a range of its own."""
+        first = int(first_alone)
+        size = max(1, BLOCK_VALUES // values_per_slab)
+        return [range(0, 1)] * first + [range(a, min(a + size, self.n_slabs))
+                                        for a in range(first, self.n_slabs, size)]
 
 
 def uniform_time_partition(t_final, n_slabs):

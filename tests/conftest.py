@@ -6,7 +6,7 @@ import wavext as wx
 from wavext import reference
 from wavext.errors import ConfigurationError
 from wavext.fem import spatial_norm
-from wavext.postprocess import _at, _reconstruction_slabs, _sampled
+from wavext.postprocess import _at
 from wavext.solver import SpaceTimeSolution
 from wavext.timebasis import trial_matrix, trial_to_legendre
 
@@ -80,6 +80,31 @@ def coeffs_on_slab(sol, n, xnorm, component="u"):
     tensor = sol.u if component == "u" else sol.v
     sig = trial_matrix(sol.degree, np.asarray(xnorm, dtype=float))
     return np.tensordot(sig, tensor[n], axes=(0, 0))
+
+
+def _reconstruction_slabs(sol):
+    """Yield the slabs (q+2, n_dofs) of the reconstruction u(., 0) + int_0^t v."""
+    T = trial_to_legendre(sol.degree)
+    scale = 2.0 * np.arange(sol.degree + 1) + 1.0
+    left = sol.u[0, 0]
+    for tau, v in zip(sol.partition.lengths, sol.v):
+        rise = (tau / scale)[:, None] * np.tensordot(T, v, axes=(1, 0))
+        yield np.vstack((left, rise))
+        left = left + rise[0]
+
+
+def _sampled(partition, samples_per_slab, *tensors):
+    """Per slab, the times (S, 1, 1) of S uniform samples, endpoints included,
+    and each trial tensor's values (S, n_dofs) there.  A tensor is an array
+    or an iterable of slabs; its trial table is built once, from its first slab."""
+    if samples_per_slab < 3:
+        raise ConfigurationError("samples_per_slab must be at least 3")
+    xs = np.linspace(-1.0, 1.0, samples_per_slab)
+    sigs = None
+    for a, b, *slabs in zip(partition.nodes, partition.nodes[1:], *tensors):
+        sigs = sigs or [trial_matrix(len(slab) - 1, xs) for slab in slabs]
+        ts = (a + (xs + 1.0) * (b - a) / 2.0)[:, None, None]
+        yield (ts, *(np.tensordot(sig, slab, axes=(0, 0)) for sig, slab in zip(sigs, slabs)))
 
 
 def postprocessed_solution(sol):

@@ -183,10 +183,12 @@ def test_source_defects_equal_per_time_loop(psi, q):
                           _source_defects_per_time(sol, prob.f, prob.singular_at_zero))
 
 
-@pytest.mark.parametrize("q, calls_per_slab", [(1, 2), (2, 1), (3, 2)])
-def test_source_evaluated_once_per_slab_when_rules_coincide(q, calls_per_slab):
-    # at q = 2 the projection rule (q + 6 points) is the outer rule
-    # (max(q + 4, 8) points), so one evaluation serves both
+@pytest.mark.parametrize("q, rules", [(1, (7, 8)), (2, (8,)), (3, (9, 8))])
+def test_source_evaluated_once_per_slab_when_rules_coincide(q, rules):
+    # each rule's Gauss times are evaluated once, in one call per block of
+    # slabs; at q = 2 the projection rule (q + 6 points) is the outer rule
+    # (max(q + 4, 8) points), so one evaluation serves both.  Slab 0 runs
+    # the graded rule, 11 panels of each rule, in a block of its own
     prob = wx.estimator_poly("t2.25")
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
     part = wx.uniform_time_partition(1.0, 8)
@@ -199,7 +201,11 @@ def test_source_evaluated_once_per_slab_when_rules_coincide(q, calls_per_slab):
 
     assert np.array_equal(_source_defects(sol, f, True),
                           _source_defects(sol, prob.f, True))
-    assert len(calls) == 8 * calls_per_slab
+    assert sum(calls) == sum(11 * npts + 7 * npts for npts in rules)
+    n_points = space.quad_data(space.norm_degree())["wdet"].size
+    n_blocks = len(part.blocks(max(rules) * n_points, True))
+    assert 2 < n_blocks < 8
+    assert len(calls) == len(rules) * n_blocks
 
 
 def _estimator_per_slab(sol, f, c, singular_at_zero):

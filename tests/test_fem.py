@@ -401,6 +401,29 @@ def test_spatial_norm_matches_per_cell_oracle(p):
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), (kind, kw)
 
 
+@pytest.mark.parametrize("p", [1, 3, 8])
+def test_spatial_norm_times_table_matches_sampled_rows(p):
+    # rows (2, B, R, n_dofs) under a table (S, R) against the S sampled
+    # coefficient vectors of each (2, B) stack, one stack at a time; the
+    # callback values carry the (B, S) sample axes
+    sp = _offset_space(p)
+    rng = np.random.default_rng(p)
+    rows = rng.normal(size=(2, 2, 4, sp.n_dofs))
+    table = rng.normal(size=(5, 4))
+    ts = rng.uniform(size=(2, 5))[..., None, None]
+    u = lambda t: lambda x, y: np.sin(x) * np.cos(2 * y) * (1 + t)
+    grad_u = lambda t: lambda x, y: (np.cos(x) * np.cos(2 * y) * (1 + t),
+                                     -2 * np.sin(x) * np.sin(2 * y) * (1 + t))
+    for kind, kw in (("l2", {}), ("l2", dict(exact=u)),
+                     ("h1c", dict(c=1.7)), ("h1c", dict(exact=u, exact_grad=grad_u, c=_c))):
+        at = lambda t: {k: v(t) if k.startswith("exact") else v for k, v in kw.items()}
+        got = spatial_norm(sp, kind, fe=rows, times=table, **at(ts))
+        assert got.shape == (2, 2, 5)
+        for i, b in np.ndindex(2, 2):
+            expect = spatial_norm(sp, kind, fe=table @ rows[i, b], **at(ts[b]))
+            assert np.abs(got[i, b] - expect).max() <= 1e-13 * np.abs(expect).max(), (kind, kw)
+
+
 def _stiffness_oracle(space, c):
     degree = 2 * space.degree + 2 if callable(c) else 2 * space.degree - 2
     qd = space.quad_data(max(degree, 0))

@@ -6,6 +6,7 @@ import pytest
 
 import wavext as wx
 import wavext.postprocess as postprocess
+import wavext.timebasis as timebasis
 from conftest import (coeffs_at, coeffs_on_slab, error_C0, evaluate, legendre_coeffs,
                       postprocessed_solution, small_homogeneous_run, to_normalized,
                       txy_problem)
@@ -153,6 +154,28 @@ def test_energy_trace_values():
     assert np.abs(E - E[0]).max() <= 1e-10 * E[0]
 
 
+def _energy_trace_per_node(sol, c):
+    """The loop energy_trace replaces: two sparse products per time node."""
+    M = wx.assemble(sol.space, "mass")
+    K = wx.assemble(sol.space, "stiffness", c)
+    out = np.empty(sol.partition.n_slabs + 1)
+    for n in range(sol.partition.n_slabs + 1):
+        u, v = sol.endpoint(n, "u"), sol.endpoint(n, "v")
+        out[n] = 0.5 * (v @ (M @ v) + u @ (K @ u))
+    return out
+
+
+@pytest.mark.parametrize("q, method", [(1, "gradient"), (2, "mass"), (3, "gradient")])
+def test_energy_trace_equals_per_node_loop(q, method):
+    prob, sol = small_homogeneous_run(q=q, n_slabs=5, nx=3, p=3, method=method)
+    assert np.array_equal(wx.energy_trace(sol, prob.c), _energy_trace_per_node(sol, prob.c))
+    prob = wx.dirichlet_cos()
+    space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
+    sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 6), q=q,
+                                           method=method))
+    assert np.array_equal(wx.energy_trace(sol, prob.c), _energy_trace_per_node(sol, prob.c))
+
+
 def test_convergence_rates_basics():
     assert wx.convergence_rates([1.0, 0.5], [1.0, 0.25]) == [pytest.approx(2.0)]
     rates = wx.convergence_rates([1.0, 0.5, 0.25], [0.4, 0.2, 0.1])
@@ -212,34 +235,64 @@ def test_error_C0_equals_per_sample_loop(make):
         assert err == expect.max()
 
 
+def _four_error_C0_passes(sol, prob):
+    return np.array([error_C0(sol, prob.exact_u)[0],
+                     error_C0(postprocessed_solution(sol), prob.exact_u)[0],
+                     error_C0(sol, prob.exact_v, component="v")[0],
+                     error_C0(sol, prob.exact_u, "h1c", c=prob.c,
+                              exact_grad=prob.exact_grad_u)[0]])
+
+
+def _report(sol, prob):
+    rep = wx.compute_error_report(sol, prob)
+    return np.array([rep.err_u, rep.err_ustar, rep.err_v, rep.err_gradu])
+
+
 @pytest.mark.parametrize("make", [wx.dirichlet_cos, lambda: wx.estimator_poly("t2.25"),
                                   lambda: wx.inline_problem("x*y*t")],
                          ids=["dirichlet-cos", "estimator-poly-t2.25", "inline-xyt"])
 def test_error_report_equals_four_error_C0_passes(make):
-    # the one walk over the slabs gives the bits of one error_C0 pass per quantity
+    # the report contracts each trial row with the spatial tables before it
+    # applies the temporal table, so it rounds differently from one
+    # error_C0 pass per quantity (the worst seen: 4.3e-15 relative); the
+    # inline x*y*t errors sit at 1e-16, hence the absolute floor
     prob = make()
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 3)
     sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
-    rep = wx.compute_error_report(sol, prob)
-    assert rep.err_u == error_C0(sol, prob.exact_u)[0]
-    assert rep.err_ustar == error_C0(postprocessed_solution(sol), prob.exact_u)[0]
-    assert rep.err_v == error_C0(sol, prob.exact_v, component="v")[0]
-    assert rep.err_gradu == error_C0(sol, prob.exact_u, "h1c", c=prob.c,
-                                        exact_grad=prob.exact_grad_u)[0]
+    expect = _four_error_C0_passes(sol, prob)
+    close = lambda got: np.abs(got - expect) <= 1e-14 * expect + 1e-16
+    assert close(_report(sol, prob)).all()
+    # the tolerance bites: scaling both fields by 1 + 1e-13 moves every quantity past it
+    scaled = replace(sol, u=sol.u * (1 + 1e-13), v=sol.v * (1 + 1e-13))
+    assert not close(_report(scaled, prob)).any()
+
+
+def test_error_report_blocks_equal_one_slab_blocks(monkeypatch):
+    # blocks of several slabs give the bits of one slab at a time
+    prob, sol = small_homogeneous_run(q=3, n_slabs=12, nx=2, p=2)
+    n_points = sol.space.quad_data(sol.space.norm_degree())["wdet"].size
+    assert len(sol.partition.blocks(11 * n_points)) < sol.partition.n_slabs / 2
+    blocked = _report(sol, prob)
+    monkeypatch.setattr(timebasis, "BLOCK_VALUES", 1)
+    assert len(sol.partition.blocks(11 * n_points)) == sol.partition.n_slabs
+    assert np.array_equal(_report(sol, prob), blocked)
 
 
 def test_error_report_evaluates_exact_u_once_per_slab():
     # u and the reconstruction are sampled at the same times and share one
-    # evaluation of the exact u; the h1c seminorm reads only the gradient
-    prob, sol = small_homogeneous_run(q=2, n_slabs=4)
+    # evaluation of the exact u per block of slabs, which holds each sample
+    # time of each slab once; the h1c seminorm reads only the gradient
+    prob, sol = small_homogeneous_run(q=2, n_slabs=16, nx=2, p=2)
     calls = []
 
     def exact_u(x, y, t):
-        calls.append(t)
+        calls.append(t.shape)
         return prob.exact_u(x, y, t)
 
-    wx.compute_error_report(sol, replace(prob, exact_u=exact_u))
-    assert len(calls) == sol.partition.n_slabs
+    wx.compute_error_report(sol, replace(prob, exact_u=exact_u), samples_per_slab=7)
+    assert sum(shape[0] for shape in calls) == sol.partition.n_slabs
+    assert all(shape[1:] == (7, 1, 1) for shape in calls)
+    assert 1 < len(calls) < sol.partition.n_slabs / 2
 
 
 def test_error_report_builds_one_trial_table_per_sampled_field(monkeypatch):

@@ -118,17 +118,20 @@ def _space_time_callbacks(prob):
 
 
 def _assert_time_batched_equals_stack(prob):
-    # the post-processing calls each callback once per slab, with
-    # t = ts[:, None, None]; that must be the per-time stack, bit for bit
+    # the post-processing calls each callback once per block of slabs, with
+    # t = ts[..., None, None] for the sample times ts (n_slabs, S) of the
+    # block, or (nt,) for a slab's Gauss times; that must be the per-time
+    # stack, bit for bit
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
     pts = space.quad_data(space.norm_degree())["pts"]
     X, Y = pts[..., 0], pts[..., 1]
-    ts = np.array([0.0, 0.0123, 0.37, 0.5, 1.0])
+    ts = np.array([0.0, 0.0123, 0.37, 0.5, 0.81, 1.0])
     for name, cb in _space_time_callbacks(prob).items():
-        batched = cb(X, Y, ts[:, None, None])
-        assert np.shape(batched) == (len(ts),) + X.shape, name
         stacked = np.stack([cb(X, Y, t) for t in ts])
-        assert np.array_equal(batched, stacked, equal_nan=True), name
+        for shape in ((6,), (2, 3)):
+            batched = cb(X, Y, ts.reshape(shape)[..., None, None])
+            assert np.shape(batched) == shape + X.shape, name
+            assert np.array_equal(batched, stacked.reshape(batched.shape), equal_nan=True), name
 
 
 @pytest.mark.parametrize("name,psi", [("dirichlet-cos", None),

@@ -536,12 +536,27 @@ def _load_moments_per_time(ws, n):
                                   lambda: wx.ProblemData(f=lambda x, y, t: x * y)],
                          ids=["graded-t2.25", "cos4t", "t-free-source"])
 def test_load_moments_equal_per_time_loop(make):
-    # slab 0 of t2.25 runs the graded rule, slab 1 the plain one
+    # slab 0 of t2.25 runs the graded rule, the others the plain one, in
+    # blocks of several slabs of a nonuniform partition
     prob = make()
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
-    ws = SlabWorkspace(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
-    for n in (0, 1):
+    lengths = np.random.default_rng(3).uniform(0.5, 1.5, 11)
+    part = wx.TimePartition(np.concatenate([[0.0], np.cumsum(lengths / lengths.sum())]))
+    ws = SlabWorkspace(prob, wx.Discretization(space, part, q=2))
+    assert max(map(len, ws._load_blocks)) > 1
+    for n in range(part.n_slabs):
         assert np.array_equal(ws.load_moments(n), _load_moments_per_time(ws, n))
+
+
+def test_endpoint_rejects_nodes_outside_the_partition():
+    # n = -1 used to index the last slab and return the state at t_{N-1}
+    prob = wx.standing_wave()
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
+    sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 3), q=2))
+    assert np.array_equal(sol.endpoint(3, "v"), sol.v[2, 0] + sol.v[2, 1])
+    for n in (-1, -3, 4):
+        with pytest.raises(IndexError, match="outside 0..3"):
+            sol.endpoint(n)
 
 
 def test_slab_lengths_keyed_to_significant_digits():
