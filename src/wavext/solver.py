@@ -262,6 +262,7 @@ class SlabWorkspace:
             # C order: BLAS then sums each slab's product as it does for stacked rows
             loads = np.ascontiguousarray(loads).reshape(len(block), -1, len(self.I))
             self._load_block, self._loads = block, (tst * ws) @ loads
+            self._loads.flags.writeable = False  # every slab of the block reads it
         return self._loads[n - self._load_block.start]
 
 

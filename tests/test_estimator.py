@@ -183,7 +183,8 @@ def test_source_defects_equal_per_time_loop(psi, q):
                           _source_defects_per_time(sol, prob.f, prob.singular_at_zero))
 
 
-@pytest.mark.parametrize("q, rules", [(1, (7, 8)), (2, (8,)), (3, (9, 8))])
+@pytest.mark.parametrize("q, rules", [(1, (7, 8)), (2, (8,)), (3, (9, 8))],
+                         ids=["1-2", "2-1", "3-2"])
 def test_source_evaluated_once_per_slab_when_rules_coincide(q, rules):
     # each rule's Gauss times are evaluated once, in one call per block of
     # slabs; at q = 2 the projection rule (q + 6 points) is the outer rule
