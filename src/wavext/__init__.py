@@ -13,9 +13,8 @@ from .errors import ConfigurationError, SolverFailure
 from .estimator import (EstimatorBreakdown, best_approx_constant,
                         compute_estimator, effectivity_index,
                         estimator_constants, gap_constant)
-from .fem import (FEFunction, LagrangeSpace, assemble, build_space,
-                  interior_factorization, interpolate_nodal, load_vector,
-                  ritz_project, spatial_norm)
+from .fem import (LagrangeSpace, assemble, build_space, interior_factorization,
+                  interpolate_nodal, load_vector, ritz_project, spatial_norm)
 from .linalg import Factorization, compressed
 from .mesh import Mesh, build_structured_mesh, mesh_size
 from .postprocess import (ErrorReport, compute_error_report, convergence_rates,

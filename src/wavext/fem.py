@@ -7,7 +7,6 @@ across cells is pure integer arithmetic.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -102,19 +101,6 @@ class LagrangeSpace:
         if norm:
             self._rule_cache[degree] = data
         return data
-
-
-@dataclass
-class FEFunction:
-    """Finite element function: a space plus one coefficient per DOF."""
-
-    space: LagrangeSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.space.n_dofs,):
-            raise ValueError("coefficient vector length does not match the space")
 
 
 def build_space(mesh, p):
@@ -230,10 +216,9 @@ def load_vector(space, g):
 
 
 def interpolate_nodal(space, f):
-    """Lagrange interpolant: coefficients are f sampled at the DOF nodes."""
+    """Lagrange interpolant: its coefficients, f sampled at the DOF nodes."""
     x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
-    vals = np.broadcast_to(f(x, y), (space.n_dofs,)).astype(float).copy()
-    return FEFunction(space, vals)
+    return np.broadcast_to(f(x, y), (space.n_dofs,)).astype(float)
 
 
 def _gradient_load(space, grad_f, c):
@@ -272,7 +257,7 @@ def ritz_project(space, f, grad_f, c=1.0):
         out[I] = interior_factorization(space, "stiffness", c).solve(rhs_I)
         out.flags.writeable = False
         space._ritz[key] = out
-    return FEFunction(space, space._ritz[key])
+    return space._ritz[key]
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +294,9 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0, times
     Parameters
     ----------
     kind : "l2" or "h1c" (the latter is sqrt(int c^2 |grad .|^2)).
-    fe : coefficient vector or FEFunction, a stack (S, n_dofs) of S
-        coefficient vectors, or None; with ``times``, coefficient rows
-        (..., R, n_dofs).
+    fe : coefficient vector (n_dofs,), a stack (S, n_dofs) of S coefficient
+        vectors, or None; with ``times``, coefficient rows (..., R, n_dofs).
+        A last axis of any other length raises ValueError.
     exact : callback exact(x, y), or None; the norm is of the difference.
         Its values may carry leading axes, (..., S, nc, nq), that broadcast
         against the samples of fe.
@@ -336,9 +321,10 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0, times
         targets = [None, None] if exact is None else list(exact_grad(X, Y))
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
-    if fe is None:
-        fe = np.zeros(space.n_dofs)
-    coeffs = fe.values if isinstance(fe, FEFunction) else np.asarray(fe, dtype=float)
+    coeffs = np.zeros(space.n_dofs) if fe is None else np.asarray(fe, dtype=float)
+    if coeffs.shape[-1:] != (space.n_dofs,):
+        raise ValueError(f"coefficients of shape {coeffs.shape} for a space of "
+                         f"{space.n_dofs} DOFs")
     cells = coeffs[..., space.cell_dofs]
     at = lambda table: cells @ np.ascontiguousarray(table).T  # BLAS, one product per row
     # d_k u = sum_m jacinv[c, m, k] R_m, R_m the reference derivatives; rows

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverFailure
-from .fem import (FEFunction, assemble, interior_block, interior_factorization,
+from .fem import (assemble, interior_block, interior_factorization,
                   interpolate_nodal, load_vector, ritz_project)
 from .linalg import checked_solve, factorize
 from .timebasis import (endpoint_exact_project, gauss_rule, lagrange_time_interp,
@@ -119,10 +119,10 @@ def build_lifting(problem, space, partition, q, bc_mode):
 
 
 def discrete_initial_data(problem, space, lifting=None, initial_mode="projection"):
-    """Discrete initial fields compatible with the boundary lifting.
+    """Coefficient vectors (u0h, v0h) of initial fields compatible with the lifting.
 
-    In projection mode u starts from the Dirichlet-aware Ritz projection of
-    u0 and v from nodal boundary values of v0 plus the interior L2 projection
+    In projection mode u0h is the space's read-only Ritz projection of u0,
+    and v0h has nodal boundary values of v0 and the interior L2 projection
     of v0 minus the lifting velocity at t = 0.  Interpolation mode takes
     plain nodal interpolants of both.  Data that is not finite at a boundary
     node, or boundary data that disagrees with the initial data at t = 0,
@@ -162,7 +162,7 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
     rhs = load_vector(space, problem.v0) - assemble(space, "mass") @ lift_v0
     I = space.interior_dofs
     v0h[I] = interior_factorization(space, "mass").solve(rhs[I])
-    return u0h, FEFunction(space, v0h)
+    return u0h, v0h
 
 
 #: Relative residual every slab solve is held to, on the block operator.
@@ -311,11 +311,10 @@ def solve(problem, disc):
     space, partition, q = disc.space, disc.partition, disc.q
     ws = SlabWorkspace(problem, disc)
     lifting = build_lifting(problem, space, partition, q, disc.bc_mode)
-    u0h, v0h = discrete_initial_data(problem, space, lifting, disc.initial_mode)
+    prev_u, prev_v = discrete_initial_data(problem, space, lifting, disc.initial_mode)
     N = partition.n_slabs
     U = np.zeros((N, q + 1, space.n_dofs))
     V = np.zeros((N, q + 1, space.n_dofs))
-    prev_u, prev_v = u0h.values.copy(), v0h.values.copy()
     for n in range(N):
         U[n], V[n] = solve_slab(prev_u, prev_v, n, ws, lifting)
         prev_u = U[n, 0] + U[n, 1]

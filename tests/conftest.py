@@ -43,10 +43,11 @@ def small_homogeneous_run(q=2, n_slabs=8, nx=4, p=2, method="gradient"):
     return prob, wx.solve(prob, disc)
 
 
-def evaluate(fn, points):
-    """An FEFunction at one point or an array of points of its mesh's
-    rectangle, through the cell that contains each point."""
-    mesh = fn.space.mesh
+def evaluate(space, values, points):
+    """The function with coefficients values on a space at one point or an
+    array of points of its mesh's rectangle, through the cell that contains
+    each point."""
+    mesh = space.mesh
     x_min, x_max, y_min, y_max = mesh.bbox
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fx = np.clip((pts[:, 0] - x_min) / (x_max - x_min) * mesh.nx, 0.0, mesh.nx)
@@ -57,8 +58,8 @@ def evaluate(fn, points):
     lower = eta <= xi
     cell = 2 * (iy * mesh.nx + ix) + np.where(lower, 0, 1)
     rs = np.column_stack([np.where(lower, xi - eta, xi), np.where(lower, eta, eta - xi)])
-    vals, _, _ = reference.tabulate(fn.space.degree, rs, order=0)
-    out = np.einsum("pi,pi->p", fn.values[fn.space.cell_dofs[cell]], vals)
+    vals, _, _ = reference.tabulate(space.degree, rs, order=0)
+    out = np.einsum("pi,pi->p", values[space.cell_dofs[cell]], vals)
     return float(out[0]) if np.ndim(points) == 1 else out
 
 

@@ -7,8 +7,7 @@ import pytest
 import wavext as wx
 from conftest import evaluate
 from wavext import reference
-from wavext.fem import (BrokenField, FEFunction, _gradient_load, local_matrices,
-                        spatial_norm)
+from wavext.fem import BrokenField, _gradient_load, local_matrices, spatial_norm
 from wavext.mesh import build_structured_mesh
 
 
@@ -18,14 +17,13 @@ def _cell_grad(space, qd):
     return np.einsum("cmk,qim->cqik", space.jacinv, qd["gref"])
 
 
-def _evaluate_on_cell(fn, cell, points):
+def _evaluate_on_cell(space, values, cell, points):
     """The local polynomial of one cell at physical points (no containment
     check), by the cell's affine map."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    space = fn.space
     rs = np.einsum("km,pm->pk", space.jacinv[cell], pts - space.cell_origin[cell])
     vals, _, _ = reference.tabulate(space.degree, rs, order=0)
-    return vals @ fn.values[space.cell_dofs[cell]]
+    return vals @ values[space.cell_dofs[cell]]
 
 
 def test_dof_counts():
@@ -53,7 +51,7 @@ def test_nodal_basis_property(p):
     for i in probe:
         e = np.zeros(sp.n_dofs)
         e[i] = 1.0
-        vals = evaluate(FEFunction(sp, e), sp.dof_coords[probe])
+        vals = evaluate(sp, e, sp.dof_coords[probe])
         expect = (probe == i).astype(float)
         assert np.abs(vals - expect).max() <= 1e-9
 
@@ -109,10 +107,10 @@ def test_nonpositive_coefficient_rejected():
 def test_interpolation_basics():
     sp = wx.build_space(build_structured_mesh(3, 3), 2)
     ones = wx.interpolate_nodal(sp, lambda x, y: np.ones_like(x))
-    assert np.abs(ones.values - 1.0).max() == 0.0
+    assert np.abs(ones - 1.0).max() == 0.0
     lin = wx.interpolate_nodal(sp, lambda x, y: x)
     pts = np.random.default_rng(2).uniform(0, 1, size=(20, 2))
-    assert np.abs(evaluate(lin, pts) - pts[:, 0]).max() <= 1e-13
+    assert np.abs(evaluate(sp, lin, pts) - pts[:, 0]).max() <= 1e-13
 
 
 def test_interpolation_convergence_rate_p2():
@@ -130,7 +128,7 @@ def test_ritz_reproduces_space_members():
     target = wx.interpolate_nodal(sp, lambda x, y: x * y + 0.5 * x ** 2)
     r = wx.ritz_project(sp, lambda x, y: x * y + 0.5 * x ** 2,
                         lambda x, y: (y + x, x))
-    assert np.abs(r.values - target.values).max() <= 1e-11
+    assert np.abs(r - target).max() <= 1e-11
 
 
 def test_ritz_zero_boundary_data():
@@ -139,7 +137,7 @@ def test_ritz_zero_boundary_data():
     gf = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
                        np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
     r = wx.ritz_project(sp, f, gf)
-    assert np.abs(r.values[sp.boundary_dofs]).max() <= 1e-13
+    assert np.abs(r[sp.boundary_dofs]).max() <= 1e-13
 
 
 def test_ritz_gradient_convergence_rate():
@@ -164,7 +162,7 @@ def test_ritz_orthogonality_residual():
     qd = sp.quad_data(sp.norm_degree())
     grad = _cell_grad(sp, qd)
     gx, gy = gf(qd["pts"][..., 0], qd["pts"][..., 1])
-    cr = r.values[sp.cell_dofs]
+    cr = r[sp.cell_dofs]
     gx = gx - np.einsum("ci,cqi->cq", cr, grad[..., 0])
     gy = gy - np.einsum("ci,cqi->cq", cr, grad[..., 1])
     loc = np.einsum("cq,cqi->ci", gx * qd["wdet"], grad[..., 0]) \
@@ -176,13 +174,13 @@ def test_ritz_orthogonality_residual():
 def test_interpolant_reproduces_polynomial_at_a_point():
     sp = wx.build_space(build_structured_mesh(2, 2), 2)
     fn = wx.interpolate_nodal(sp, lambda x, y: x * y)
-    assert evaluate(fn, (0.3, 0.7)) == pytest.approx(0.21, abs=1e-14)
+    assert evaluate(sp, fn, (0.3, 0.7)) == pytest.approx(0.21, abs=1e-14)
 
 
 def test_interface_continuity():
     sp = wx.build_space(build_structured_mesh(2, 2), 4)
     rng = np.random.default_rng(5)
-    fn = FEFunction(sp, rng.normal(size=sp.n_dofs))
+    fn = rng.normal(size=sp.n_dofs)
     counts = {}
     for c, tri in enumerate(sp.mesh.cells):
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -192,8 +190,8 @@ def test_interface_continuity():
         if len(cells) != 2:
             continue
         mid = 0.5 * (sp.mesh.vertices[va] + sp.mesh.vertices[vb])
-        v1 = _evaluate_on_cell(fn, cells[0], mid)[0]
-        v2 = _evaluate_on_cell(fn, cells[1], mid)[0]
+        v1 = _evaluate_on_cell(sp, fn, cells[0], mid)[0]
+        v2 = _evaluate_on_cell(sp, fn, cells[1], mid)[0]
         assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
 
 
@@ -201,9 +199,9 @@ def test_broken_laplacian_values():
     # Delta(x^2 + y^2) = 4 on the unit square, so the L2 norm is 4
     sp = wx.build_space(build_structured_mesh(2, 2), 2)
     fn = wx.interpolate_nodal(sp, lambda x, y: x ** 2 + y ** 2)
-    assert abs(BrokenField(sp, fn.values).l2_norm() - 4.0) <= 1e-10
+    assert abs(BrokenField(sp, fn).l2_norm() - 4.0) <= 1e-10
     lin = wx.interpolate_nodal(sp, lambda x, y: 1 + 2 * x - y)
-    assert BrokenField(sp, lin.values).l2_norm() <= 1e-11
+    assert BrokenField(sp, lin).l2_norm() <= 1e-11
 
 
 def test_broken_laplacian_quartic_profile():
@@ -211,7 +209,7 @@ def test_broken_laplacian_quartic_profile():
     # norm over (-1, 1)^2 is 4 (2 * 32/15 + 2 * (4/3)^2) = 1408/45
     sp = wx.build_space(build_structured_mesh(2, 2, (-1, 1, -1, 1)), 4)
     fn = wx.interpolate_nodal(sp, lambda x, y: (1 - x ** 2) * (1 - y ** 2))
-    assert abs(BrokenField(sp, fn.values).l2_norm() - np.sqrt(1408 / 45)) <= 1e-10
+    assert abs(BrokenField(sp, fn).l2_norm() - np.sqrt(1408 / 45)) <= 1e-10
 
 
 def test_spatial_norm_values():
@@ -223,6 +221,16 @@ def test_spatial_norm_values():
         pytest.approx(1.0 / np.sqrt(3.0), abs=1e-13)
     fn = wx.interpolate_nodal(sp, lambda x, y: x)
     assert spatial_norm(sp, "h1c", fe=fn) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(25 + 5,), (2, 25 - 1), (25, 1), ()])
+def test_spatial_norm_rejects_coefficients_off_the_space(shape):
+    # a vector 5 entries too long used to index its first 25 and yield a norm
+    sp = wx.build_space(build_structured_mesh(2, 2), 2)
+    assert sp.n_dofs == 25
+    for kind in ("l2", "h1c"):
+        with pytest.raises(ValueError, match="25 DOFs"):
+            spatial_norm(sp, kind, fe=np.ones(shape))
 
 
 def test_assemble_memoized_per_space_and_read_only():
@@ -269,16 +277,16 @@ def test_ritz_projection_memoized_per_space_and_read_only(method, c):
                                                q=2, method=method))
     memo = wx.ritz_project(shared, prob.u0, prob.grad_u0, prob.c)
     fresh = wx.ritz_project(new_space(), prob.u0, prob.grad_u0, prob.c)
-    assert np.array_equal(memo.values, fresh.values)
-    assert np.array_equal(sol.u[0, 0], fresh.values)
+    assert np.array_equal(memo, fresh)
+    assert np.array_equal(sol.u[0, 0], fresh)
     with pytest.raises(ValueError, match="read-only"):
-        memo.values[0] = 1.0
+        memo[0] = 1.0
     # another callable is projected anew, not served from the memo
     u1 = lambda x, y: 2.0 * prob.u0(x, y)
     grad_u1 = lambda x, y: tuple(2.0 * g for g in prob.grad_u0(x, y))
     other = wx.ritz_project(shared, u1, grad_u1, prob.c)
-    assert np.array_equal(other.values, wx.ritz_project(new_space(), u1, grad_u1, prob.c).values)
-    assert not np.array_equal(other.values, memo.values)
+    assert np.array_equal(other, wx.ritz_project(new_space(), u1, grad_u1, prob.c))
+    assert not np.array_equal(other, memo)
 
 
 def test_h1c_norm_holds_one_callback_value_at_a_time():
@@ -348,12 +356,11 @@ def _spatial_norm_oracle(space, kind, fe, exact=None, exact_grad=None, c=1.0):
     return np.sqrt(np.sum(w * sum(d ** 2 for d in diffs), axis=(-2, -1)))
 
 
-def _broken_laplacian_oracle(fn):
-    space = fn.space
+def _broken_laplacian_oracle(space, values):
     qd = space.quad_data(space.norm_degree())
     G = np.einsum("cka,cma->ckm", space.jacinv, space.jacinv)
     lap = np.einsum("ckm,qikm->cqi", G, qd["href"])
-    vals = np.einsum("ci,cqi->cq", fn.values[space.cell_dofs], lap)
+    vals = np.einsum("ci,cqi->cq", values[space.cell_dofs], lap)
     return np.sqrt(np.sum(qd["wdet"] * vals ** 2))
 
 
@@ -462,14 +469,14 @@ def test_stiffness_and_ritz_load_match_per_cell_oracle(p):
 @pytest.mark.parametrize("p", range(1, 11))
 def test_broken_laplacian_matches_per_cell_oracle(p):
     sp = _offset_space(p)
-    fn = FEFunction(sp, np.random.default_rng(10 + p).normal(size=sp.n_dofs))
+    fn = np.random.default_rng(10 + p).normal(size=sp.n_dofs)
     if p == 1:
         # the reference Hessians of a degree-1 basis vanish identically
-        assert _broken_laplacian_oracle(fn) == 0.0
-        assert BrokenField(sp, fn.values).l2_norm() == 0.0
+        assert _broken_laplacian_oracle(sp, fn) == 0.0
+        assert BrokenField(sp, fn).l2_norm() == 0.0
         return
-    expect = _broken_laplacian_oracle(fn)
-    assert abs(BrokenField(sp, fn.values).l2_norm() - expect) <= 1e-13 * expect
+    expect = _broken_laplacian_oracle(sp, fn)
+    assert abs(BrokenField(sp, fn).l2_norm() - expect) <= 1e-13 * expect
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])

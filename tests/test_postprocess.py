@@ -87,7 +87,7 @@ def test_error_sampling_consistency():
     def exact(x, y, t):
         # one evaluation per time; t is a number or an array of times
         pts = np.column_stack([np.ravel(x), np.ravel(y)])
-        vals = [evaluate(wx.FEFunction(space, coeffs_at(sol, tk)), pts) for tk in np.ravel(t)]
+        vals = [evaluate(space, coeffs_at(sol, tk), pts) for tk in np.ravel(t)]
         return np.reshape(vals, np.broadcast_shapes(np.shape(t), np.shape(x)))
 
     err, per_slab = error_C0(sol, exact, "l2", samples_per_slab=5)

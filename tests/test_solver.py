@@ -29,8 +29,8 @@ def test_initial_data_reproduces_interior_members():
         grad_u0=lambda x, y: ((1 - 2 * x) * y * (1 - y), x * (1 - x) * (1 - 2 * y)),
         v0=lambda x, y: x * (1 - x) * y * (1 - y))
     u0h, v0h = wx.discrete_initial_data(shaped, space)
-    assert np.abs(u0h.values - member.values).max() <= 1e-11
-    assert np.abs(v0h.values - member.values).max() <= 1e-11
+    assert np.abs(u0h - member).max() <= 1e-11
+    assert np.abs(v0h - member).max() <= 1e-11
 
 
 def test_initial_data_dirichlet_cos_velocity_vanishes():
@@ -39,7 +39,7 @@ def test_initial_data_dirichlet_cos_velocity_vanishes():
     part = wx.uniform_time_partition(1.0, 4)
     lifting = wx.build_lifting(prob, space, part, 2, "projection")
     _, v0h = wx.discrete_initial_data(prob, space, lifting)
-    assert np.abs(v0h.values).max() <= 1e-12
+    assert np.abs(v0h).max() <= 1e-12
 
 
 def test_incompatible_data_rejected():
@@ -135,7 +135,7 @@ def test_single_slab_equals_solve():
     sol = wx.solve(prob, disc)
     u0h, v0h = wx.discrete_initial_data(prob, space)
     lifting = wx.build_lifting(prob, space, part, 2, disc.bc_mode)
-    U, V = wx.solve_slab(u0h.values, v0h.values, 0, SlabWorkspace(prob, disc), lifting)
+    U, V = wx.solve_slab(u0h, v0h, 0, SlabWorkspace(prob, disc), lifting)
     assert np.abs(U - sol.u[0]).max() <= 1e-12
     assert np.abs(V - sol.v[0]).max() <= 1e-12
 
@@ -199,10 +199,10 @@ def test_previous_state_must_match_lifting():
     disc = wx.Discretization(space, part, q=1)
     lifting = wx.build_lifting(prob, space, part, 1, "projection")
     u0h, v0h = wx.discrete_initial_data(prob, space, lifting)
-    bad = u0h.values.copy()
+    bad = u0h.copy()
     bad[space.boundary_dofs[0]] += 1e-3
     with pytest.raises(wx.ConfigurationError):
-        wx.solve_slab(bad, v0h.values, 0, SlabWorkspace(prob, disc), lifting)
+        wx.solve_slab(bad, v0h, 0, SlabWorkspace(prob, disc), lifting)
 
 
 def _smooth_random_problem(rng):
@@ -299,7 +299,7 @@ def _monolithic_march(prob, disc):
     lu = splu(A.tocsc())
     n_slabs, n = disc.partition.n_slabs, disc.space.n_dofs
     U, V = np.zeros((n_slabs, q + 1, n)), np.zeros((n_slabs, q + 1, n))
-    prev_u, prev_v = u0h.values, v0h.values
+    prev_u, prev_v = u0h, v0h
     for s in range(n_slabs):
         UB, VB = lifting.u_trial[s], lifting.v_trial[s]
         KU0, CV0 = (K @ prev_u)[I], (C @ prev_v)[I]
@@ -465,7 +465,7 @@ def test_slab_cache_bounded_on_graded_partition(monkeypatch):
     u0h, v0h = wx.discrete_initial_data(prob, space)
     U = np.zeros((part.n_slabs, 3, space.n_dofs))
     V = np.zeros_like(U)
-    prev_u, prev_v = u0h.values, v0h.values
+    prev_u, prev_v = u0h, v0h
     for n in range(part.n_slabs):
         held = len(modes)
         U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, ws, None)
