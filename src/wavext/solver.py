@@ -183,14 +183,14 @@ def _block(C, M, K, N, U, V):
 class SlabWorkspace:
     """The slab system of a run (see the module docstring): the space's
     operators, their interior blocks, the interior factorization of C, and
-    the modes of the last slab length only, so memory stays bounded on a
-    graded partition."""
+    the modes of one slab length only, so memory stays bounded on a graded
+    partition."""
 
     def __init__(self, problem, disc):
         space = disc.space
         self.problem = problem
         self.space = space
-        self.partition = disc.partition
+        self.partition, self.lengths = disc.partition, disc.partition.lengths
         self.q = disc.q
         self.I, self.B = space.interior_dofs, space.boundary_dofs
         self.M, self.M_II = assemble(space, "mass"), interior_block(space, "mass")
@@ -202,7 +202,8 @@ class SlabWorkspace:
                                           interior_factorization(space, *C))
         lam, self._S, self._Sinv, pairs = temporal_eigensplit(self.q)
         self._lam, self._real = lam, ~pairs
-        self._tau_key = self._modes = self.Nm = None
+        self._tau = self._modes = self.Nm = None
+        self._same_tau = 8 * np.spacing(self.partition.nodes[-1])
         # the source is evaluated once per block of slabs, at all its Gauss times
         self._npts = max(self.q + 3, 6)
         n_points = space.quad_data(space.norm_degree())["wdet"].size
@@ -210,15 +211,17 @@ class SlabWorkspace:
         self._load_block, self._loads = range(0), None
 
     def system(self, tau):
-        """Factorize the modes for slab length tau unless the last call's length
-        agrees to 13 significant digits (uniform lengths differ in last bits)."""
-        key = f"{tau:.12e}"
-        if key != self._tau_key:
-            self._tau_key = self._modes = None  # free the old modes first
+        """Factorize the modes for slab length tau, unless it is within 8 ulps
+        of the final time of the length they were made for: a uniform
+        partition's lengths differ in their last bits, and they all share
+        the first one's modes and Nm, so the right-hand side and the
+        residual check see one operator."""
+        if self._tau is None or abs(tau - self._tau) > self._same_tau:
+            self._tau = self._modes = None  # free the old modes first
             self.Nm = slab_temporal_matrices(self.q, (0.0, tau))
             self._modes = [factorize(self.M_II + tau ** 2 * (lk.real if real else lk) * self.K_II)
                            for lk, real in zip(self._lam, self._real)]
-            self._tau_key = key
+            self._tau = tau
 
     def apply(self, U, V):
         """The block operator on (q, n_I) coefficient rows U, V -> (r1, r2)."""
@@ -274,7 +277,7 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting):
     (``lifting`` is the run's :func:`build_lifting`, None for zero data).
     """
     q, I, B = workspace.q, workspace.I, workspace.B
-    workspace.system(float(workspace.partition.lengths[n]))
+    workspace.system(float(workspace.lengths[n]))
 
     nB = len(B)
     UB = lifting.u_trial[n] if lifting is not None else np.zeros((q + 1, nB))

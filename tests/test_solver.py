@@ -588,3 +588,24 @@ def test_uniform_partition_builds_one_slab_system(monkeypatch):
     assert len(set(part.lengths)) > 1
     wx.solve(prob, wx.Discretization(space, part, q=1))
     assert len(built) == 1
+
+
+def test_fine_uniform_partition_factorizes_its_modes_once(monkeypatch):
+    # T = 1 over 3,000 slabs: the lengths straddle the 13th significant
+    # digit, which once keyed the modes, and made 1,742 mode LUs
+    built = []
+    factorize = solver_module.factorize
+
+    def counted(A):
+        built.append(A.shape)
+        return factorize(A)
+
+    monkeypatch.setattr(solver_module, "factorize", counted)
+    prob = wx.standing_wave()
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 1)
+    part = wx.uniform_time_partition(1.0, 3000)
+    assert len({f"{tau:.12e}" for tau in part.lengths}) > 1
+    sol = wx.solve(prob, wx.Discretization(space, part, q=2))
+    assert len(built) == 1  # one conjugate pair of modes at q = 2
+    E = wx.energy_trace(sol, prob.c)
+    assert np.abs(E - E[0]).max() <= 1e-12 * E[0]
