@@ -22,12 +22,13 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverFailure
 from .estimator import compute_estimator, effectivity_index
-from .fem import MAX_SPATIAL_DEGREE, build_space
+from .fem import MAX_SPATIAL_DEGREE, build_space, norm_degree
 from .mesh import build_structured_mesh, mesh_size
 from .postprocess import (compute_error_report, convergence_rates,
                           energy_trace)
 from .problem import (MAX_TEMPORAL_DEGREE, Discretization, inline_problem,
                       make_preset)
+from .reference import triangle_rule
 from .solver import solve
 from .timebasis import uniform_time_partition
 
@@ -35,7 +36,10 @@ from .timebasis import uniform_time_partition
 #: floats (1 GiB), an eighth of an 8 GB machine, since the reconstruction,
 #: the error sampling and the factorizations come on top.  The largest
 #: shipped cell (converge-h, p = 3, nx = 32, q = 4, tau = 1/32) stores
-#: 3,010,880 floats (24 MB).
+#: 3,010,880 floats (24 MB).  The error report's samples of one exact
+#: callback on one slab, samples_per_slab times the quadrature points of
+#: the mesh, are held to the same budget (at most 11 x 51,200 = 563,200
+#: values in the shipped cells).
 MAX_SOLUTION_FLOATS = 2 ** 27
 
 CSV_COLUMNS = ("run_id", "experiment", "method", "bc_mode", "p", "q", "h",
@@ -207,12 +211,17 @@ def _validate(cfg):
         raise ConfigurationError("inline problems need a u = <expression> line")
     _make_problem(cfg)  # an unknown preset or psi, or an unusable u
     for cell in _cells(cfg):
+        label = f"cell p={cell['p']} q={cell['q']} mesh={cell['nx']} tau={cell['tau']}"
         floats = 2 * round(cfg.t_final / cell["tau"]) * (cell["q"] + 1) \
             * (cell["nx"] * cell["p"] + 1) ** 2
         if floats > MAX_SOLUTION_FLOATS:
-            raise ConfigurationError(
-                f"cell p={cell['p']} q={cell['q']} mesh={cell['nx']} tau={cell['tau']}: "
-                f"U and V would hold more than {MAX_SOLUTION_FLOATS} values")
+            raise ConfigurationError(f"{label}: U and V would hold more than "
+                                     f"{MAX_SOLUTION_FLOATS} values")
+        points = 2 * cell["nx"] ** 2 * len(triangle_rule(norm_degree(cell["p"]))[1])
+        if cfg.samples_per_slab * points > MAX_SOLUTION_FLOATS:
+            raise ConfigurationError(f"{label}: samples_per_slab = {cfg.samples_per_slab} "
+                                     f"would sample more than {MAX_SOLUTION_FLOATS} "
+                                     "values on one slab")
 
 
 def _make_problem(cfg):

@@ -18,6 +18,12 @@ from .linalg import Factorization, compressed
 MAX_SPATIAL_DEGREE = 10
 
 
+def norm_degree(p):
+    """Quadrature degree used for the norms, projections and load vectors
+    of a degree-p space."""
+    return max(2 * p + 2, 6)
+
+
 class LagrangeSpace:
     """Continuous degree-p Lagrange space on a structured mesh."""
 
@@ -79,8 +85,7 @@ class LagrangeSpace:
         return (p + 1) * (p + 2) // 2
 
     def norm_degree(self):
-        """Quadrature degree used for norms, projections and load vectors."""
-        return max(2 * self.degree + 2, 6)
+        return norm_degree(self.degree)
 
     def quad_data(self, degree):
         """Quadrature bundle at the given exactness degree, cached at the norm

@@ -66,10 +66,12 @@ class SpaceTimeSolution:
     v: Optional[np.ndarray] = None
 
     def endpoint(self, n, component="u"):
-        """Coefficients at partition node t_n, n = 0..n_slabs."""
+        """Coefficients of component "u" or "v" at partition node t_n, n = 0..n_slabs."""
         if not 0 <= n <= self.partition.n_slabs:
             raise IndexError(f"node {n} outside 0..{self.partition.n_slabs}")
-        tensor = self.u if component == "u" else self.v
+        if component not in ("u", "v"):
+            raise ValueError(f"component must be 'u' or 'v', got {component!r}")
+        tensor = getattr(self, component)
         if n == 0:
             return tensor[0, 0]
         return tensor[n - 1, 0] + tensor[n - 1, 1]

@@ -46,6 +46,8 @@ class TimePartition:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("a time partition needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("time nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError("time partitions start at t = 0")
         if np.any(np.diff(nodes) <= 0):

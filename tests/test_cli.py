@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -179,6 +180,49 @@ def test_run_size_checked_before_any_output(tmp_path, capsys, monkeypatch, text)
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert f"would hold more than {cli.MAX_SOLUTION_FLOATS} values" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_samples_per_slab_checked_before_any_output(tmp_path, capsys, monkeypatch):
+    # 1e9 samples per slab: the error report would start with an 8 GB
+    # linspace; nothing is allocated and no output is written
+    def nothing_built(*args):
+        raise AssertionError("a cell was started")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", nothing_built)
+    monkeypatch.setattr(cli, "_run_cells", nothing_built)
+    path = write(tmp_path, "many.cfg", "samples_per_slab = 1000000000\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert f"would sample more than {cli.MAX_SOLUTION_FLOATS} values on one slab" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_samples_per_slab_budget_is_exact(tmp_path):
+    # p = 1 on a 2 x 2 mesh: 8 cells of 16 norm points, so 2^27 / 128 = 2^20
+    # samples per slab fill the budget exactly
+    base = "p = 1\nq = 1\nmesh = 2\ntau = 0.5\nsamples_per_slab = "
+    cfg = parse_config(write(tmp_path, "full.cfg", base + f"{2 ** 20}\n"), "solve")
+    assert cfg.samples_per_slab == 2 ** 20
+    with pytest.raises(ConfigurationError, match="samples_per_slab = 1048577"):
+        parse_config(write(tmp_path, "over.cfg", base + f"{2 ** 20 + 1}\n"), "solve")
+
+
+def test_shipped_configs_parse():
+    # every configs/*.cfg passes parse_config, under the experiment that its
+    # reduced golden copy names
+    shipped = sorted((_ROOT / "configs").glob("*.cfg"))
+    assert len(shipped) == 7
+    for path in shipped:
+        golden = (_ROOT / "tests" / "golden" / path.name).read_text()
+        experiment = re.search(r"^experiment\s*=\s*(\S+)", golden, re.M).group(1)
+        assert parse_config(path, experiment).experiment == experiment
 
 
 def test_estimate_degree_checked_before_any_output(tmp_path, capsys):

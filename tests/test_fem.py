@@ -223,7 +223,8 @@ def test_spatial_norm_values():
     assert spatial_norm(sp, "h1c", fe=fn) == pytest.approx(1.0, abs=1e-13)
 
 
-@pytest.mark.parametrize("shape", [(25 + 5,), (2, 25 - 1), (25, 1), ()])
+@pytest.mark.parametrize("shape", [(25 + 5,), (2, 25 - 1), (25, 1), ()],
+                         ids=["long", "short-rows", "column", "scalar"])
 def test_spatial_norm_rejects_coefficients_off_the_space(shape):
     # a vector 5 entries too long used to index its first 25 and yield a norm
     sp = wx.build_space(build_structured_mesh(2, 2), 2)

@@ -559,6 +559,18 @@ def test_endpoint_rejects_nodes_outside_the_partition():
             sol.endpoint(n)
 
 
+def test_endpoint_rejects_unknown_components():
+    # any component but "u" used to return v
+    prob = wx.standing_wave()
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
+    sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 2), q=2))
+    assert np.array_equal(sol.endpoint(1, "u"), sol.u[0, 0] + sol.u[0, 1])
+    assert np.array_equal(sol.endpoint(1, "v"), sol.v[0, 0] + sol.v[0, 1])
+    for component in ("U", "w", ""):
+        with pytest.raises(ValueError, match="'u' or 'v'"):
+            sol.endpoint(1, component)
+
+
 def test_slab_lengths_keyed_to_significant_digits():
     # 2e-15 and 4e-15 round to the same 14 decimals; each slab still needs
     # its own system, as a fresh workspace builds it

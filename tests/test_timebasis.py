@@ -44,6 +44,15 @@ def test_partition_validation():
     assert part.lengths.max() == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("last", [np.nan, np.inf])
+def test_partition_rejects_nonfinite_nodes(last):
+    # [0, nan] used to build one slab of length nan
+    with pytest.raises(ValueError, match="finite"):
+        TimePartition(np.array([0.0, last]))
+    with pytest.raises(ValueError, match="finite"):
+        TimePartition(np.array([0.0, 0.5, last]))
+
+
 def test_legendre_endpoint_values():
     slab = (0.3, 1.1)
     for s in range(7):
