@@ -205,7 +205,7 @@ class SlabWorkspace:
         lam, self._S, self._Sinv, pairs = temporal_eigensplit(self.q)
         self._lam, self._real = lam, ~pairs
         self._tau = self._modes = self.Nm = None
-        self._same_tau = 8 * np.spacing(self.partition.nodes[-1])
+        self._tau_tol = 8 * np.spacing(self.partition.nodes[-1])
         # the source is evaluated once per block of slabs, at all its Gauss times
         self._npts = max(self.q + 3, 6)
         n_points = space.quad_data(space.norm_degree())["wdet"].size
@@ -218,7 +218,7 @@ class SlabWorkspace:
         partition's lengths differ in their last bits, and they all share
         the first one's modes and Nm, so the right-hand side and the
         residual check see one operator."""
-        if self._tau is None or abs(tau - self._tau) > self._same_tau:
+        if self._tau is None or abs(tau - self._tau) > self._tau_tol:
             self._tau = self._modes = None  # free the old modes first
             self.Nm = slab_temporal_matrices(self.q, (0.0, tau))
             self._modes = [factorize(self.M_II + tau ** 2 * (lk.real if real else lk) * self.K_II)

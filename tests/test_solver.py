@@ -572,8 +572,8 @@ def test_endpoint_rejects_unknown_components():
 
 
 def test_slab_lengths_keyed_to_significant_digits():
-    # 2e-15 and 4e-15 round to the same 14 decimals; each slab still needs
-    # its own system, as a fresh workspace builds it
+    # 2e-15 and 4e-15 differ by far more than 8 ulps of T = 6e-15; each
+    # slab still needs its own system, as a fresh workspace builds it
     prob = wx.standing_wave()
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
     disc = wx.Discretization(space, wx.TimePartition(np.array([0.0, 2e-15, 6e-15])), q=2)
@@ -584,8 +584,7 @@ def test_slab_lengths_keyed_to_significant_digits():
 
 
 def test_uniform_partition_builds_one_slab_system(monkeypatch):
-    # T = 1000 over 48 slabs: the lengths differ in their last bits, by more
-    # than rounding to 14 decimals absorbs
+    # T = 1000 over 48 slabs: the lengths differ in their last bits
     built = []
     temporal_matrices = solver_module.slab_temporal_matrices
 
