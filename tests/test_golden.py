@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,14 +30,34 @@ import wavext
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(path.stem for path in GOLDEN.glob("*.cfg"))
 
-#: Runs each (experiment, config, out) of argv[1] through the CLI and
-#: prints the exit codes.
+#: Runs the CLI on each argv list of argv[1] and prints, per run, the exit
+#: code and what the run wrote to stderr.
 _CHILD = """
-import json, sys
+import contextlib, io, json, sys
 from wavext.cli import main
-print(json.dumps([main([exp, "--config", cfg, "--out", out])
-                  for exp, cfg, out in json.loads(sys.argv[1])]))
+runs = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        runs.append((main(argv), err.getvalue()))
+print(json.dumps(runs))
 """
+
+#: The ordered failure lines that ``--check`` prints for each golden config,
+#: with each rate masked as ``*``; a config not named here passes its check.
+#: The reduced convergence-h study has too coarse a mesh for its rates.
+CHECK_FAILURES = {"convergence-h": [
+    "p=1 q=1: err_u last-pair rate * not within 2+-0.25",
+    "p=1 q=1: err_ustar last-pair rate * not within 2+-0.25",
+    "p=1 q=1: err_v last-pair rate * not within 2+-0.25",
+    "p=1 q=2: err_u last-pair rate * not within 2+-0.25",
+    "p=1 q=2: err_ustar last-pair rate * not within 2+-0.25",
+    "p=1 q=2: err_v last-pair rate * not within 2+-0.25",
+    "p=2 q=1: err_u last-pair rate * not within 3+-0.25",
+    "p=2 q=1: err_ustar last-pair rate * not within 3+-0.25",
+    "p=2 q=1: err_v last-pair rate * not within 3+-0.25",
+    "p=2 q=1: err_gradu last-pair rate * not within 2+-0.25",
+]}
 
 
 def _experiment(cfg_path):
@@ -52,21 +73,26 @@ def test_every_shipped_config_has_a_golden_copy():
     assert CASES == sorted(path.stem for path in shipped.glob("*.cfg"))
 
 
-@pytest.fixture(scope="module")
-def golden_runs(tmp_path_factory):
-    """Every reduced config run by the CLI at one BLAS thread: name -> (exit
-    code, output directory)."""
-    root = tmp_path_factory.mktemp("golden")
-    runs = [(_experiment(GOLDEN / f"{name}.cfg"), str(GOLDEN / f"{name}.cfg"), str(root / name))
-            for name in CASES]
+def _run_goldens(root, *flags):
+    """Every reduced config run by the CLI at one BLAS thread with the extra
+    flags: name -> (exit code, stderr text, output directory)."""
+    runs = [[_experiment(GOLDEN / f"{name}.cfg"), "--config", str(GOLDEN / f"{name}.cfg"),
+             "--out", str(root / name), *flags] for name in CASES]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(wavext.__file__).parents[1]),
                                            os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(runs)], env=env,
                            capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    codes = json.loads(child.stdout.splitlines()[-1])
-    return {name: (code, root / name) for name, code in zip(CASES, codes)}
+    results = json.loads(child.stdout.splitlines()[-1])
+    return {name: (code, err, root / name) for name, (code, err) in zip(CASES, results)}
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """name -> (exit code, output directory) of each golden run."""
+    runs = _run_goldens(tmp_path_factory.mktemp("golden"))
+    return {name: (code, out) for name, (code, _, out) in runs.items()}
 
 
 def _relative_move(old, new):
@@ -152,3 +178,15 @@ def test_outputs_match_golden_bytes(golden_runs, name):
     if any((out / fname).read_bytes() != (GOLDEN / name / fname).read_bytes()
            for fname in ("results.csv", "rates.txt")):
         pytest.fail(_golden_mismatch(name, GOLDEN / name, out), pytrace=False)
+
+
+def test_check_outcomes_are_pinned(tmp_path):
+    """--check on every golden config: the exit code and the ordered failure
+    lines, rates masked.  The checks run after the outputs are written, so
+    the outputs match the goldens as without --check."""
+    for name, (code, err, out) in _run_goldens(tmp_path, "--check").items():
+        failures = [re.sub(r"rate \S+ not", "rate * not", line.removeprefix("check failed: "))
+                    for line in err.splitlines()]
+        assert failures == CHECK_FAILURES.get(name, []), name
+        assert code == (4 if failures else 0), name
+        assert not _golden_mismatch(name, GOLDEN / name, out), name
