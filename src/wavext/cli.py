@@ -49,8 +49,8 @@ CSV_COLUMNS = ("run_id", "experiment", "method", "bc_mode", "p", "q", "h",
 
 @dataclass
 class ExperimentConfig:
-    """A study's run matrix and settings; ``_DEFAULTS`` holds the defaults
-    that differ by experiment.  An empty psi keeps the preset's profile."""
+    """A study's run matrix and settings, with defaults from its ``STUDIES``
+    record.  An empty psi keeps the preset's profile."""
 
     experiment: str
     problem: str = ""
@@ -70,25 +70,44 @@ class ExperimentConfig:
     inline_bbox: tuple = (0.0, 1.0, 0.0, 1.0)
 
 
-_DEFAULTS = {
-    "converge-h": dict(problem="dirichlet-cos", p=[1, 2, 3], q=[4],
-                       mesh=[4, 8, 16, 32], tau=[0.03125]),
-    "converge-tau": dict(problem="dirichlet-cos", p=[8], q=[1, 2, 3, 4],
-                         mesh=[4], tau=[0.25, 0.125, 0.0625]),
-    "converge-pq": dict(problem="dirichlet-cos", p=[1, 2, 3, 4, 5, 6],
-                        q=[], mesh=[8], tau=[0.25]),
-    "estimate": dict(problem="estimator-poly", p=[4], q=[1, 2], mesh=[2],
-                     tau=[0.125, 0.0625, 0.03125, 0.015625]),
-    "solve": dict(problem="dirichlet-cos", p=[2], q=[2], mesh=[8], tau=[0.125]),
-    "energy": dict(problem="standing-wave", p=[2], q=[2], mesh=[8],
-                   tau=[0.03125], initial_mode="interpolation"),
+@dataclass(frozen=True)
+class Study:
+    """What an experiment runs, reports and checks.  A sweep of h or tau
+    crosses p and q with that axis and rates each (p, q) group over it; a
+    pq sweep runs p = q; every axis not swept takes its first value.
+    ``targets(p, q)`` gives the last-pair rates that --check holds a group
+    to, within ``tol``; ``max_drift`` bounds a conservation study's drift."""
+
+    defaults: dict
+    sweep: str = None
+    estimator: bool = False  # also needs p >= 2, for elementwise Laplacians
+    quantities: tuple = ("err_u", "err_ustar", "err_v", "err_gradu")
+    targets: object = None
+    tol: float = 0.0
+    max_drift: float = None
+
+
+STUDIES = {
+    "converge-h": Study(dict(problem="dirichlet-cos", p=[1, 2, 3], q=[4],
+                             mesh=[4, 8, 16, 32], tau=[0.03125]), sweep="h", tol=0.25,
+                        targets=lambda p, q: dict(err_u=p + 1, err_ustar=p + 1,
+                                                  err_v=p + 1, err_gradu=p)),
+    "converge-tau": Study(dict(problem="dirichlet-cos", p=[8], q=[1, 2, 3, 4], mesh=[4],
+                               tau=[0.25, 0.125, 0.0625]), sweep="tau", tol=0.3,
+                          targets=lambda p, q: dict(err_u=q + 1, err_v=q + 1, err_gradu=q + 1,
+                                                    **({"err_ustar": q + 2} if q > 1 else {}))),
+    "converge-pq": Study(dict(problem="dirichlet-cos", p=[1, 2, 3, 4, 5, 6],
+                              q=[], mesh=[8], tau=[0.25]), sweep="pq"),
+    "estimate": Study(dict(problem="estimator-poly", p=[4], q=[1, 2], mesh=[2],
+                           tau=[0.125, 0.0625, 0.03125, 0.015625]), sweep="tau",
+                      estimator=True, quantities=("err_u", "eta", "osc_f")),
+    "solve": Study(dict(problem="dirichlet-cos", p=[2], q=[2], mesh=[8], tau=[0.125])),
+    "energy": Study(dict(problem="standing-wave", p=[2], q=[2], mesh=[8], tau=[0.03125],
+                         initial_mode="interpolation"),
+                    quantities=("energy_drift",), max_drift=1e-10),
 }
 
-EXPERIMENTS = tuple(_DEFAULTS)
-
-#: Rated study -> the row key of the resolution it sweeps, coarse to fine;
-#: its rates are taken over each (p, q) group.
-_RATED = {"converge-h": "h", "converge-tau": "tau", "estimate": "tau"}
+EXPERIMENTS = tuple(STUDIES)
 
 _METHOD_ALIASES = {"gradient": "gradient", "gradientcoupling": "gradient",
                    "i": "gradient", "mass": "mass", "masscoupling": "mass",
@@ -167,13 +186,14 @@ def parse_config(path, experiment):
 
 
 def default_config(experiment):
-    if experiment not in _DEFAULTS:
+    if experiment not in STUDIES:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
-    return ExperimentConfig(experiment, **copy.deepcopy(_DEFAULTS[experiment]))
+    return ExperimentConfig(experiment, **copy.deepcopy(STUDIES[experiment].defaults))
 
 
 def _validate(cfg):
-    if cfg.experiment != "converge-pq":  # converge-pq runs q = p
+    study = STUDIES[cfg.experiment]
+    if study.sweep != "pq":  # a pq sweep runs q = p
         if not cfg.q:
             raise ConfigurationError("q list must not be empty")
         if not all(1 <= v <= MAX_TEMPORAL_DEGREE for v in cfg.q):
@@ -192,10 +212,10 @@ def _validate(cfg):
             raise ConfigurationError(f"tau = {tau} does not divide the final time {cfg.t_final}")
     if any(v < 1 for v in cfg.mesh):
         raise ConfigurationError("mesh values must be >= 1")
-    res = {"h": [-n for n in cfg.mesh], "tau": cfg.tau}.get(_RATED.get(cfg.experiment), [])
+    res = {"h": [-n for n in cfg.mesh], "tau": cfg.tau}.get(study.sweep, [])
     if any(a <= b for a, b in zip(res, res[1:])):  # rates run coarse to fine
         raise ConfigurationError("rates need tau strictly decreasing, mesh strictly increasing")
-    p_min = 2 if cfg.experiment == "estimate" else 1  # the estimator needs elementwise Laplacians
+    p_min = 2 if study.estimator else 1
     if not all(p_min <= v <= MAX_SPATIAL_DEGREE for v in cfg.p):
         raise ConfigurationError(f"p values must be in [{p_min}, {MAX_SPATIAL_DEGREE}]")
     if cfg.samples_per_slab < 3:
@@ -231,15 +251,14 @@ def _make_problem(cfg):
 
 
 def _cells(cfg):
-    """Deterministic run matrix for an experiment config: a rated study
-    crosses p and q with the axis it sweeps, converge-pq runs p = q, and
-    every axis not swept takes its first value."""
-    res = _RATED.get(cfg.experiment)
-    pq = cfg.experiment == "converge-pq"
-    axes = itertools.product(cfg.p if res or pq else cfg.p[:1],
-                             [None] if pq else cfg.q if res else cfg.q[:1],
-                             cfg.mesh if res == "h" else cfg.mesh[:1],
-                             cfg.tau if res == "tau" else cfg.tau[:1])
+    """Deterministic run matrix for an experiment config (see Study): the
+    cells of each (p, q) group are consecutive, coarse to fine."""
+    sweep = STUDIES[cfg.experiment].sweep
+    pq, rated = sweep == "pq", sweep in ("h", "tau")
+    axes = itertools.product(cfg.p if sweep else cfg.p[:1],
+                             [None] if pq else cfg.q if rated else cfg.q[:1],
+                             cfg.mesh if sweep == "h" else cfg.mesh[:1],
+                             cfg.tau if sweep == "tau" else cfg.tau[:1])
     return [dict(p=p, q=p if pq else q, nx=nx, tau=tau) for p, q, nx, tau in axes]
 
 
@@ -257,15 +276,14 @@ def run_cell(cfg, cell, problem, space):
             f"cell p={cell['p']} q={cell['q']} mesh={cell['nx']} "
             f"tau={cell['tau']}: {exc}", residual=exc.residual) from exc
 
-    row = dict(experiment=cfg.experiment, method=cfg.method, bc_mode=cfg.bc_mode,
-               p=cell["p"], q=cell["q"], h=mesh_size(space.mesh), tau=cell["tau"],
-               err_u=None, err_ustar=None, err_v=None, err_gradu=None,
-               eta=None, osc_f=None, effectivity=None, energy_drift=None)
+    row = dict(dict.fromkeys(CSV_COLUMNS[1:]), experiment=cfg.experiment, method=cfg.method,
+               bc_mode=cfg.bc_mode, p=cell["p"], q=cell["q"], h=mesh_size(space.mesh),
+               tau=cell["tau"])
     if problem.has_exact():
         rep = compute_error_report(sol, problem, cfg.samples_per_slab)
         row.update(err_u=rep.err_u, err_ustar=rep.err_ustar,
                    err_v=rep.err_v, err_gradu=rep.err_gradu)
-    if cfg.experiment == "estimate":
+    if STUDIES[cfg.experiment].estimator:
         br = compute_estimator(sol, problem.f, problem.c,
                                singular_at_zero=problem.singular_at_zero)
         eff = effectivity_index(br.eta, row["err_u"]) if row["err_u"] else None
@@ -297,88 +315,67 @@ def _write_results(rows, out_dir):
     return path
 
 
-_RATE_QUANTITIES = ("err_u", "err_ustar", "err_v", "err_gradu")
-
-
-def _groups(cfg, rows):
-    """(p, q, rows) of each nonempty (p, q) group, in config order: the
-    unit that rates, effectivity ratios and their checks are taken over."""
-    for p in cfg.p:
-        for q in cfg.q:
-            group = [r for r in rows if r["p"] == p and r["q"] == q]
-            if group:
-                yield p, q, group
+def _groups(rows):
+    """(p, q, rows) of each (p, q) group, in run order: the unit that rates,
+    effectivity ratios and their checks are taken over."""
+    for (p, q), group in itertools.groupby(rows, key=lambda r: (r["p"], r["q"])):
+        yield p, q, list(group)
 
 
 def _rates_report(cfg, rows):
+    study = STUDIES[cfg.experiment]
+    res, quantities = study.sweep, study.quantities
     lines = [f"experiment: {cfg.experiment}", ""]
-    res = _RATED.get(cfg.experiment)
-    if res:
-        quantities = ("err_u", "eta", "osc_f") if cfg.experiment == "estimate" \
-            else _RATE_QUANTITIES
-        for p, q, group in _groups(cfg, rows):
+    if res in ("h", "tau"):
+        for p, q, group in _groups(rows):
             lines.append(f"p = {p}, q = {q} (rates in {res})")
             lines += [f"  {res}={_fmt(r[res])} "
-                      + " ".join(f"{k}={_fmt(r.get(k))}" for k in quantities) for r in group]
+                      + " ".join(f"{k}={_fmt(r[k])}" for k in quantities) for r in group]
             for k in quantities:
-                errs = [r.get(k) for r in group]
+                errs = [r[k] for r in group]
                 if len(group) >= 2 and None not in errs:
                     rates = convergence_rates([r[res] for r in group], errs)
                     lines.append(f"  rates[{k}]: "
                                  + " ".join("n/a" if v is None else f"{v:.3f}" for v in rates))
             lines.append("")
-            if cfg.experiment == "estimate":
-                effs = [r["effectivity"] for r in group if r["effectivity"]]
-                if effs:
-                    lines.append(f"  effectivity min {min(effs):.3f} "
-                                 f"max {max(effs):.3f} ratio {max(effs)/min(effs):.3f}")
-    elif cfg.experiment == "converge-pq":
-        lines.append("p = q sweep at fixed mesh and time step (errors vs DOFs)")
-        for r in rows:
-            lines.append(f"  p=q={r['p']:2d} dofs={r['dofs']:8d} "
-                         + " ".join(f"{k}={_fmt(r[k])}" for k in _RATE_QUANTITIES))
-    elif cfg.experiment == "energy":
+            effs = [r["effectivity"] for r in group if r["effectivity"]]
+            if effs:
+                lines.append(f"  effectivity min {min(effs):.3f} "
+                             f"max {max(effs):.3f} ratio {max(effs)/min(effs):.3f}")
+    elif study.max_drift is not None:
         lines.append(f"energy drift: {_fmt(rows[0]['energy_drift'])}")
     else:
+        if res:
+            lines.append("p = q sweep at fixed mesh and time step (errors vs DOFs)")
         for r in rows:
-            lines.append("  " + " ".join(f"{k}={_fmt(r[k])}" for k in _RATE_QUANTITIES))
+            head = f"p=q={r['p']:2d} dofs={r['dofs']:8d} " if res else ""
+            lines.append("  " + head + " ".join(f"{k}={_fmt(r[k])}" for k in quantities))
     return "\n".join(lines) + "\n"
 
 
 def _check(cfg, rows):
-    """Experiment-specific sanity thresholds used by --check."""
+    """The study's sanity thresholds used by --check."""
+    study = STUDIES[cfg.experiment]
     failures = []
-    res = _RATED.get(cfg.experiment)
-    if cfg.experiment == "estimate":
-        for r in rows:
-            if r["err_u"] is not None and r["err_u"] > r["eta"] + r["osc_f"]:
-                failures.append(f"p={r['p']} q={r['q']} tau={r['tau']}: error exceeds eta + osc_f")
-        for p, q, group in _groups(cfg, rows):
-            effs = [r["effectivity"] for r in group if r["effectivity"]]
-            if effs and max(effs) / min(effs) > 3.0:
-                failures.append(f"p={p} q={q}: effectivity ratio {max(effs)/min(effs):.2f} > 3")
-    elif res == "h" or (res == "tau" and cfg.bc_mode == "projection"):
-        for p, q, group in _groups(cfg, rows):
-            if len(group) < 2:
-                continue
-            if res == "h":
-                checks = [("err_u", p + 1, 0.25), ("err_ustar", p + 1, 0.25),
-                          ("err_v", p + 1, 0.25), ("err_gradu", p, 0.25)]
-            else:
-                checks = [("err_u", q + 1, 0.3), ("err_v", q + 1, 0.3),
-                          ("err_gradu", q + 1, 0.3)]
-                if q > 1:
-                    checks.append(("err_ustar", q + 2, 0.3))
-            for k, target, tol in checks:
-                rate = convergence_rates([r[res] for r in group], [r[k] for r in group])[-1]
-                if rate is None or abs(rate - target) > tol:
-                    failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
-                                    f"within {target}+-{tol}")
-    elif cfg.experiment == "energy":
+    if study.estimator:
+        failures += [f"p={r['p']} q={r['q']} tau={r['tau']}: error exceeds eta + osc_f"
+                     for r in rows if r["err_u"] is not None and r["err_u"] > r["eta"] + r["osc_f"]]
+    # the interpolated lifting's per-slab defect spoils the rates in tau
+    targets = study.targets if study.sweep == "h" or cfg.bc_mode == "projection" else None
+    for p, q, group in _groups(rows):
+        effs = [r["effectivity"] for r in group if r["effectivity"]]
+        if effs and max(effs) / min(effs) > 3.0:
+            failures.append(f"p={p} q={q}: effectivity ratio {max(effs)/min(effs):.2f} > 3")
+        for k, target in (targets(p, q).items() if targets and len(group) >= 2 else ()):
+            rate = convergence_rates([r[study.sweep] for r in group], [r[k] for r in group])[-1]
+            if rate is None or abs(rate - target) > study.tol:
+                failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
+                                f"within {target}+-{study.tol}")
+    if study.max_drift is not None:
         drift = rows[0]["energy_drift"]
-        if drift is None or drift > 1e-10:
-            failures.append(f"energy drift {drift} exceeds 1e-10")
-    elif cfg.experiment == "converge-pq":
+        if drift is None or drift > study.max_drift:
+            failures.append(f"energy drift {drift} exceeds {study.max_drift:g}")
+    if study.sweep == "pq":
         errs = [r["err_u"] for r in rows]
         if any(b >= a for a, b in zip(errs, errs[1:])):
             failures.append("err_u not strictly decreasing in p = q")

@@ -256,7 +256,9 @@ class SlabWorkspace:
         if problem.f is None:
             return None
         if n not in self._load_block:
-            block = next(b for b in self._load_blocks if n in b)
+            # the blocks after the graded slab 0 all hold len(blocks[first]) slabs
+            blocks, first = self._load_blocks, int(problem.singular_at_zero)
+            block = blocks[n if n < first else first + (n - first) // len(blocks[first])]
             graded = problem.singular_at_zero and block.start == 0
             rules = [gauss_rule(self._npts, self.partition.slab(k), graded) for k in block]
             ts = np.concatenate([t for t, _ in rules])

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu
@@ -16,7 +16,7 @@ from conftest import legendre_coeffs, small_homogeneous_run, txy_problem
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.solver import SLAB_TOL, SlabWorkspace
 from wavext.timebasis import (gauss_rule, legendre_table, slab_temporal_matrices,
-                              trial_matrix)
+                              trial_matrix, trial_to_legendre)
 
 
 def test_initial_data_reproduces_interior_members():
@@ -546,6 +546,61 @@ def test_load_moments_equal_per_time_loop(make):
     assert max(map(len, ws._load_blocks)) > 1
     for n in range(part.n_slabs):
         assert np.array_equal(ws.load_moments(n), _load_moments_per_time(ws, n))
+
+
+@pytest.mark.parametrize("psi", ["t2.25", "cos4t"])
+def test_load_moments_index_their_block(psi):
+    # slab n's block is found by index (after the graded slab 0), not by a
+    # scan of the block list, which this list refuses; 39 slabs leave a
+    # shorter last block
+    class IndexOnly(list):
+        def __iter__(self):
+            raise AssertionError("load_moments scanned the block list")
+
+    prob = wx.estimator_poly(psi)
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
+    part = wx.uniform_time_partition(1.0, 39)
+    ws = SlabWorkspace(prob, wx.Discretization(space, part, q=2))
+    sizes = [len(b) for b in ws._load_blocks]
+    assert len(set(sizes[int(prob.singular_at_zero):-1])) == 1 and 1 < sizes[-1] < sizes[-2]
+    ws._load_blocks = IndexOnly(ws._load_blocks)
+    for n in np.random.default_rng(7).permutation(part.n_slabs).tolist():
+        assert np.array_equal(ws.load_moments(n), _load_moments_per_time(ws, n))
+
+
+def _work_defect(sol, ws, scale=None):
+    """max_n |E(t_n) - E(t_{n-1}) - sum_{i<q} (T v_n)_i . F_{n,i}| / max E,
+    with F = load_moments(n), optionally multiplied by scale[n]."""
+    E = wx.energy_trace(sol, ws.problem.c)
+    T = trial_to_legendre(sol.degree)[:-1]
+    work = np.array([np.sum((T @ sol.v[n][:, ws.I]) * ws.load_moments(n))
+                     for n in range(sol.partition.n_slabs)])
+    if scale is not None:
+        work *= scale
+    return np.abs(np.diff(E) - work).max() / E.max(), work
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_lengths=st.lists(st.floats(-3.0, 0.0), min_size=2, max_size=12),
+       q=st.sampled_from([1, 2, 3, 4, 6]), method=st.sampled_from(["gradient", "mass"]))
+@example(log_lengths=[0.0, -3.0] * 6, q=6, method="mass")
+def test_slab_energy_identity(log_lengths, q, method):
+    # testing the second equation with v on homogeneous Dirichlet data: each
+    # slab changes the discrete energy by exactly the work of the source on
+    # Pi_{q-1} v, on any partition (the paper's unconditional stability)
+    prob = wx.estimator_poly()
+    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 3)
+    lengths = 10.0 ** np.array(log_lengths)
+    part = wx.TimePartition(np.concatenate([[0.0], np.cumsum(lengths / lengths.sum())]))
+    disc = wx.Discretization(space, part, q=q, method=method)
+    sol = wx.solve(prob, disc)
+    ws = SlabWorkspace(prob, disc)
+    defect, work = _work_defect(sol, ws)
+    assert defect <= 1e-13
+    # the identity sees a 1e-10 change of the slab doing the most work
+    scale = np.ones(part.n_slabs)
+    scale[np.argmax(np.abs(work))] += 1e-10
+    assert _work_defect(sol, ws, scale)[0] > 1e-13
 
 
 def test_endpoint_rejects_nodes_outside_the_partition():
