@@ -79,6 +79,7 @@ def _source_defects(sol, f, singular_at_zero):
     X = qd["pts"][..., 0].ravel()
     Y = qd["pts"][..., 1].ravel()
     wsp = qd["wdet"].ravel()
+    nodes, lengths = partition.nodes, partition.lengths
     out = np.zeros(partition.n_slabs)
     n_proj, n_outer = q + 6, max(q + 4, 8)
     scale = 2.0 * np.arange(q) + 1.0
@@ -86,8 +87,7 @@ def _source_defects(sol, f, singular_at_zero):
     def sampled(npts, block, graded):
         """Weights per slab (B, nt) and f at the times, (B, nt, P), of the
         npts-point rule on each slab of a block."""
-        tw = [gauss_rule(npts, partition.slab(n), graded) for n in block]
-        ts, ws = (np.stack(a) for a in zip(*tw))
+        ts, ws = gauss_rule(npts, (nodes[:-1][block, None], nodes[1:][block, None]), graded)
         fv = np.broadcast_to(f(X, Y, ts.reshape(-1, 1)), (ts.size, X.size))
         return ws, fv.reshape(len(block), -1, X.size)
 
@@ -95,8 +95,7 @@ def _source_defects(sol, f, singular_at_zero):
         graded = singular_at_zero and block.start == 0
         wp, fv_p = sampled(n_proj, block, graded)
         Pp = legendre_table(q - 1, n_proj, graded)
-        tau = np.array([b - a for a, b in map(partition.slab, block)])
-        proj = (scale / tau[:, None])[..., None] * ((Pp * wp[:, None]) @ fv_p)  # (B, q, P)
+        proj = (scale / lengths[block, None])[..., None] * ((Pp * wp[:, None]) @ fv_p)  # (B, q, P)
         # at q = 2 both rules are the same 8 points
         wo, fv_o = (wp, fv_p) if n_outer == n_proj else sampled(n_outer, block, graded)
         Po = legendre_table(q - 1, n_outer, graded)

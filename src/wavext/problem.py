@@ -5,6 +5,7 @@ arrays for x, y (and t) and broadcast.  Exact solutions, when present, enable
 error studies; the solver itself only consumes data fields.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -186,8 +187,8 @@ def estimator_poly(psi="cos4t"):
             alpha = float(key[1:])
         except ValueError as exc:
             raise ConfigurationError(f"unknown time profile {psi!r}") from exc
-        if alpha <= 1.0:
-            raise ConfigurationError("power-law exponent must exceed 1")
+        if not math.isfinite(alpha) or alpha <= 1.0:
+            raise ConfigurationError("power-law exponent must be finite and exceed 1")
         psi_f, dpsi_f, ddpsi_f, singular = _power_psi(alpha)
     else:
         raise ConfigurationError(f"unknown time profile {psi!r}")

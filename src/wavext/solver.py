@@ -141,15 +141,12 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
         if bad.size:
             raise ConfigurationError(f"{name} is not finite at the boundary node "
                                      f"({xb[bad[0]]:g}, {yb[bad[0]]:g})")
-    if problem.g_d is not None:
-        gap = np.max(np.abs(data["g_d(.,0)"] - data["u0"]))
-        if gap > 1e-8 * (1.0 + np.max(np.abs(data["u0"]))):
-            raise ConfigurationError(
-                f"initial/boundary data incompatible: |g_d(.,0) - u0| = {gap:.3e} on the boundary")
-        gap = np.max(np.abs(data["dt_g_d(.,0)"] - data["v0"]))
-        if gap > 1e-8 * (1.0 + np.max(np.abs(data["v0"]))):
-            raise ConfigurationError(
-                f"initial/boundary data incompatible: |dt g_d(.,0) - v0| = {gap:.3e}")
+    for boundary, initial in (("g_d(.,0)", "u0"), ("dt_g_d(.,0)", "v0")):
+        if boundary in data:
+            gap = np.max(np.abs(data[boundary] - data[initial]))
+            if gap > 1e-8 * (1.0 + np.max(np.abs(data[initial]))):
+                raise ConfigurationError(f"initial/boundary data incompatible: |{boundary} - "
+                                         f"{initial}| = {gap:.3e} on the boundary")
 
     if initial_mode == "interpolation":
         return interpolate_nodal(space, problem.u0), interpolate_nodal(space, problem.v0)
@@ -260,15 +257,15 @@ class SlabWorkspace:
             blocks, first = self._load_blocks, int(problem.singular_at_zero)
             block = blocks[n if n < first else first + (n - first) // len(blocks[first])]
             graded = problem.singular_at_zero and block.start == 0
-            rules = [gauss_rule(self._npts, self.partition.slab(k), graded) for k in block]
-            ts = np.concatenate([t for t, _ in rules])
-            ws = np.stack([w for _, w in rules])[:, None, :]
+            nodes = self.partition.nodes
+            ts, ws = gauss_rule(self._npts, (nodes[:-1][block, None], nodes[1:][block, None]),
+                                graded)
             tst = legendre_table(self.q - 1, self._npts, graded)
-            loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts[:, None, None]))
-            loads = np.broadcast_to(loads, (len(ts), self.space.n_dofs))[:, self.I]
+            loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts.reshape(-1, 1, 1)))
+            loads = np.broadcast_to(loads, (ts.size, self.space.n_dofs))[:, self.I]
             # C order: BLAS then sums each slab's product as it does for stacked rows
             loads = np.ascontiguousarray(loads).reshape(len(block), -1, len(self.I))
-            self._load_block, self._loads = block, (tst * ws) @ loads
+            self._load_block, self._loads = block, (tst * ws[:, None, :]) @ loads
             self._loads.flags.writeable = False  # every slab of the block reads it
         return self._loads[n - self._load_block.start]
 

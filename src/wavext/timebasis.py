@@ -80,28 +80,18 @@ def uniform_time_partition(t_final, n_slabs):
 
 
 def legendre_matrix(deg, x):
-    """Values of P_0..P_deg at normalized coords x, shape (deg+1,) + x.shape."""
+    """Values of P_0..P_deg at normalized coords x, shape (deg+1,) + x.shape;
+    empty for deg < 0."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((deg + 1,) + x.shape)
-    for s in range(deg + 1):
-        c = np.zeros(s + 1)
-        c[s] = 1.0
-        out[s] = npleg.legval(x, c)
-    return out
+    if deg < 0:
+        return np.empty((0,) + x.shape)
+    return npleg.legval(x, np.eye(deg + 1))
 
 
 def trial_matrix(q, x):
-    """Values of the trial basis sigma_0..sigma_q at normalized coords x."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((q + 1,) + x.shape)
-    out[0] = 1.0
-    if q >= 1:
-        out[1] = 0.5 * (x + 1.0)
-    if q >= 2:
-        P = legendre_matrix(q, x)
-        for j in range(2, q + 1):
-            out[j] = 0.5 * (P[j] - P[j - 2])
-    return out
+    """Values of the trial basis sigma_0..sigma_q at normalized coords x:
+    sigma_j = sum_k T[k, j] P_k with T = trial_to_legendre(q)."""
+    return np.tensordot(trial_to_legendre(q).T, legendre_matrix(q, x), axes=1)
 
 
 @lru_cache(maxsize=None)
@@ -139,9 +129,11 @@ def _graded_rule(npts):
 
 
 def gauss_rule(npts, slab, graded=False):
-    """Gauss-Legendre nodes and weights on a slab, exact to degree 2*npts - 1;
-    graded=True composes the rule over 11 panels graded toward the left
-    endpoint, for data with an algebraic singularity there."""
+    """Gauss-Legendre nodes and weights on a slab (a, b), exact to degree
+    2*npts - 1; graded=True composes the rule over 11 panels graded toward
+    the left endpoint, for data with an algebraic singularity there.  For a
+    block of slabs, a and b are columns (B, 1) of slab ends and the nodes and
+    weights come back as (B, nt), one row per slab."""
     if not 1 <= npts <= 30:
         raise ValueError(f"gauss_rule supports 1..30 points, got {npts}")
     a, b = slab
@@ -265,7 +257,8 @@ def _legendre_antiderivative_reference(q):
     F = int_{-1}^x P_q = (P_{q+1} - P_{q-1}) / (2q + 1) at -1, the roots of
     P_q, where its extrema lie, and 1."""
     x = np.concatenate([[-1.0], np.sort(_reference_rule(q)[0]), [1.0]])
-    F = (npleg.legval(x, np.eye(q + 2)[q + 1]) - npleg.legval(x, np.eye(q)[q - 1])) / (2 * q + 1)
+    P = legendre_matrix(q + 1, x)
+    F = (P[q + 1] - P[q - 1]) / (2 * q + 1)
     return sum(np.abs(np.diff(F))), np.abs(F).max()
 
 

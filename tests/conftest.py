@@ -8,7 +8,7 @@ from wavext.errors import ConfigurationError
 from wavext.fem import spatial_norm
 from wavext.postprocess import _at
 from wavext.solver import SpaceTimeSolution
-from wavext.timebasis import trial_matrix, trial_to_legendre
+from wavext.timebasis import gauss_rule, trial_matrix, trial_to_legendre
 
 
 @pytest.fixture(scope="session")
@@ -187,3 +187,37 @@ def legendre_derivative_matrix(deg, x):
         c[s] = 1.0
         out[s] = npleg.legval(x, npleg.legder(c))
     return out
+
+
+def legendre_matrix_per_degree(deg, x):
+    """The loop legendre_matrix replaces: P_0..P_deg at normalized coords x,
+    one legval call per unit coefficient vector."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((deg + 1,) + x.shape)
+    for s in range(deg + 1):
+        c = np.zeros(s + 1)
+        c[s] = 1.0
+        out[s] = npleg.legval(x, c)
+    return out
+
+
+def trial_matrix_by_cases(q, x):
+    """The case-by-case trial basis trial_matrix replaces: sigma_0 = 1,
+    sigma_1 = (x + 1)/2 and sigma_j = (P_j - P_{j-2})/2 for j >= 2."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((q + 1,) + x.shape)
+    out[0] = 1.0
+    if q >= 1:
+        out[1] = 0.5 * (x + 1.0)
+    if q >= 2:
+        P = legendre_matrix_per_degree(q, x)
+        for j in range(2, q + 1):
+            out[j] = 0.5 * (P[j] - P[j - 2])
+    return out
+
+
+def gauss_rules_per_slab(npts, partition, block, graded):
+    """The per-slab lists a block's Gauss rule replaces: times and weights,
+    each (len(block), nt), from one gauss_rule call per slab of the block."""
+    rules = [gauss_rule(npts, partition.slab(n), graded) for n in block]
+    return tuple(np.stack(a) for a in zip(*rules))

@@ -94,6 +94,9 @@ def test_main_exit_codes(tmp_path):
     "q = 1\nq = 13\n",
     "problem = nosuch\n",
     "problem = estimator-poly\npsi = t0.5\n",
+    "problem = estimator-poly\npsi = tnan\n",
+    "problem = estimator-poly\npsi = tinf\n",
+    "problem = estimator-poly\npsi = t1e400\n",
     "p = 1\np = 1\n",
     "q = 1\nq = 1\n",
 ])

@@ -49,8 +49,16 @@ def test_incompatible_data_rejected():
         u0=lambda x, y: prob.u0(x, y) + 1e-4,
         grad_u0=prob.grad_u0, v0=prob.v0)
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
-    with pytest.raises(wx.ConfigurationError):
+    with pytest.raises(wx.ConfigurationError, match=r"\|g_d\(\.,0\) - u0\|"):
         wx.discrete_initial_data(bad, space)
+    # v0 vanishes on the boundary, so its bound is 1e-8 * (1 + 0)
+    for shift, message in ((1e-4, r"\|dt_g_d\(\.,0\) - v0\| = 1\.000e-04"),
+                           (2e-8, r"\|dt_g_d\(\.,0\) - v0\| = 2\.000e-08")):
+        bad_v = replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + shift)
+        with pytest.raises(wx.ConfigurationError, match=message):
+            wx.discrete_initial_data(bad_v, space)
+    wx.discrete_initial_data(replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + 5e-9),
+                             space)
 
 
 def test_lifting_zero_and_polynomial_data():

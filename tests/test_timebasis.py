@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
-from conftest import containing_slab, eval_slab, legendre_derivative_matrix, to_normalized
+from conftest import (containing_slab, eval_slab, gauss_rules_per_slab,
+                      legendre_derivative_matrix, legendre_matrix_per_degree,
+                      to_normalized, trial_matrix_by_cases)
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.timebasis import (TimePartition, _endpoint_exact_map, _lagrange_map,
                               _reference_rule, abs_legendre_integral,
@@ -148,6 +150,46 @@ def test_legendre_table_matches_per_slab_table(q):
                 assert np.abs(table - per_slab).max() <= 1e-12
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
+
+
+def _identical(a, b):
+    """Equal shapes, values and sign bits, so -0.0 differs from 0.0."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("q", range(13))
+def test_bases_equal_their_replaced_evaluations(q):
+    # legendre_matrix is one legval call on the identity and trial_matrix is
+    # T^T P; both give the bits of the per-degree loop and of the hand-written
+    # sigma_0 = 1, sigma_1 = (x + 1)/2, sigma_j = (P_j - P_{j-2})/2, at the
+    # report's 11 samples, the Lagrange lifting nodes, -1, 0, 1, a Gauss rule
+    # and random points
+    points = (np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, q + 1),
+              np.array([-1.0, 0.0, 1.0]), _reference_rule(q + 6)[0],
+              np.random.default_rng(q).uniform(-1.0, 1.0, (3, 5)))
+    for x in points:
+        assert _identical(legendre_matrix(q, x), legendre_matrix_per_degree(q, x))
+        assert _identical(trial_matrix(q, x), trial_matrix_by_cases(q, x))
+        # degree q - 2 at q = 1, which the endpoint-exact map asks for
+        assert legendre_matrix(-1, x).shape == (0,) + x.shape
+
+
+def test_block_gauss_rule_equals_per_slab_rules():
+    # one gauss_rule call with a block's slab ends as columns gives the bits
+    # of one call per slab, on a nonuniform partition whose slab 0 is a
+    # block of its own, with either rule
+    lengths = np.random.default_rng(5).uniform(0.5, 1.5, 13)
+    part = TimePartition(np.concatenate([[0.0], np.cumsum(lengths / lengths.sum())]))
+    a, b = part.nodes[:-1], part.nodes[1:]
+    for npts in (1, 6, 8, 18, 30):
+        blocks = part.blocks(npts * 100, first_alone=True)
+        assert len(blocks[0]) == 1 and max(map(len, blocks)) > 1
+        for block in blocks:
+            for graded in (False, True):
+                got = gauss_rule(npts, (a[block, None], b[block, None]), graded)
+                for g, ref in zip(got, gauss_rules_per_slab(npts, part, block, graded)):
+                    assert _identical(g, ref)
 
 
 def _slab_l2_projection(r, f, slab, npts):
