@@ -181,6 +181,10 @@ def parse_config(path, experiment):
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"{path}: invalid {key} value: {exc}") from exc
         setattr(cfg, name, parsed if key in _LIST_KEYS else parsed[0])
+    stray = raw.keys() & ({"psi"} if cfg.problem == "inline" else {"u", "c", "bbox"})
+    if stray:
+        raise ConfigurationError(f"{path}: problem {cfg.problem!r} takes no "
+                                 f"{' or '.join(sorted(stray))} key")
     _validate(cfg)
     return cfg
 

@@ -61,7 +61,6 @@ class EstimatorBreakdown:
 
     m_star: int
     term_post: float
-    term_f: float
     term_lap_v: float
     term_lap_u: float
     eta: float
@@ -162,7 +161,7 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
     term_post = float(np.max(np.sqrt(cq * lengths) * v_defect))
     tau_m, pre = float(lengths[m]), lengths[:m]
 
-    term_f = 2.0 * tau_m * f_defect[m] + np.sum(2.0 * cpi * pre * f_defect[:m])
+    osc_f = 2.0 * tau_m * f_defect[m] + np.sum(2.0 * cpi * pre * f_defect[:m])
     # the peak-slab Laplacian-of-v term carries tau_m squared: one factor from
     # the L1 gap bound between the reconstruction and u, one from the weight
     term_lap_v = 2.0 * csq * tau_m ** 2 * lap_v[m] \
@@ -171,8 +170,8 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
 
     eta = term_post + term_lap_v + term_lap_u
     return EstimatorBreakdown(
-        m_star=m, term_post=term_post, term_f=term_f, term_lap_v=term_lap_v,
-        term_lap_u=term_lap_u, eta=eta, osc_f=term_f, total=eta + term_f,
+        m_star=m, term_post=term_post, term_lap_v=term_lap_v, term_lap_u=term_lap_u,
+        eta=eta, osc_f=osc_f, total=eta + osc_f,
         per_slab={"gap": gap, "v_defect": v_defect, "f_defect": f_defect,
                   "lap_u": lap_u, "lap_v": lap_v})
 

@@ -187,8 +187,9 @@ def estimator_poly(psi="cos4t"):
             alpha = float(key[1:])
         except ValueError as exc:
             raise ConfigurationError(f"unknown time profile {psi!r}") from exc
-        if not math.isfinite(alpha) or alpha <= 1.0:
-            raise ConfigurationError("power-law exponent must be finite and exceed 1")
+        if not math.isfinite(alpha * (alpha - 1.0)) or alpha <= 1.0:  # the factor of psi''
+            raise ConfigurationError("power-law exponent must exceed 1 and alpha (alpha - 1) "
+                                     "must be finite")
         psi_f, dpsi_f, ddpsi_f, singular = _power_psi(alpha)
     else:
         raise ConfigurationError(f"unknown time profile {psi!r}")

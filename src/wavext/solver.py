@@ -206,8 +206,7 @@ class SlabWorkspace:
         # the source is evaluated once per block of slabs, at all its Gauss times
         self._npts = max(self.q + 3, 6)
         n_points = space.quad_data(space.norm_degree())["wdet"].size
-        self._load_blocks = self.partition.blocks(self._npts * n_points, problem.singular_at_zero)
-        self._load_block, self._loads = range(0), None
+        self.load_blocks = self.partition.blocks(self._npts * n_points, problem.singular_at_zero)
 
     def system(self, tau):
         """Factorize the modes for slab length tau, unless it is within 8 ulps
@@ -244,38 +243,33 @@ class SlabWorkspace:
                           np.stack([r1, r2]), SLAB_TOL, "slab")
         return x[0], x[1]
 
-    def load_moments(self, n):
-        """Temporal moments of the interior load: (q, n_interior) array of
-        int (f, L_i phi_k) dt over slab n, or None for a zero source.  They
-        come from one evaluation of f per block of slabs (the graded slab 0
-        is a block of its own), and the last block's moments are kept."""
+    def load_moments(self, block):
+        """Temporal moments of the interior load over a range of slabs of
+        ``load_blocks`` (the graded slab 0 is a block of its own): a fresh
+        (len(block), q, n_interior) array of int (f, L_i phi_k) dt, from one
+        evaluation of f at all the block's Gauss times, or None for zero f."""
         problem = self.problem
         if problem.f is None:
             return None
-        if n not in self._load_block:
-            # the blocks after the graded slab 0 all hold len(blocks[first]) slabs
-            blocks, first = self._load_blocks, int(problem.singular_at_zero)
-            block = blocks[n if n < first else first + (n - first) // len(blocks[first])]
-            graded = problem.singular_at_zero and block.start == 0
-            nodes = self.partition.nodes
-            ts, ws = gauss_rule(self._npts, (nodes[:-1][block, None], nodes[1:][block, None]),
-                                graded)
-            tst = legendre_table(self.q - 1, self._npts, graded)
-            loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts.reshape(-1, 1, 1)))
-            loads = np.broadcast_to(loads, (ts.size, self.space.n_dofs))[:, self.I]
-            # C order: BLAS then sums each slab's product as it does for stacked rows
-            loads = np.ascontiguousarray(loads).reshape(len(block), -1, len(self.I))
-            self._load_block, self._loads = block, (tst * ws[:, None, :]) @ loads
-            self._loads.flags.writeable = False  # every slab of the block reads it
-        return self._loads[n - self._load_block.start]
+        graded = problem.singular_at_zero and block.start == 0
+        nodes = self.partition.nodes
+        ts, ws = gauss_rule(self._npts, (nodes[:-1][block, None], nodes[1:][block, None]),
+                            graded)
+        tst = legendre_table(self.q - 1, self._npts, graded)
+        loads = load_vector(self.space, lambda xx, yy: problem.f(xx, yy, ts.reshape(-1, 1, 1)))
+        loads = np.broadcast_to(loads, (ts.size, self.space.n_dofs))[:, self.I]
+        # C order: BLAS then sums each slab's product as it does for stacked rows
+        loads = np.ascontiguousarray(loads).reshape(len(block), -1, len(self.I))
+        return (tst * ws[:, None, :]) @ loads
 
 
-def solve_slab(prev_u, prev_v, n, workspace, lifting):
+def solve_slab(prev_u, prev_v, n, workspace, lifting, loads):
     """Advance one slab from the endpoint state (prev_u, prev_v) at t_{n-1}.
 
     Returns the full trial-coefficient tensors (q+1, n_dofs) for u and v on
     slab n.  The previous state must agree with the lifting on the boundary
-    (``lifting`` is the run's :func:`build_lifting`, None for zero data).
+    (``lifting`` is the run's :func:`build_lifting`, None for zero data);
+    ``loads`` is its row of :meth:`SlabWorkspace.load_moments`, None for zero f.
     """
     q, I, B = workspace.q, workspace.I, workspace.B
     workspace.system(float(workspace.lengths[n]))
@@ -299,9 +293,8 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting):
     # the interior rows of the full operators: the same CSR row products
     r1, r2 = _block(workspace.C, workspace.M, workspace.K, workspace.Nm, U, V)
     r1, r2 = -r1[:, I], -r2[:, I]
-    F = workspace.load_moments(n)
-    if F is not None:
-        r2 += F
+    if loads is not None:
+        r2 += loads
 
     try:
         U[1:, I], V[1:, I] = workspace.solve(r1, r2)
@@ -319,8 +312,11 @@ def solve(problem, disc):
     N = partition.n_slabs
     U = np.zeros((N, q + 1, space.n_dofs))
     V = np.zeros((N, q + 1, space.n_dofs))
-    for n in range(N):
-        U[n], V[n] = solve_slab(prev_u, prev_v, n, ws, lifting)
-        prev_u = U[n, 0] + U[n, 1]
-        prev_v = V[n, 0] + V[n, 1]
+    for block in ws.load_blocks:
+        F = ws.load_moments(block)
+        for n in block:
+            U[n], V[n] = solve_slab(prev_u, prev_v, n, ws, lifting,
+                                    None if F is None else F[n - block.start])
+            prev_u = U[n, 0] + U[n, 1]
+            prev_v = V[n, 0] + V[n, 1]
     return SpaceTimeSolution(space, partition, q, U, V)

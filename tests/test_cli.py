@@ -97,6 +97,7 @@ def test_main_exit_codes(tmp_path):
     "problem = estimator-poly\npsi = tnan\n",
     "problem = estimator-poly\npsi = tinf\n",
     "problem = estimator-poly\npsi = t1e400\n",
+    "problem = estimator-poly\npsi = t1e200\n",
     "p = 1\np = 1\n",
     "q = 1\nq = 1\n",
 ])
@@ -106,6 +107,22 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text):
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, stray", [
+    ("problem = dirichlet-cos\nc = 2\nu = x*y*t\nbbox = 0 2 0 2\n", "bbox or c or u"),
+    ("problem = estimator-poly\nbbox = 0 2 0 2\n", "bbox"),
+    ("c = 2\n", "c"),
+    ("problem = inline\nu = x*y*t\npsi = t2.25\n", "psi"),
+], ids=["preset-u-c-bbox", "preset-bbox", "default-preset-c", "inline-psi"])
+def test_keys_of_another_problem_exit_2(tmp_path, capsys, text, stray):
+    # u, c and bbox shape an inline problem, psi a preset's time profile;
+    # given to the other kind, they were once ignored
+    path = write(tmp_path, "keys.cfg", "mesh = 2\n" + text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"takes no {stray} key" in capsys.readouterr().err
     assert not out.exists()
 
 

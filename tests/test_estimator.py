@@ -76,8 +76,7 @@ def test_estimator_scaling_linearity():
                                lam * sol.u, lam * sol.v)
     f_scaled = lambda x, y, t: lam * prob.f(x, y, t)
     br2 = compute_estimator(scaled, f_scaled, prob.c)
-    for name in ("term_post", "term_f", "term_lap_v", "term_lap_u", "eta",
-                 "osc_f", "total"):
+    for name in ("term_post", "term_lap_v", "term_lap_u", "eta", "osc_f", "total"):
         assert getattr(br2, name) == pytest.approx(abs(lam) * getattr(br1, name),
                                                    rel=1e-10)
     assert br2.m_star == br1.m_star
@@ -233,15 +232,15 @@ def _estimator_per_slab(sol, f, c, singular_at_zero):
     lengths = partition.lengths
     term_post = float(np.max(np.sqrt(cq * lengths) * v_defect))
     tau_m = float(lengths[m])
-    term_f = 2.0 * tau_m * f_defect[m]
+    osc_f = 2.0 * tau_m * f_defect[m]
     term_lap_v = 2.0 * c ** 2 * tau_m ** 2 * lap_v[m]
     term_lap_u = 2.0 * c ** 2 * tau_m * lap_u[m]
     for n in range(m):
         tau_n = float(lengths[n])
-        term_f += 2.0 * cpi * tau_n * f_defect[n]
+        osc_f += 2.0 * cpi * tau_n * f_defect[n]
         term_lap_v += 2.0 * c ** 2 * float(weight(n, m, partition)) * tau_n * lap_v[n]
         term_lap_u += 2.0 * c ** 2 * cpi * tau_n * lap_u[n]
-    return dict(m_star=m, term_post=term_post, term_f=term_f, term_lap_v=term_lap_v,
+    return dict(m_star=m, term_post=term_post, osc_f=osc_f, term_lap_v=term_lap_v,
                 term_lap_u=term_lap_u, eta=term_post + term_lap_v + term_lap_u,
                 gap=gap, v_defect=v_defect, f_defect=f_defect, lap_u=lap_u, lap_v=lap_v)
 
@@ -266,5 +265,5 @@ def test_estimator_equals_per_slab_loop(q, psi, nodes):
         assert br.term_post == expect["term_post"], method
         # the terms add the slabs before the peak as one array sum, not onto the
         # peak term one slab at a time: the same products, added in another order
-        for name in ("term_f", "term_lap_v", "term_lap_u", "eta"):
+        for name in ("osc_f", "term_lap_v", "term_lap_u", "eta"):
             assert abs(getattr(br, name) - expect[name]) <= 1e-15 * expect[name], (method, name)

@@ -80,8 +80,9 @@ def test_make_preset_validation():
         make_preset("estimator-poly", psi="banana")
     with pytest.raises(wx.ConfigurationError):
         make_preset("estimator-poly", psi="t0.5")
-    # NaN and inf compare False with 1, so they once passed the exponent check
-    for psi in ("tnan", "tinf", "t1e400"):
+    # NaN and inf compare False with 1, so they once passed the exponent
+    # check; at 1e200, alpha (alpha - 1) in psi'' overflows
+    for psi in ("tnan", "tinf", "t1e400", "t1e200"):
         with pytest.raises(wx.ConfigurationError, match="must be finite"):
             make_preset("estimator-poly", psi=psi)
 

@@ -143,7 +143,7 @@ def test_single_slab_equals_solve():
     sol = wx.solve(prob, disc)
     u0h, v0h = wx.discrete_initial_data(prob, space)
     lifting = wx.build_lifting(prob, space, part, 2, disc.bc_mode)
-    U, V = wx.solve_slab(u0h, v0h, 0, SlabWorkspace(prob, disc), lifting)
+    U, V = wx.solve_slab(u0h, v0h, 0, SlabWorkspace(prob, disc), lifting, None)
     assert np.abs(U - sol.u[0]).max() <= 1e-12
     assert np.abs(V - sol.v[0]).max() <= 1e-12
 
@@ -210,7 +210,7 @@ def test_previous_state_must_match_lifting():
     bad = u0h.copy()
     bad[space.boundary_dofs[0]] += 1e-3
     with pytest.raises(wx.ConfigurationError):
-        wx.solve_slab(bad, v0h, 0, SlabWorkspace(prob, disc), lifting)
+        wx.solve_slab(bad, v0h, 0, SlabWorkspace(prob, disc), lifting, None)
 
 
 def _smooth_random_problem(rng):
@@ -476,7 +476,7 @@ def test_slab_cache_bounded_on_graded_partition(monkeypatch):
     prev_u, prev_v = u0h, v0h
     for n in range(part.n_slabs):
         held = len(modes)
-        U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, ws, None)
+        U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, ws, None, None)
         # new modes for each slab, and only the newest ones are held
         assert len(modes) > held
         assert [ref() is not None for ref in modes] == \
@@ -540,48 +540,72 @@ def _load_moments_per_time(ws, n):
     return (legendre_table(ws.q - 1, npts, graded) * wts) @ loads
 
 
-@pytest.mark.parametrize("make", [lambda: wx.estimator_poly("t2.25"), wx.estimator_poly,
-                                  lambda: wx.ProblemData(f=lambda x, y, t: x * y)],
-                         ids=["graded-t2.25", "cos4t", "t-free-source"])
-def test_load_moments_equal_per_time_loop(make):
-    # slab 0 of t2.25 runs the graded rule, the others the plain one, in
-    # blocks of several slabs of a nonuniform partition
-    prob = make()
+def _eleven_slab_workspace(prob):
+    # a nonuniform partition whose loads come in blocks of several slabs
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
     lengths = np.random.default_rng(3).uniform(0.5, 1.5, 11)
     part = wx.TimePartition(np.concatenate([[0.0], np.cumsum(lengths / lengths.sum())]))
     ws = SlabWorkspace(prob, wx.Discretization(space, part, q=2))
-    assert max(map(len, ws._load_blocks)) > 1
-    for n in range(part.n_slabs):
-        assert np.array_equal(ws.load_moments(n), _load_moments_per_time(ws, n))
+    assert max(map(len, ws.load_blocks)) > 1
+    return ws
+
+
+@pytest.mark.parametrize("make", [lambda: wx.estimator_poly("t2.25"), wx.estimator_poly,
+                                  lambda: wx.ProblemData(f=lambda x, y, t: x * y)],
+                         ids=["graded-t2.25", "cos4t", "t-free-source"])
+def test_load_moments_equal_per_time_loop(make):
+    # slab 0 of t2.25 runs the graded rule, the others the plain one
+    ws = _eleven_slab_workspace(make())
+    for block in ws.load_blocks:
+        F = ws.load_moments(block)
+        assert F.shape == (len(block), ws.q, len(ws.I))
+        for n, F_n in zip(block, F):
+            assert np.array_equal(F_n, _load_moments_per_time(ws, n))
 
 
 @pytest.mark.parametrize("psi", ["t2.25", "cos4t"])
-def test_load_moments_index_their_block(psi):
-    # slab n's block is found by index (after the graded slab 0), not by a
-    # scan of the block list, which this list refuses; 39 slabs leave a
-    # shorter last block
-    class IndexOnly(list):
-        def __iter__(self):
-            raise AssertionError("load_moments scanned the block list")
-
+def test_solve_equals_march_on_per_time_loads(psi):
+    # the march that walks the load blocks against one that hands every
+    # slab the loads of its own per-time loop
     prob = wx.estimator_poly(psi)
-    space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
-    part = wx.uniform_time_partition(1.0, 39)
-    ws = SlabWorkspace(prob, wx.Discretization(space, part, q=2))
-    sizes = [len(b) for b in ws._load_blocks]
-    assert len(set(sizes[int(prob.singular_at_zero):-1])) == 1 and 1 < sizes[-1] < sizes[-2]
-    ws._load_blocks = IndexOnly(ws._load_blocks)
-    for n in np.random.default_rng(7).permutation(part.n_slabs).tolist():
-        assert np.array_equal(ws.load_moments(n), _load_moments_per_time(ws, n))
+    ws = _eleven_slab_workspace(prob)
+    disc = wx.Discretization(ws.space, ws.partition, q=ws.q)
+    sol = wx.solve(prob, disc)
+    lifting = wx.build_lifting(prob, ws.space, ws.partition, ws.q, disc.bc_mode)
+    prev_u, prev_v = wx.discrete_initial_data(prob, ws.space, lifting, disc.initial_mode)
+    for n in range(ws.partition.n_slabs):
+        U, V = wx.solve_slab(prev_u, prev_v, n, ws, lifting, _load_moments_per_time(ws, n))
+        assert np.array_equal(sol.u[n], U) and np.array_equal(sol.v[n], V)
+        prev_u, prev_v = U[0] + U[1], V[0] + V[1]
+
+
+@pytest.mark.parametrize("psi", ["t2.25", "cos4t"])
+def test_solve_evaluates_the_source_once_per_block(monkeypatch, psi):
+    prob = wx.estimator_poly(psi)
+    ws = _eleven_slab_workspace(prob)
+    blocks, f_calls = [], []
+    load_moments = SlabWorkspace.load_moments
+
+    def counted(ws, block):
+        blocks.append(block)
+        return load_moments(ws, block)
+
+    def f(x, y, t):
+        f_calls.append(t)
+        return prob.f(x, y, t)
+
+    monkeypatch.setattr(SlabWorkspace, "load_moments", counted)
+    wx.solve(replace(prob, f=f), wx.Discretization(ws.space, ws.partition, q=ws.q))
+    assert blocks == ws.load_blocks and len(f_calls) == len(blocks) > 2
 
 
 def _work_defect(sol, ws, scale=None):
     """max_n |E(t_n) - E(t_{n-1}) - sum_{i<q} (T v_n)_i . F_{n,i}| / max E,
-    with F = load_moments(n), optionally multiplied by scale[n]."""
+    with F_n the slab's row of load_moments, optionally multiplied by scale[n]."""
     E = wx.energy_trace(sol, ws.problem.c)
     T = trial_to_legendre(sol.degree)[:-1]
-    work = np.array([np.sum((T @ sol.v[n][:, ws.I]) * ws.load_moments(n))
+    F = np.concatenate([ws.load_moments(block) for block in ws.load_blocks])
+    work = np.array([np.sum((T @ sol.v[n][:, ws.I]) * F[n])
                      for n in range(sol.partition.n_slabs)])
     if scale is not None:
         work *= scale
@@ -642,7 +666,7 @@ def test_slab_lengths_keyed_to_significant_digits():
     disc = wx.Discretization(space, wx.TimePartition(np.array([0.0, 2e-15, 6e-15])), q=2)
     sol = wx.solve(prob, disc)
     U, V = wx.solve_slab(sol.endpoint(1, "u"), sol.endpoint(1, "v"), 1,
-                         SlabWorkspace(prob, disc), None)
+                         SlabWorkspace(prob, disc), None, None)
     assert np.array_equal(sol.u[1], U) and np.array_equal(sol.v[1], V)
 
 
