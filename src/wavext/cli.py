@@ -226,14 +226,12 @@ def _validate(cfg):
         raise ConfigurationError("samples_per_slab must be >= 3")
     if cfg.initial_mode not in ("projection", "interpolation"):
         raise ConfigurationError(f"unknown initial_mode {cfg.initial_mode!r}")
-    if not 0 < cfg.inline_c < math.inf:
-        raise ConfigurationError("c must be positive and finite")
     x_min, x_max, y_min, y_max = cfg.inline_bbox
     if not (all(map(math.isfinite, cfg.inline_bbox)) and x_min < x_max and y_min < y_max):
         raise ConfigurationError(f"bbox {cfg.inline_bbox} is not a finite nondegenerate box")
     if cfg.problem == "inline" and not cfg.inline_u:
         raise ConfigurationError("inline problems need a u = <expression> line")
-    _make_problem(cfg)  # an unknown preset or psi, or an unusable u
+    _make_problem(cfg)  # an unknown preset or psi, an unusable u or c
     for cell in _cells(cfg):
         label = f"cell p={cell['p']} q={cell['q']} mesh={cell['nx']} tau={cell['tau']}"
         floats = 2 * round(cfg.t_final / cell["tau"]) * (cell["q"] + 1) \

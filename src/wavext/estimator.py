@@ -74,7 +74,7 @@ def _source_defects(sol, f, singular_at_zero):
     degree-(q-1) temporal L2 projection), from one evaluation of f per rule
     and block of slabs (the graded slab 0 is a block of its own)."""
     space, partition, q = sol.space, sol.partition, sol.degree
-    qd = space.quad_data(space.norm_degree())
+    qd = space.rule
     X = qd["pts"][..., 0].ravel()
     Y = qd["pts"][..., 1].ravel()
     wsp = qd["wdet"].ravel()

@@ -7,6 +7,7 @@ across cells is pure integer arithmetic.
 """
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -72,12 +73,16 @@ class LagrangeSpace:
         self.jacinv[:, 1, 1] = jac[:, 0, 0] / self.detjac
         self.jacinv[:, 0, 1] = -jac[:, 0, 1] / self.detjac
         self.jacinv[:, 1, 0] = -jac[:, 1, 0] / self.detjac
-
-        self._rule_cache = {}
-        self._operators = {}
-        self._interior = {}
-        self._factors = {}
-        self._ritz = {}
+        # G = J^-1 J^-T per cell, (nc, 2, 2): grad phi_i . grad phi_j = gref_i . G gref_j
+        self.metric = np.einsum("cka,cma->ckm", self.jacinv, self.jacinv)
+        # the norm-degree bundle behind every norm, load and source defect
+        rule = self._bundle(norm_degree(p), order=2)
+        for array in (self.metric, *rule.values()):
+            array.flags.writeable = False
+        self.rule = MappingProxyType(rule)
+        # what the space makes on first use and serves to every caller,
+        # keyed by (function name, *arguments) with callables by identity
+        self.memo = {}
 
     @property
     def n_local(self):
@@ -87,25 +92,23 @@ class LagrangeSpace:
     def norm_degree(self):
         return norm_degree(self.degree)
 
+    def _bundle(self, degree, order):
+        rs, w = reference.triangle_rule(int(degree))
+        val, gref, href = reference.tabulate(self.degree, rs, order=order)
+        pts = self.cell_origin[:, None, :] + np.einsum("ckm,qm->cqk", self.jac, rs)
+        return {"rs": rs, "w": w, "pts": pts, "wdet": np.outer(self.detjac, w),
+                "val": val, "gref": gref, "href": href}
+
     def quad_data(self, degree):
-        """Quadrature bundle at the given exactness degree, cached at the norm
-        degree; the others serve assembly, whose result the space keeps.
+        """Quadrature bundle at the given exactness degree: ``rule`` at the
+        norm degree, made anew at any other (assembly, whose result the
+        space keeps).
 
         Returns reference tables rs (nq, 2), w (nq), val (nq, nloc), gref
         (nq, nloc, 2) and href (nq, nloc, 2, 2) (None off the norm degree),
         with the physical points pts (nc, nq, 2) and weights wdet (nc, nq).
         """
-        if degree in self._rule_cache:
-            return self._rule_cache[degree]
-        norm = degree == self.norm_degree()
-        rs, w = reference.triangle_rule(int(degree))
-        val, gref, href = reference.tabulate(self.degree, rs, order=2 if norm else 1)
-        pts = self.cell_origin[:, None, :] + np.einsum("ckm,qm->cqk", self.jac, rs)
-        data = {"rs": rs, "w": w, "pts": pts, "wdet": np.outer(self.detjac, w),
-                "val": val, "gref": gref, "href": href}
-        if norm:
-            self._rule_cache[degree] = data
-        return data
+        return self.rule if degree == self.norm_degree() else self._bundle(degree, order=1)
 
 
 def build_space(mesh, p):
@@ -114,17 +117,12 @@ def build_space(mesh, p):
 
 
 def _wavespeed_sq(c, pts):
-    """c^2 at the points pts (..., 2) for a positive callable or scalar c."""
+    """c^2 at the points pts (..., 2) for a positive, finite callable or scalar c."""
     c = np.broadcast_to(c(pts[..., 0], pts[..., 1]), pts.shape[:-1]) if callable(c) \
         else float(c)
-    if not np.all(c > 0):
-        raise ValueError("wavespeed coefficient must be strictly positive")
+    if not np.all((c > 0) & (c < np.inf)):
+        raise ValueError("wavespeed coefficient must be positive and finite")
     return c ** 2
-
-
-def _metric(space):
-    """G = J^-1 J^-T per cell, (nc, 2, 2): grad phi_i . grad phi_j = gref_i . G gref_j."""
-    return np.einsum("cka,cma->ckm", space.jacinv, space.jacinv)
 
 
 def local_matrices(space, kind, coefficient=1.0):
@@ -139,7 +137,7 @@ def local_matrices(space, kind, coefficient=1.0):
         qd = space.quad_data(max(degree, 0))
         w = _wavespeed_sq(coefficient, qd["pts"]) * qd["wdet"]
         # sum_q,m,n w_cq G_c,mn gref_qim gref_qjn for i <= j; G is symmetric, so m <= n suffice
-        G, g, n = _metric(space), qd["gref"], space.n_local
+        G, g, n = space.metric, qd["gref"], space.n_local
         i, j = np.triu_indices(n)
         outer = lambda k, m: g[:, i, k] * g[:, j, m]
         geo = np.stack([w * G[:, k, m, None] for k, m in ((0, 0), (0, 1), (1, 1))], axis=-1)
@@ -170,8 +168,8 @@ def assemble(space, kind, coefficient=1.0):
     coefficient : wavespeed c(x, y) as a positive callable or scalar
         (stiffness only; the weight used is c squared).
     """
-    key = (kind, coefficient)
-    if key not in space._operators:
+    key = ("assemble", kind, coefficient)
+    if key not in space.memo:
         loc = local_matrices(space, kind, coefficient)
         rows = np.repeat(space.cell_dofs, space.n_local, axis=1).ravel()
         cols = np.tile(space.cell_dofs, (1, space.n_local)).ravel()
@@ -179,28 +177,27 @@ def assemble(space, kind, coefficient=1.0):
                               shape=(space.n_dofs, space.n_dofs)).tocsr()
         A.sum_duplicates()
         A.sort_indices()
-        space._operators[key] = _read_only(A)
-    return space._operators[key]
+        space.memo[key] = _read_only(A)
+    return space.memo[key]
 
 
 def interior_block(space, kind, coefficient=1.0):
     """The interior-interior block of ``assemble(space, kind, coefficient)``,
-    memoized on the space under the same key and read-only like it."""
-    key = (kind, coefficient)
-    if key not in space._interior:
-        I = space.interior_dofs
-        space._interior[key] = _read_only(compressed(assemble(space, *key)[np.ix_(I, I)]))
-    return space._interior[key]
+    memoized on the space like it and read-only like it."""
+    key, I = ("interior_block", kind, coefficient), space.interior_dofs
+    if key not in space.memo:
+        space.memo[key] = _read_only(compressed(assemble(space, kind, coefficient)[np.ix_(I, I)]))
+    return space.memo[key]
 
 
 def interior_factorization(space, kind, coefficient=1.0):
     """The Factorization of ``interior_block(space, kind, coefficient)``, made
     on the first call only and memoized like it: every interior solve (the
     initial data's projections, the C solve of each slab) runs on it."""
-    key = (kind, coefficient)
-    if key not in space._factors:
-        space._factors[key] = Factorization(interior_block(space, kind, coefficient))
-    return space._factors[key]
+    key = ("interior_factorization", kind, coefficient)
+    if key not in space.memo:
+        space.memo[key] = Factorization(interior_block(space, kind, coefficient))
+    return space.memo[key]
 
 
 def load_vector(space, g):
@@ -209,7 +206,7 @@ def load_vector(space, g):
     Callback values with a leading axis of nt times, shape (nt, nc, nq),
     give the nt moment vectors at once, shape (nt, n_dofs).
     """
-    qd = space.quad_data(space.norm_degree())
+    qd = space.rule
     gw = g(qd["pts"][..., 0], qd["pts"][..., 1]) * qd["wdet"]
     loc = np.einsum("...cq,qi->...ci", gw, qd["val"])
     lead = loc.shape[:-2]
@@ -229,7 +226,7 @@ def interpolate_nodal(space, f):
 def _gradient_load(space, grad_f, c):
     """Moments (c^2 grad f, grad phi_i): as grad phi_i = J^-T gref_i, c^2 grad f
     is pulled back by J^-1 and contracted with gref in one BLAS product."""
-    qd = space.quad_data(space.norm_degree())
+    qd = space.rule
     w, Ji = qd["wdet"] * _wavespeed_sq(c, qd["pts"]), space.jacinv
     gx, gy = grad_f(qd["pts"][..., 0], qd["pts"][..., 1])
     pulled = np.stack([w * (Ji[:, m, 0, None] * gx + Ji[:, m, 1, None] * gy) for m in (0, 1)], -1)
@@ -249,8 +246,8 @@ def ritz_project(space, f, grad_f, c=1.0):
     """
     if grad_f is None:
         raise ValueError("ritz_project needs a gradient callback for the right-hand side")
-    key = (f, grad_f, c)
-    if key not in space._ritz:
+    key = ("ritz_project", f, grad_f, c)
+    if key not in space.memo:
         K = assemble(space, "stiffness", c)
         rhs = _gradient_load(space, grad_f, c)
 
@@ -261,8 +258,8 @@ def ritz_project(space, f, grad_f, c=1.0):
         rhs_I = rhs[I] - K[np.ix_(I, B)] @ out[B]
         out[I] = interior_factorization(space, "stiffness", c).solve(rhs_I)
         out.flags.writeable = False
-        space._ritz[key] = out
-    return space._ritz[key]
+        space.memo[key] = out
+    return space.memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +276,9 @@ class BrokenField:
     def l2_norm(self):
         """The L2 norm: a float, or the S norms of a stack."""
         space = self.space
-        qd = space.quad_data(space.norm_degree())
+        qd, G = space.rule, space.metric
         coeffs = self.values[..., space.cell_dofs]
         # Delta = sum_km G_km d_k d_m, G = J^-1 J^-T: both symmetric, so 3 products
-        G = _metric(space)
         vals = sum(f * G[:, k, m, None] * (coeffs @ np.ascontiguousarray(qd["href"][..., k, m]).T)
                    for k, m, f in ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0)))
         norms = np.sqrt(np.sum(qd["wdet"] * vals ** 2, axis=(-2, -1)))
@@ -314,7 +310,7 @@ def spatial_norm(space, kind, fe=None, exact=None, exact_grad=None, c=1.0, times
     Returns a float, or the norms over the sample axes of fe and of the
     callback values.
     """
-    qd = space.quad_data(space.norm_degree())
+    qd = space.rule
     X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
     if kind == "l2":
         w = qd["wdet"]

@@ -47,7 +47,7 @@ def compute_error_report(sol, problem, samples_per_slab=11):
     sig, sig_star = trial_matrix(q, xs).T, trial_matrix(q + 1, xs).T
     T = trial_to_legendre(q)
     scale = 2.0 * np.arange(q + 1) + 1.0
-    n_points = space.quad_data(space.norm_degree())["wdet"].size
+    n_points = space.rule["wdet"].size
     left = sol.u[0, 0]
     err = np.zeros(4)
     for block in sol.partition.blocks(samples_per_slab * n_points):

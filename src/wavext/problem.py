@@ -22,6 +22,13 @@ from .timebasis import TimePartition
 MAX_TEMPORAL_DEGREE = 12
 
 
+def _checked_wavespeed(c):
+    """c itself, if callable or a positive scalar whose square is finite."""
+    if not callable(c) and not (c > 0 and math.isfinite(c * c)):
+        raise ConfigurationError(f"wavespeed c must be positive and c^2 finite, got {c}")
+    return c
+
+
 def _zero(x, y):
     return np.zeros(np.broadcast(x, y).shape)
 
@@ -34,7 +41,9 @@ def _zero_grad(x, y):
 @dataclass
 class ProblemData:
     """Wave problem data on a rectangle: wavespeed, source, boundary and
-    initial data, plus optional exact solution for error studies.
+    initial data, plus optional exact solution for error studies.  A scalar
+    wavespeed c must be positive with c^2 finite; a callable c is checked
+    where assembly and the norms evaluate it.
 
     The Dirichlet datum g_d and its time derivative dt_g_d are callbacks of
     (x, y, t) evaluated at boundary nodes; g_d = None means homogeneous.
@@ -60,6 +69,9 @@ class ProblemData:
     exact_v: Optional[Callable] = None
     exact_grad_u: Optional[Callable] = None
     singular_at_zero: bool = False
+
+    def __post_init__(self):
+        _checked_wavespeed(self.c)
 
     def has_exact(self):
         return self.exact_u is not None
@@ -236,6 +248,7 @@ def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0)):
     """
     import sympy as sp
 
+    c = _checked_wavespeed(float(c))
     x, y, t = sp.symbols("x y t")
     try:
         u_sym = sp.sympify(u_expr, locals={"x": x, "y": y, "t": t})
@@ -246,7 +259,7 @@ def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0)):
             or u_sym.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
         raise ConfigurationError(f"u = {u_expr!r} is not a finite expression in x, y, t")
     v_sym = sp.diff(u_sym, t)
-    f_sym = sp.diff(u_sym, t, 2) - float(c) ** 2 * (sp.diff(u_sym, x, 2) + sp.diff(u_sym, y, 2))
+    f_sym = sp.diff(u_sym, t, 2) - c ** 2 * (sp.diff(u_sym, x, 2) + sp.diff(u_sym, y, 2))
     ux_sym = sp.diff(u_sym, x)
     uy_sym = sp.diff(u_sym, y)
 
@@ -261,7 +274,7 @@ def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0)):
     return ProblemData(
         name="inline",
         bbox=tuple(map(float, bbox)),
-        c=float(c),
+        c=c,
         f=None if f_sym == 0 else f_f,
         g_d=u_f,
         dt_g_d=v_f,

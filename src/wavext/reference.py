@@ -122,5 +122,6 @@ def triangle_rule(degree):
     R = np.outer(xi, 1.0 - eta)
     S = np.broadcast_to(eta, R.shape)
     W = np.outer(w1, w2 * (1.0 - eta))
-    pts = np.column_stack([R.ravel(), S.ravel()])
-    return pts, W.ravel()
+    pts, w = np.column_stack([R.ravel(), S.ravel()]), W.ravel()
+    pts.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return pts, w

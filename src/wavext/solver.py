@@ -189,7 +189,7 @@ class SlabWorkspace:
         space = disc.space
         self.problem = problem
         self.space = space
-        self.partition, self.lengths = disc.partition, disc.partition.lengths
+        self.partition = disc.partition
         self.q = disc.q
         self.I, self.B = space.interior_dofs, space.boundary_dofs
         self.M, self.M_II = assemble(space, "mass"), interior_block(space, "mass")
@@ -205,7 +205,7 @@ class SlabWorkspace:
         self._tau_tol = 8 * np.spacing(self.partition.nodes[-1])
         # the source is evaluated once per block of slabs, at all its Gauss times
         self._npts = max(self.q + 3, 6)
-        n_points = space.quad_data(space.norm_degree())["wdet"].size
+        n_points = space.rule["wdet"].size
         self.load_blocks = self.partition.blocks(self._npts * n_points, problem.singular_at_zero)
 
     def system(self, tau):
@@ -272,7 +272,7 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting, loads):
     ``loads`` is its row of :meth:`SlabWorkspace.load_moments`, None for zero f.
     """
     q, I, B = workspace.q, workspace.I, workspace.B
-    workspace.system(float(workspace.lengths[n]))
+    workspace.system(float(workspace.partition.lengths[n]))
 
     nB = len(B)
     UB = lifting.u_trial[n] if lifting is not None else np.zeros((q + 1, nB))

@@ -23,7 +23,7 @@ samples a callback (shape (nt,) or (nt, n_channels)) at all slabs' nodes in
 one call and takes the samples straight to trial coefficients.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,12 +37,13 @@ BLOCK_VALUES = 2 ** 13
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Strictly increasing time nodes t_0 = 0 < t_1 < ... < t_N = T."""
+    """Strictly increasing time nodes 0 = t_0 < ... < t_N = T and their slab lengths, read-only."""
 
     nodes: np.ndarray
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)  # a copy: lengths stay its differences
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("a time partition needs at least two nodes")
@@ -50,16 +51,15 @@ class TimePartition:
             raise ValueError("time nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError("time partitions start at t = 0")
-        if np.any(np.diff(nodes) <= 0):
+        lengths = np.diff(nodes)
+        if np.any(lengths <= 0):
             raise ValueError("time nodes must be strictly increasing")
+        nodes.flags.writeable = lengths.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
 
     @property
     def n_slabs(self):
         return len(self.nodes) - 1
-
-    @property
-    def lengths(self):
-        return np.diff(self.nodes)
 
     def slab(self, n):
         return float(self.nodes[n]), float(self.nodes[n + 1])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import wavext.cli as cli
 import wavext.fem as fem
 import wavext.linalg as linalg
+import wavext.solver as solver
 import wavext.timebasis as timebasis
 from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _check, _make_problem,
                         _run_cells, default_config, main, parse_config,
@@ -83,6 +84,11 @@ def test_main_exit_codes(tmp_path):
     "problem = inline\nu = t*x\nbbox = a b c d\n",
     "problem = inline\nu = t*x\nbbox = 1 0 0 1\n",
     "problem = inline\nu = t*x\nc = -1\n",
+    "problem = inline\nu = t*x\nc = inf\n",
+    "problem = inline\nu = t*x\nc = 1e200\n",
+    "problem = inline\n",
+    "samples_per_slab = 2\n",
+    "initial_mode = sideways\n",
     "T = nan\n",
     "tau = nan\n",
     "problem = inline\nu = x*(\n",
@@ -108,6 +114,24 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text):
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "a.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"mesh = 2\n\xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_config_rejects_an_unknown_experiment():
+    with pytest.raises(ConfigurationError, match="unknown experiment 'nosuch'"):
+        default_config("nosuch")
 
 
 @pytest.mark.parametrize("text, stray", [
@@ -636,6 +660,18 @@ def test_run_cell_leaves_shared_operators_unchanged(tmp_path, experiment, text):
             used, clean = operator(shared, kind, c), operator(fresh, kind, c)
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(used, name), getattr(clean, name))
+
+
+def test_slab_residual_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # no slab solve meets a zero tolerance, refined or not: the failure
+    # travels from checked_solve through solve_slab and run_cell to main
+    monkeypatch.setattr(solver, "SLAB_TOL", 0.0)
+    path = write(tmp_path, "s.cfg", "mesh = 2\ntau = 0.5\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^solver failure: cell p=2 q=2 mesh=2 tau=0\.5: slab 1: "
+                     r"slab solve residual \d\.\d{3}e[-+]\d+ exceeds 0\.0e\+00 \* \|b\|$",
+                     err, re.MULTILINE), err
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):

@@ -151,7 +151,7 @@ def _source_defects_per_time(sol, f, singular_at_zero):
     The Legendre tables are the ones _source_defects reads; they have their
     own oracle in test_timebasis.py."""
     q = sol.degree
-    qd = sol.space.quad_data(sol.space.norm_degree())
+    qd = sol.space.rule
     X, Y = qd["pts"][..., 0].ravel(), qd["pts"][..., 1].ravel()
     wsp = qd["wdet"].ravel()
     out = np.zeros(sol.partition.n_slabs)
@@ -202,7 +202,7 @@ def test_source_evaluated_once_per_slab_when_rules_coincide(q, rules):
     assert np.array_equal(_source_defects(sol, f, True),
                           _source_defects(sol, prob.f, True))
     assert sum(calls) == sum(11 * npts + 7 * npts for npts in rules)
-    n_points = space.quad_data(space.norm_degree())["wdet"].size
+    n_points = space.rule["wdet"].size
     n_blocks = len(part.blocks(max(rules) * n_points, True))
     assert 2 < n_blocks < 8
     assert len(calls) == len(rules) * n_blocks

@@ -159,7 +159,7 @@ def test_ritz_orthogonality_residual():
     gf = lambda x, y: (np.exp(x) * np.sin(2 * y), 2 * np.exp(x) * np.cos(2 * y))
     r = wx.ritz_project(sp, f, gf)
     # residual moments (c^2 grad(f - Rf), grad phi_i) for interior i
-    qd = sp.quad_data(sp.norm_degree())
+    qd = sp.rule
     grad = _cell_grad(sp, qd)
     gx, gy = gf(qd["pts"][..., 0], qd["pts"][..., 1])
     cr = r[sp.cell_dofs]
@@ -298,7 +298,7 @@ def test_h1c_norm_holds_one_callback_value_at_a_time():
     S = 11
     ts = np.linspace(0.0, 1.0, S)[:, None, None]
     fe = np.random.default_rng(0).standard_normal((S, sp.n_dofs))
-    nc, nq = sp.quad_data(sp.norm_degree())["wdet"].shape
+    nc, nq = sp.rule["wdet"].shape
     args = dict(fe=fe, exact=lambda x, y: x * y * ts, exact_grad=lambda x, y: (x * ts, y * ts))
     expected = spatial_norm(sp, "h1c", **args)
     tracemalloc.start()
@@ -339,7 +339,7 @@ def test_assembly_quadrature_exactness():
 
 
 def _spatial_norm_oracle(space, kind, fe, exact=None, exact_grad=None, c=1.0):
-    qd = space.quad_data(space.norm_degree())
+    qd = space.rule
     X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
     cells = fe[..., space.cell_dofs]
     if kind == "l2":
@@ -358,7 +358,7 @@ def _spatial_norm_oracle(space, kind, fe, exact=None, exact_grad=None, c=1.0):
 
 
 def _broken_laplacian_oracle(space, values):
-    qd = space.quad_data(space.norm_degree())
+    qd = space.rule
     G = np.einsum("cka,cma->ckm", space.jacinv, space.jacinv)
     lap = np.einsum("ckm,qikm->cqi", G, qd["href"])
     vals = np.einsum("ci,cqi->cq", values[space.cell_dofs], lap)
@@ -441,7 +441,7 @@ def _stiffness_oracle(space, c):
 
 
 def _gradient_load_oracle(space, grad_f, c):
-    qd = space.quad_data(space.norm_degree())
+    qd = space.rule
     X, Y = qd["pts"][..., 0], qd["pts"][..., 1]
     w = qd["wdet"] * (c(X, Y) if callable(c) else c) ** 2
     gx, gy = grad_f(X, Y)
@@ -500,3 +500,53 @@ def test_quad_data_holds_reference_tables_only():
         for name, table in qd.items():
             per_cell = table is not None and table.shape[0] == sp.mesh.n_cells
             assert not (per_cell and sp.n_local in table.shape[1:]), name
+
+
+def test_rule_and_metric_are_read_only_fields_of_the_space():
+    sp = _offset_space(3)
+    assert sp.quad_data(sp.norm_degree()) is sp.rule
+    # the same expressions as the bundle and the metric built on demand
+    rs, w = reference.triangle_rule(sp.norm_degree())
+    val, gref, href = reference.tabulate(sp.degree, rs, order=2)
+    want = {"rs": rs, "w": w, "val": val, "gref": gref, "href": href,
+            "pts": sp.cell_origin[:, None, :] + np.einsum("ckm,qm->cqk", sp.jac, rs),
+            "wdet": np.outer(sp.detjac, w)}
+    assert set(sp.rule) == set(want)
+    for name, table in want.items():
+        assert sp.rule[name].tobytes() == table.tobytes(), name
+    metric = np.einsum("cka,cma->ckm", sp.jacinv, sp.jacinv)
+    assert sp.metric.tobytes() == metric.tobytes()
+    for name, array in [("metric", sp.metric), *sp.rule.items()]:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1.0
+    with pytest.raises(TypeError):
+        sp.rule["w"] = w
+
+
+@pytest.mark.parametrize("method", ["gradient", "mass"])
+def test_space_keeps_one_memo_under_tagged_keys(method):
+    prob = wx.dirichlet_cos()
+    sp = wx.build_space(build_structured_mesh(2, 2, prob.bbox), 2)
+    assert sp.memo == {}
+    wx.solve(prob, wx.Discretization(sp, wx.uniform_time_partition(1.0, 2), q=2,
+                                     method=method))
+    assert {key[0] for key in sp.memo} == {"assemble", "interior_block",
+                                           "interior_factorization", "ritz_project"}
+    assert sp.memo["assemble", "mass", 1.0] is wx.assemble(sp, "mass")
+    assert sp.memo["interior_factorization", "stiffness", prob.c] is \
+        wx.interior_factorization(sp, "stiffness", prob.c)
+    assert sp.memo["ritz_project", prob.u0, prob.grad_u0, prob.c] is \
+        wx.ritz_project(sp, prob.u0, prob.grad_u0, prob.c)
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan, -1.0, 0.0,
+                               lambda x, y: np.where(x > 0.5, np.inf, 1.0)],
+                         ids=["inf", "nan", "negative", "zero", "callable-inf"])
+def test_wavespeed_must_be_positive_and_finite(c):
+    # an infinite c once assembled a stiffness matrix of non-finite entries
+    sp = wx.build_space(build_structured_mesh(2, 2), 2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        wx.assemble(sp, "stiffness", c)
+    with pytest.raises(ValueError, match="positive and finite"):
+        spatial_norm(sp, "h1c", np.ones(sp.n_dofs), c=c)
+    assert not any(key[0] == "assemble" for key in sp.memo)

@@ -270,7 +270,7 @@ def test_error_report_equals_four_error_C0_passes(make):
 def test_error_report_blocks_equal_one_slab_blocks(monkeypatch):
     # blocks of several slabs give the bits of one slab at a time
     prob, sol = small_homogeneous_run(q=3, n_slabs=12, nx=2, p=2)
-    n_points = sol.space.quad_data(sol.space.norm_degree())["wdet"].size
+    n_points = sol.space.rule["wdet"].size
     assert len(sol.partition.blocks(11 * n_points)) < sol.partition.n_slabs / 2
     blocked = _report(sol, prob)
     monkeypatch.setattr(timebasis, "BLOCK_VALUES", 1)

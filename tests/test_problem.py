@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import wavext as wx
 from conftest import error_C0
+from wavext.errors import ConfigurationError
 from wavext.problem import make_preset
 
 
@@ -128,7 +130,7 @@ def _assert_time_batched_equals_stack(prob):
     # block, or (nt,) for a slab's Gauss times; that must be the per-time
     # stack, bit for bit
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
-    pts = space.quad_data(space.norm_degree())["pts"]
+    pts = space.rule["pts"]
     X, Y = pts[..., 0], pts[..., 1]
     ts = np.array([0.0, 0.0123, 0.37, 0.5, 0.81, 1.0])
     for name, cb in _space_time_callbacks(prob).items():
@@ -161,3 +163,21 @@ _EXPRESSIONS = st.recursive(
 def test_inline_callbacks_broadcast_in_time(expr):
     # includes t-free and constant expressions, whose fields carry no t
     _assert_time_batched_equals_stack(wx.inline_problem(expr))
+
+
+@pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan, -1.0, 0.0, 1e200])
+def test_scalar_wavespeed_is_checked_where_it_enters(c):
+    # c = inf and c = -1 were once accepted, and c = 1e200 overflowed in c^2
+    with pytest.raises(ConfigurationError, match="wavespeed c must be positive"):
+        wx.inline_problem("x*y*t", c=c)
+    with pytest.raises(ConfigurationError, match="wavespeed c must be positive"):
+        wx.ProblemData(c=c)
+    with pytest.raises(ConfigurationError, match="wavespeed c must be positive"):
+        replace(wx.standing_wave(), c=c)
+
+
+def test_positive_and_callable_wavespeeds_are_accepted():
+    assert wx.inline_problem("x*y*t", c=2).c == 2.0
+    assert replace(wx.standing_wave(), c=1e150).c == 1e150
+    speed = lambda x, y: 1.0 + x  # checked pointwise where it is evaluated
+    assert replace(wx.dirichlet_cos(), c=speed).c is speed

@@ -46,6 +46,21 @@ def test_partition_validation():
     assert part.lengths.max() == pytest.approx(0.5)
 
 
+def test_partition_lengths_are_a_read_only_field():
+    # computed once at construction, so every access is the same array,
+    # and the nodes are a read-only copy, so the lengths cannot go stale
+    nodes = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+    part = TimePartition(nodes)
+    assert part.lengths is part.lengths
+    assert part.lengths.tobytes() == np.diff(nodes).tobytes()
+    nodes[1] = 0.2
+    assert part.nodes[1] == 0.1
+    for array in (part.nodes, part.lengths):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0.3
+    assert "lengths" not in repr(part)
+
+
 @pytest.mark.parametrize("last", [np.nan, np.inf])
 def test_partition_rejects_nonfinite_nodes(last):
     # [0, nan] used to build one slab of length nan
