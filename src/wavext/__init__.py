@@ -11,8 +11,7 @@ constant-free a posteriori error bound, and a batch experiment driver (the
 
 from .errors import ConfigurationError, SolverFailure
 from .estimator import (EstimatorBreakdown, best_approx_constant,
-                        compute_estimator, effectivity_index,
-                        estimator_constants, gap_constant)
+                        compute_estimator, effectivity_index, gap_constant)
 from .fem import (LagrangeSpace, assemble, build_space, interior_factorization,
                   interpolate_nodal, load_vector, ritz_project, spatial_norm)
 from .linalg import Factorization, compressed

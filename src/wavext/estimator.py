@@ -36,20 +36,6 @@ def best_approx_constant(s):
     return math.pi ** -0.5 if s in (0, 1, 2) else 1.0 / ((s - 2) * math.pi)
 
 
-def estimator_constants(q, s):
-    """The three constant ingredients: the gap constant for degree q, the
-    best-approximation constant for degree s, and the summation-weight
-    factory (a function of slab index n, or an array of them, and peak slab
-    m, which for q = 1 depends on the distance t_m - t_{n-1})."""
-
-    def weight(n, m, partition):
-        if q == 1:
-            return partition.nodes[m + 1] - partition.nodes[n]
-        return best_approx_constant(q - 2) * partition.lengths[n] / 2.0
-
-    return gap_constant(q), best_approx_constant(s), weight
-
-
 @dataclass
 class EstimatorBreakdown:
     """Estimator value and its per-term decomposition.
@@ -126,8 +112,6 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
         raise ConfigurationError("the estimator requires a constant wavespeed")
     if sol.space.degree < 2:
         raise ConfigurationError("the estimator needs spatial degree >= 2")
-    if sol.v is None:
-        raise ConfigurationError("the estimator needs both solution fields")
     B = sol.space.boundary_dofs
     bscale = 1.0 + np.abs(sol.u).max()
     if max(np.abs(sol.u[:, :, B]).max(), np.abs(sol.v[:, :, B]).max()) > 1e-9 * bscale:
@@ -157,15 +141,18 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
 
     f_defect = _source_defects(sol, f, singular_at_zero) if f is not None else np.zeros(N)
 
-    cq, cpi, weight = estimator_constants(q, q - 1)
-    term_post = float(np.max(np.sqrt(cq * lengths) * v_defect))
+    cpi = best_approx_constant(q - 1)
+    term_post = float(np.max(np.sqrt(gap_constant(q) * lengths) * v_defect))
     tau_m, pre = float(lengths[m]), lengths[:m]
+    # the summation weight of slab n < m: t_{m+1} - t_n for q = 1
+    weight = partition.nodes[m + 1] - partition.nodes[:m] if q == 1 \
+        else best_approx_constant(q - 2) * pre / 2.0
 
     osc_f = 2.0 * tau_m * f_defect[m] + np.sum(2.0 * cpi * pre * f_defect[:m])
     # the peak-slab Laplacian-of-v term carries tau_m squared: one factor from
     # the L1 gap bound between the reconstruction and u, one from the weight
     term_lap_v = 2.0 * csq * tau_m ** 2 * lap_v[m] \
-        + np.sum(2.0 * csq * weight(np.arange(m), m, partition) * pre * lap_v[:m])
+        + np.sum(2.0 * csq * weight * pre * lap_v[:m])
     term_lap_u = 2.0 * csq * tau_m * lap_u[m] + np.sum(2.0 * csq * cpi * pre * lap_u[:m])
 
     eta = term_post + term_lap_v + term_lap_u

@@ -89,9 +89,6 @@ class LagrangeSpace:
         p = self.degree
         return (p + 1) * (p + 2) // 2
 
-    def norm_degree(self):
-        return norm_degree(self.degree)
-
     def _bundle(self, degree, order):
         rs, w = reference.triangle_rule(int(degree))
         val, gref, href = reference.tabulate(self.degree, rs, order=order)
@@ -108,7 +105,7 @@ class LagrangeSpace:
         (nq, nloc, 2) and href (nq, nloc, 2, 2) (None off the norm degree),
         with the physical points pts (nc, nq, 2) and weights wdet (nc, nq).
         """
-        return self.rule if degree == self.norm_degree() else self._bundle(degree, order=1)
+        return self.rule if degree == norm_degree(self.degree) else self._bundle(degree, order=1)
 
 
 def build_space(mesh, p):
@@ -117,12 +114,15 @@ def build_space(mesh, p):
 
 
 def _wavespeed_sq(c, pts):
-    """c^2 at the points pts (..., 2) for a positive, finite callable or scalar c."""
+    """c^2 at the points pts (..., 2) for a positive callable or scalar c
+    whose square is finite."""
     c = np.broadcast_to(c(pts[..., 0], pts[..., 1]), pts.shape[:-1]) if callable(c) \
-        else float(c)
-    if not np.all((c > 0) & (c < np.inf)):
+        else np.float64(float(c))
+    with np.errstate(over="ignore"):  # an overflowing square is rejected below
+        csq = c ** 2
+    if not np.all((c > 0) & (csq < np.inf)):
         raise ValueError("wavespeed coefficient must be positive and finite")
-    return c ** 2
+    return csq
 
 
 def local_matrices(space, kind, coefficient=1.0):

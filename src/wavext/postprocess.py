@@ -34,8 +34,6 @@ def compute_error_report(sol, problem, samples_per_slab=11):
     trial rows are its left-endpoint value, summed slab after slab, and the
     rise (tau_n/(2j+1)) (T v_n)_j, T = trial_to_legendre(q).
     """
-    if sol.v is None:
-        raise ConfigurationError("the error report needs the velocity component")
     if not problem.has_exact():
         raise ConfigurationError(f"problem {problem.name!r} carries no exact solution")
     if problem.exact_grad_u is None or problem.exact_v is None:
@@ -71,8 +69,6 @@ def compute_error_report(sol, problem, samples_per_slab=11):
 
 def energy_trace(sol, c=1.0):
     """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes."""
-    if sol.v is None:
-        raise ConfigurationError("the energy needs the velocity component")
     M = assemble(sol.space, "mass")
     K = assemble(sol.space, "stiffness", c)
     energy = 0.0

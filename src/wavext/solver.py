@@ -35,7 +35,6 @@ that operator is exactly the one the elimination inverts.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,31 +49,17 @@ from .timebasis import (endpoint_exact_project, gauss_rule, lagrange_time_interp
 
 @dataclass
 class SpaceTimeSolution:
-    """Per-slab trial-coefficient tensors of shape (n_slabs, degree+1, n_dofs).
-
-    ``v`` may be None only in a u-only field built by hand: no function of
-    the package returns one, and the error report, the energy trace and the
-    estimator reject it with ConfigurationError.  Values at the right slab
-    endpoint are the sum of the first two coefficient rows; at the left
-    endpoint, row 0.
+    """Per-slab trial-coefficient tensors u and v of shape (n_slabs,
+    degree+1, n_dofs).  Slab n spans partition.nodes[n:n+2]; the state at
+    t_0 is row 0 of slab 0, and at t_n (n >= 1) the sum of rows 0 and 1 of
+    slab n-1.
     """
 
     space: object
     partition: object
     degree: int
     u: np.ndarray
-    v: Optional[np.ndarray] = None
-
-    def endpoint(self, n, component="u"):
-        """Coefficients of component "u" or "v" at partition node t_n, n = 0..n_slabs."""
-        if not 0 <= n <= self.partition.n_slabs:
-            raise IndexError(f"node {n} outside 0..{self.partition.n_slabs}")
-        if component not in ("u", "v"):
-            raise ValueError(f"component must be 'u' or 'v', got {component!r}")
-        tensor = getattr(self, component)
-        if n == 0:
-            return tensor[0, 0]
-        return tensor[n - 1, 0] + tensor[n - 1, 1]
+    v: np.ndarray
 
 
 @dataclass
@@ -271,6 +256,8 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting, loads):
     (``lifting`` is the run's :func:`build_lifting`, None for zero data);
     ``loads`` is its row of :meth:`SlabWorkspace.load_moments`, None for zero f.
     """
+    if not 0 <= n < workspace.partition.n_slabs:
+        raise IndexError(f"slab {n} outside 0..{workspace.partition.n_slabs - 1}")
     q, I, B = workspace.q, workspace.I, workspace.B
     workspace.system(float(workspace.partition.lengths[n]))
 

@@ -61,9 +61,6 @@ class TimePartition:
     def n_slabs(self):
         return len(self.nodes) - 1
 
-    def slab(self, n):
-        return float(self.nodes[n]), float(self.nodes[n + 1])
-
     def blocks(self, values_per_slab, first_alone=False):
         """Consecutive ranges of slabs, as many per range as keep an
         evaluation of values_per_slab point values per slab within

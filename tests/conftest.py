@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -5,9 +7,9 @@ from numpy.polynomial import legendre as npleg
 import wavext as wx
 from wavext import reference
 from wavext.errors import ConfigurationError
+from wavext.estimator import best_approx_constant, gap_constant
 from wavext.fem import spatial_norm
 from wavext.postprocess import _at
-from wavext.solver import SpaceTimeSolution
 from wavext.timebasis import gauss_rule, trial_matrix, trial_to_legendre
 
 
@@ -63,6 +65,33 @@ def evaluate(space, values, points):
     return float(out[0]) if np.ndim(points) == 1 else out
 
 
+def slab_ends(partition, n):
+    """The ends (t_n, t_{n+1}) of slab n of a time partition, as floats."""
+    return float(partition.nodes[n]), float(partition.nodes[n + 1])
+
+
+def endpoint(sol, n, component="u"):
+    """Coefficients of component "u" or "v" of per-slab trial tensors at
+    partition node t_n, n = 0..n_slabs: row 0 of slab 0 at t_0, and the sum
+    of rows 0 and 1 of slab n-1 at t_n, n >= 1."""
+    tensor = sol.u if component == "u" else sol.v
+    return tensor[0, 0] if n == 0 else tensor[n - 1, 0] + tensor[n - 1, 1]
+
+
+def estimator_constants(q, s):
+    """The constants of the estimator's per-slab oracle: the gap constant for
+    degree q, the best-approximation constant for degree s, and the summation
+    weight of slab n (an index or an array of them) before the peak slab m,
+    which for q = 1 is the distance t_{m+1} - t_n."""
+
+    def weight(n, m, partition):
+        if q == 1:
+            return partition.nodes[m + 1] - partition.nodes[n]
+        return best_approx_constant(q - 2) * partition.lengths[n] / 2.0
+
+    return gap_constant(q), best_approx_constant(s), weight
+
+
 def to_normalized(slab, t):
     """Times t on a slab in its normalized coordinate x in [-1, 1]."""
     a, b = slab
@@ -108,6 +137,17 @@ def _sampled(partition, samples_per_slab, *tensors):
         yield (ts, *(np.tensordot(sig, slab, axes=(0, 0)) for sig, slab in zip(sigs, slabs)))
 
 
+@dataclass
+class Reconstruction:
+    """Per-slab trial coefficients u, (n_slabs, degree+1, n_dofs), of the
+    reconstruction u(., 0) + int_0^t v of a solution."""
+
+    space: object
+    partition: object
+    degree: int
+    u: np.ndarray
+
+
 def postprocessed_solution(sol):
     """Time-antiderivative reconstruction u(., 0) + int_0^t v, one temporal
     degree higher than the solution it is built from.
@@ -118,7 +158,7 @@ def postprocessed_solution(sol):
     """
     U = np.fromiter(_reconstruction_slabs(sol), count=sol.partition.n_slabs,
                     dtype=(float, (sol.degree + 2, sol.u.shape[2])))
-    return SpaceTimeSolution(sol.space, sol.partition, sol.degree + 1, U, None)
+    return Reconstruction(sol.space, sol.partition, sol.degree + 1, U)
 
 
 def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
@@ -136,8 +176,6 @@ def error_C0(sol, exact, kind="l2", samples_per_slab=11, c=1.0,
         raise ConfigurationError("error sampling needs an exact solution callback")
     if kind == "h1c" and exact_grad is None:
         raise ConfigurationError("h1c error sampling needs the gradient exact_grad_u")
-    if component == "v" and sol.v is None:
-        raise ConfigurationError("error sampling of v needs the velocity component")
     per_slab = np.array([
         np.max(spatial_norm(sol.space, kind, fe, _at(exact, ts), _at(exact_grad, ts), c))
         for ts, fe in _sampled(sol.partition, samples_per_slab,
@@ -168,13 +206,13 @@ def legendre_coeffs(sol, n, component="u"):
 def coeffs_at(sol, t, component="u"):
     """Spatial coefficients of a space-time solution at time t."""
     n = containing_slab(sol.partition, float(t))
-    x = to_normalized(sol.partition.slab(n), float(t))
+    x = to_normalized(slab_ends(sol.partition, n), float(t))
     return coeffs_on_slab(sol, n, np.asarray([x]), component)[0]
 
 
 def eval_slab(coeffs, partition, n, t):
     """Slab n of per-slab trial coefficients (n_slabs, q+1, ...) at the times t."""
-    sig = trial_matrix(coeffs.shape[1] - 1, to_normalized(partition.slab(n), t))
+    sig = trial_matrix(coeffs.shape[1] - 1, to_normalized(slab_ends(partition, n), t))
     return np.tensordot(sig, coeffs[n], axes=(0, 0))
 
 
@@ -219,5 +257,5 @@ def trial_matrix_by_cases(q, x):
 def gauss_rules_per_slab(npts, partition, block, graded):
     """The per-slab lists a block's Gauss rule replaces: times and weights,
     each (len(block), nt), from one gauss_rule call per slab of the block."""
-    rules = [gauss_rule(npts, partition.slab(n), graded) for n in block]
+    rules = [gauss_rule(npts, slab_ends(partition, n), graded) for n in block]
     return tuple(np.stack(a) for a in zip(*rules))

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import (coeffs_on_slab, error_C0, legendre_coeffs,
-                      legendre_derivative_matrix, postprocessed_solution, to_normalized)
+from conftest import (coeffs_on_slab, error_C0, legendre_coeffs, legendre_derivative_matrix,
+                      postprocessed_solution, slab_ends, to_normalized)
 from test_timebasis import _assemble_global_endpoint_projection, _legendre
 from wavext.cli import parse_config, run_experiment
 from wavext.estimator import gap_constant
@@ -213,7 +213,7 @@ def _gap_bound_ratios(space, sols):
     for (q, _), sol in sols.items():
         star = postprocessed_solution(sol)
         for n in range(sol.partition.n_slabs):
-            slab = sol.partition.slab(n)
+            slab = slab_ends(sol.partition, n)
             tau = slab[1] - slab[0]
             v_top = legendre_coeffs(sol, n, "v")[q]
             top_norm = math.sqrt(max(float(v_top @ (M @ v_top)), 0.0))

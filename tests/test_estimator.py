@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import wavext as wx
-from conftest import error_C0, sampled_gap, small_homogeneous_run
+from conftest import (error_C0, estimator_constants, sampled_gap, slab_ends,
+                      small_homogeneous_run)
 from wavext.estimator import (_source_defects, best_approx_constant,
-                              compute_estimator, effectivity_index,
-                              estimator_constants, gap_constant)
+                              compute_estimator, effectivity_index, gap_constant)
 from wavext.fem import BrokenField
 from wavext.solver import SpaceTimeSolution
 from wavext.timebasis import abs_legendre_integral, gauss_rule, legendre_table
@@ -156,7 +156,7 @@ def _source_defects_per_time(sol, f, singular_at_zero):
     wsp = qd["wdet"].ravel()
     out = np.zeros(sol.partition.n_slabs)
     for n in range(sol.partition.n_slabs):
-        slab = sol.partition.slab(n)
+        slab = slab_ends(sol.partition, n)
         graded = singular_at_zero and n == 0
         tp, wp = gauss_rule(q + 6, slab, graded)
         fv_p = np.stack([np.broadcast_to(f(X, Y, t), X.shape) for t in tp])
@@ -177,7 +177,8 @@ def test_source_defects_equal_per_time_loop(psi, q):
     prob = wx.estimator_poly(psi)
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
     part = wx.uniform_time_partition(1.0, 4)
-    sol = SpaceTimeSolution(space, part, q, np.zeros((4, q + 1, space.n_dofs)))
+    zeros = np.zeros((4, q + 1, space.n_dofs))
+    sol = SpaceTimeSolution(space, part, q, zeros, zeros)
     assert np.array_equal(_source_defects(sol, prob.f, prob.singular_at_zero),
                           _source_defects_per_time(sol, prob.f, prob.singular_at_zero))
 
@@ -192,7 +193,8 @@ def test_source_evaluated_once_per_slab_when_rules_coincide(q, rules):
     prob = wx.estimator_poly("t2.25")
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
     part = wx.uniform_time_partition(1.0, 8)
-    sol = SpaceTimeSolution(space, part, q, np.zeros((8, q + 1, space.n_dofs)))
+    zeros = np.zeros((8, q + 1, space.n_dofs))
+    sol = SpaceTimeSolution(space, part, q, zeros, zeros)
     calls = []
 
     def f(x, y, t):

@@ -7,7 +7,8 @@ import pytest
 import wavext as wx
 from conftest import evaluate
 from wavext import reference
-from wavext.fem import BrokenField, _gradient_load, local_matrices, spatial_norm
+from wavext.fem import (BrokenField, _gradient_load, _wavespeed_sq, local_matrices,
+                        norm_degree, spatial_norm)
 from wavext.mesh import build_structured_mesh
 
 
@@ -492,10 +493,10 @@ def test_broken_laplacian_of_a_stack_equals_per_vector_calls(p):
 
 def test_quad_data_holds_reference_tables_only():
     sp = _offset_space(3)
-    for degree in (sp.norm_degree(), 2 * sp.degree):
+    for degree in (norm_degree(sp.degree), 2 * sp.degree):
         qd = sp.quad_data(degree)
         assert set(qd) == {"rs", "w", "pts", "wdet", "val", "gref", "href"}
-        assert (qd["href"] is None) == (degree != sp.norm_degree())
+        assert (qd["href"] is None) == (degree != norm_degree(sp.degree))
         # per-cell arrays carry points only, never a basis axis
         for name, table in qd.items():
             per_cell = table is not None and table.shape[0] == sp.mesh.n_cells
@@ -504,9 +505,9 @@ def test_quad_data_holds_reference_tables_only():
 
 def test_rule_and_metric_are_read_only_fields_of_the_space():
     sp = _offset_space(3)
-    assert sp.quad_data(sp.norm_degree()) is sp.rule
+    assert sp.quad_data(norm_degree(sp.degree)) is sp.rule
     # the same expressions as the bundle and the metric built on demand
-    rs, w = reference.triangle_rule(sp.norm_degree())
+    rs, w = reference.triangle_rule(norm_degree(sp.degree))
     val, gref, href = reference.tabulate(sp.degree, rs, order=2)
     want = {"rs": rs, "w": w, "val": val, "gref": gref, "href": href,
             "pts": sp.cell_origin[:, None, :] + np.einsum("ckm,qm->cqk", sp.jac, rs),
@@ -540,13 +541,26 @@ def test_space_keeps_one_memo_under_tagged_keys(method):
 
 
 @pytest.mark.parametrize("c", [np.inf, np.nan, -1.0, 0.0,
-                               lambda x, y: np.where(x > 0.5, np.inf, 1.0)],
-                         ids=["inf", "nan", "negative", "zero", "callable-inf"])
+                               lambda x, y: np.where(x > 0.5, np.inf, 1.0), 1e200,
+                               lambda x, y: np.where(x > 0.5, 1e200, 1.0)],
+                         ids=["inf", "nan", "negative", "zero", "callable-inf",
+                              "square-overflows", "callable-square-overflows"])
 def test_wavespeed_must_be_positive_and_finite(c):
-    # an infinite c once assembled a stiffness matrix of non-finite entries
+    # an infinite c once assembled a stiffness matrix of non-finite entries;
+    # c = 1e200 raised a bare OverflowError, and a callable reaching it
+    # assembled non-finite entries with only numpy warnings
     sp = wx.build_space(build_structured_mesh(2, 2), 2)
     with pytest.raises(ValueError, match="positive and finite"):
         wx.assemble(sp, "stiffness", c)
     with pytest.raises(ValueError, match="positive and finite"):
         spatial_norm(sp, "h1c", np.ones(sp.n_dofs), c=c)
     assert not any(key[0] == "assemble" for key in sp.memo)
+
+
+def test_wavespeed_square_is_the_square_of_c():
+    # the overflow check keeps the arithmetic: float(c) ** 2, or c ** 2 pointwise
+    pts = wx.build_space(build_structured_mesh(2, 2), 2).rule["pts"]
+    for c in (1.0, 0.7, 3, 1.3e154, 1e-150, np.float64(2.5)):
+        assert _wavespeed_sq(c, pts) == float(c) ** 2
+    grow = lambda x, y: 1.0 + x * y ** 2
+    assert np.array_equal(_wavespeed_sq(grow, pts), grow(pts[..., 0], pts[..., 1]) ** 2)

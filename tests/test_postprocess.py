@@ -7,9 +7,9 @@ import pytest
 import wavext as wx
 import wavext.postprocess as postprocess
 import wavext.timebasis as timebasis
-from conftest import (coeffs_at, coeffs_on_slab, error_C0, evaluate, legendre_coeffs,
-                      postprocessed_solution, small_homogeneous_run, to_normalized,
-                      txy_problem)
+from conftest import (coeffs_at, coeffs_on_slab, endpoint, error_C0, evaluate,
+                      legendre_coeffs, postprocessed_solution, slab_ends,
+                      small_homogeneous_run, to_normalized, txy_problem)
 from wavext.estimator import gap_constant
 from wavext.solver import SpaceTimeSolution
 from wavext.timebasis import gauss_rule, legendre_matrix
@@ -48,7 +48,7 @@ def test_reconstruction_matches_solution_at_nodes():
     star = postprocessed_solution(sol)
     M = wx.assemble(sol.space, "mass")
     for n in range(sol.partition.n_slabs + 1):
-        d = star.endpoint(n) - sol.endpoint(n)
+        d = endpoint(star, n) - endpoint(sol, n)
         assert np.sqrt(d @ (M @ d)) <= 1e-10
 
 
@@ -59,7 +59,7 @@ def test_slab_gap_bounds():
     M = wx.assemble(sol.space, "mass")
     q = sol.degree
     for n in range(sol.partition.n_slabs):
-        slab = sol.partition.slab(n)
+        slab = slab_ends(sol.partition, n)
         tau = slab[1] - slab[0]
         v_top = legendre_coeffs(sol, n, "v")[q]
         defect_l2_sq = tau / (2 * q + 1) * float(v_top @ (M @ v_top))
@@ -125,18 +125,6 @@ def test_error_report_requires_exact_v():
         wx.compute_error_report(sol, replace(prob, exact_v=None))
 
 
-def test_error_sampling_of_v_requires_the_velocity():
-    prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
-    with pytest.raises(wx.ConfigurationError, match="velocity"):
-        wx.compute_error_report(replace(sol, v=None), prob)
-
-
-def test_energy_trace_requires_the_velocity():
-    prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
-    with pytest.raises(wx.ConfigurationError, match="velocity"):
-        wx.energy_trace(postprocessed_solution(sol), prob.c)
-
-
 def test_energy_trace_values():
     space = wx.build_space(wx.build_structured_mesh(2, 2), 1)
     part = wx.uniform_time_partition(1.0, 2)
@@ -149,7 +137,7 @@ def test_energy_trace_values():
     M = wx.assemble(sol.space, "mass")
     K = wx.assemble(sol.space, "stiffness", 1.0)
     E = wx.energy_trace(sol, 1.0)
-    u0, v0 = sol.endpoint(0), sol.endpoint(0, "v")
+    u0, v0 = endpoint(sol, 0), endpoint(sol, 0, "v")
     assert E[0] == pytest.approx(0.5 * (v0 @ (M @ v0) + u0 @ (K @ u0)), rel=1e-13)
     assert np.abs(E - E[0]).max() <= 1e-10 * E[0]
 
@@ -160,7 +148,7 @@ def _energy_trace_per_node(sol, c):
     K = wx.assemble(sol.space, "stiffness", c)
     out = np.empty(sol.partition.n_slabs + 1)
     for n in range(sol.partition.n_slabs + 1):
-        u, v = sol.endpoint(n, "u"), sol.endpoint(n, "v")
+        u, v = endpoint(sol, n, "u"), endpoint(sol, n, "v")
         out[n] = 0.5 * (v @ (M @ v) + u @ (K @ u))
     return out
 
@@ -201,7 +189,7 @@ def _error_C0_per_sample(field, exact, kind, samples, c=1.0, exact_grad=None,
     xs = np.linspace(-1.0, 1.0, samples)
     per_slab = np.zeros(field.partition.n_slabs)
     for n in range(field.partition.n_slabs):
-        a, b = field.partition.slab(n)
+        a, b = slab_ends(field.partition, n)
         coeffs = coeffs_on_slab(field, n, xs, component)
         for k, t in enumerate(a + (xs + 1.0) * (b - a) / 2.0):
             grad = None if exact_grad is None else (lambda xx, yy: exact_grad(xx, yy, t))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
 from conftest import (containing_slab, eval_slab, gauss_rules_per_slab,
-                      legendre_derivative_matrix, legendre_matrix_per_degree,
+                      legendre_derivative_matrix, legendre_matrix_per_degree, slab_ends,
                       to_normalized, trial_matrix_by_cases)
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.timebasis import (TimePartition, _endpoint_exact_map, _lagrange_map,
@@ -227,7 +227,7 @@ def _endpoint_exact_per_slab(q, f, partition):
     signs = (-1.0) ** np.arange(q + 1)
     out = []
     for n in range(partition.n_slabs):
-        slab = partition.slab(n)
+        slab = slab_ends(partition, n)
         f_left = np.asarray(f(np.asarray([slab[0]])), dtype=float)[0]
         f_right = np.asarray(f(np.asarray([slab[1]])), dtype=float)[0]
         leg = np.zeros((q + 1,) + f_left.shape)
@@ -248,7 +248,7 @@ def _lagrange_per_slab(q, f, partition):
     Vinv = np.linalg.inv(legendre_matrix(q, xs).T)
     out = []
     for n in range(partition.n_slabs):
-        a, b = partition.slab(n)
+        a, b = slab_ends(partition, n)
         fv = np.asarray(f(a + (xs + 1.0) * (b - a) / 2.0), dtype=float)
         out.append(_trial_from_legendre(np.tensordot(Vinv, fv, axes=(1, 0))))
     return np.stack(out)
@@ -309,7 +309,7 @@ def _assemble_global_endpoint_projection(q, f, fprime, partition):
         A[row, (n + 1) * (q + 1):(n + 2) * (q + 1)] = -((-1.0) ** np.arange(q + 1))
         row += 1
     for n in range(N):
-        slab = partition.slab(n)
+        slab = slab_ends(partition, n)
         ts, ws = gauss_rule(q + 8, slab)
         xs = to_normalized(slab, ts)
         dleg = legendre_derivative_matrix(q, xs) * 2.0 / (slab[1] - slab[0])
@@ -338,7 +338,7 @@ def test_endpoint_projection_reproduces_polynomials(q):
     f = lambda t: sum(c * t ** k for k, c in enumerate(coef))
     proj = endpoint_exact_project(q, f, part)
     for n in range(part.n_slabs):
-        ts = np.linspace(*part.slab(n), 7)
+        ts = np.linspace(*slab_ends(part, n), 7)
         assert np.abs(eval_slab(proj, part, n, ts) - f(ts)).max() <= 1e-13
 
 
@@ -356,7 +356,7 @@ def test_endpoint_projection_interior_orthogonality():
     for q in (2, 3, 4):
         proj = endpoint_exact_project(q, f, part)
         for n in range(part.n_slabs):
-            slab = part.slab(n)
+            slab = slab_ends(part, n)
             ts, ws = gauss_rule(q + 8, slab)
             defect = f(ts) - eval_slab(proj, part, n, ts)
             tst = legendre_matrix(q - 2, to_normalized(slab, ts))
@@ -453,7 +453,7 @@ def _quadrature_temporal_matrices(q, slab):
             np.einsum("g,ig,jg->ij", wt, tst, dsig))
 
 
-_ORACLE_SLABS = ((0.0, 1.0), (0.3, 0.3 + 1.0 / 64), uniform_time_partition(1000.0, 48).slab(47))
+_ORACLE_SLABS = ((0.0, 1.0), (0.3, 0.3 + 1.0 / 64), slab_ends(uniform_time_partition(1000.0, 48), 47))
 
 
 @pytest.mark.parametrize("q", range(1, MAX_TEMPORAL_DEGREE + 1))
@@ -526,7 +526,7 @@ def test_endpoint_projection_reproduces_random_polynomials(data, q, lengths):
     f = lambda t: np.polynomial.polynomial.polyval(t, coef)
     proj = endpoint_exact_project(q, f, part)
     for n in range(part.n_slabs):
-        ts = np.linspace(*part.slab(n), 7)
+        ts = np.linspace(*slab_ends(part, n), 7)
         assert np.abs(eval_slab(proj, part, n, ts) - f(ts)).max() <= 1e-12
 
 
