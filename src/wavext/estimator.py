@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fem import BrokenField, assemble
+from .fem import BrokenField, _wavespeed_sq, assemble
 from .timebasis import abs_legendre_integral, gauss_rule, legendre_table, sup_legendre_integral
 
 
@@ -103,7 +103,7 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
     ----------
     sol : solution with both fields, homogeneous Dirichlet data.
     f : source callback f(x, y, t) or None for a zero source.
-    c : constant wavespeed.
+    c : constant wavespeed, positive with a finite square (else ValueError).
 
     Returns an :class:`EstimatorBreakdown`; its ``total`` bounds the
     max-in-time L2 error of u (up to spatial resolution).
@@ -121,7 +121,7 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
     partition = sol.partition
     q = sol.degree
     N = partition.n_slabs
-    csq = float(c) ** 2
+    csq = _wavespeed_sq(c, None)
     M = assemble(space, "mass")
 
     lengths = partition.lengths

@@ -65,8 +65,6 @@ class LagrangeSpace:
         jac = np.empty((mesh.n_cells, 2, 2))
         jac[:, :, 0] = pts[:, 1] - pts[:, 0]
         jac[:, :, 1] = pts[:, 2] - pts[:, 0]
-        self.cell_origin = pts[:, 0]
-        self.jac = jac
         self.detjac = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         self.jacinv = np.empty_like(jac)
         self.jacinv[:, 0, 0] = jac[:, 1, 1] / self.detjac
@@ -75,8 +73,12 @@ class LagrangeSpace:
         self.jacinv[:, 1, 0] = -jac[:, 1, 0] / self.detjac
         # G = J^-1 J^-T per cell, (nc, 2, 2): grad phi_i . grad phi_j = gref_i . G gref_j
         self.metric = np.einsum("cka,cma->ckm", self.jacinv, self.jacinv)
-        # the norm-degree bundle behind every norm, load and source defect
-        rule = self._bundle(norm_degree(p), order=2)
+        # the norm-degree rule behind every norm, load and source defect, and
+        # behind the stiffness of a callable wavespeed
+        rs, w = reference.triangle_rule(norm_degree(p))
+        val, gref, href = reference.tabulate(p, rs, order=2)
+        rule = {"rs": rs, "w": w, "pts": pts[:, 0, None] + np.einsum("ckm,qm->cqk", jac, rs),
+                "wdet": np.outer(self.detjac, w), "val": val, "gref": gref, "href": href}
         for array in (self.metric, *rule.values()):
             array.flags.writeable = False
         self.rule = MappingProxyType(rule)
@@ -88,24 +90,6 @@ class LagrangeSpace:
     def n_local(self):
         p = self.degree
         return (p + 1) * (p + 2) // 2
-
-    def _bundle(self, degree, order):
-        rs, w = reference.triangle_rule(int(degree))
-        val, gref, href = reference.tabulate(self.degree, rs, order=order)
-        pts = self.cell_origin[:, None, :] + np.einsum("ckm,qm->cqk", self.jac, rs)
-        return {"rs": rs, "w": w, "pts": pts, "wdet": np.outer(self.detjac, w),
-                "val": val, "gref": gref, "href": href}
-
-    def quad_data(self, degree):
-        """Quadrature bundle at the given exactness degree: ``rule`` at the
-        norm degree, made anew at any other (assembly, whose result the
-        space keeps).
-
-        Returns reference tables rs (nq, 2), w (nq), val (nq, nloc), gref
-        (nq, nloc, 2) and href (nq, nloc, 2, 2) (None off the norm degree),
-        with the physical points pts (nc, nq, 2) and weights wdet (nc, nq).
-        """
-        return self.rule if degree == norm_degree(self.degree) else self._bundle(degree, order=1)
 
 
 def build_space(mesh, p):
@@ -126,18 +110,22 @@ def _wavespeed_sq(c, pts):
 
 
 def local_matrices(space, kind, coefficient=1.0):
-    """Per-cell element matrices, shape (nc, nloc, nloc)."""
+    """Per-cell element matrices (nc, nloc, nloc): exact for the mass and a constant
+    wavespeed, on ``space.rule`` (like the Ritz load) for a callable one."""
     p = space.degree
     if kind == "mass":
-        qd = space.quad_data(2 * p)
-        loc = np.einsum("q,qi,qj->ij", qd["w"], qd["val"], qd["val"])
-        return space.detjac[:, None, None] * loc
+        rs, w = reference.triangle_rule(2 * p)
+        val = reference.tabulate(p, rs, order=0)[0]
+        return space.detjac[:, None, None] * np.einsum("q,qi,qj->ij", w, val, val)
     if kind == "stiffness":
-        degree = 2 * p - 2 if not callable(coefficient) else 2 * p + 2
-        qd = space.quad_data(max(degree, 0))
-        w = _wavespeed_sq(coefficient, qd["pts"]) * qd["wdet"]
+        if callable(coefficient):
+            g, pts, wdet = space.rule["gref"], space.rule["pts"], space.rule["wdet"]
+        else:
+            rs, w = reference.triangle_rule(2 * p - 2)
+            g, pts, wdet = reference.tabulate(p, rs)[1], None, np.outer(space.detjac, w)
+        w = _wavespeed_sq(coefficient, pts) * wdet
         # sum_q,m,n w_cq G_c,mn gref_qim gref_qjn for i <= j; G is symmetric, so m <= n suffice
-        G, g, n = space.metric, qd["gref"], space.n_local
+        G, n = space.metric, space.n_local
         i, j = np.triu_indices(n)
         outer = lambda k, m: g[:, i, k] * g[:, j, m]
         geo = np.stack([w * G[:, k, m, None] for k, m in ((0, 0), (0, 1), (1, 1))], axis=-1)

@@ -116,6 +116,29 @@ class Discretization:
 # presets
 
 
+def _manufactured(name, u, v, grad_u, f=None, dirichlet=False, bbox=(0.0, 1.0, 0.0, 1.0),
+                  c=1.0, singular_at_zero=False):
+    """The problem with exact solution u, its time derivative v and its
+    gradient grad_u, callbacks of (x, y, t): the initial data are the three
+    fields at t = 0, and the Dirichlet data are u and v when ``dirichlet``
+    is set (homogeneous otherwise)."""
+    return ProblemData(
+        name=name,
+        bbox=bbox,
+        c=c,
+        f=f,
+        g_d=u if dirichlet else None,
+        dt_g_d=v if dirichlet else None,
+        u0=lambda x, y: u(x, y, 0.0),
+        grad_u0=lambda x, y: grad_u(x, y, 0.0),
+        v0=lambda x, y: v(x, y, 0.0),
+        exact_u=u,
+        exact_v=v,
+        exact_grad_u=grad_u,
+        singular_at_zero=singular_at_zero,
+    )
+
+
 def _standing(name, profile, dprofile, dirichlet):
     """Standing wave u = cos(sqrt(2) pi t) profile(pi x) sin(pi y) on
     (0,1)^2 x (0,1), with d/dx profile(pi x) = pi dprofile(pi x); the source
@@ -133,20 +156,7 @@ def _standing(name, profile, dprofile, dirichlet):
         return (np.pi * co * dprofile(np.pi * x) * np.sin(np.pi * y),
                 np.pi * co * profile(np.pi * x) * np.cos(np.pi * y))
 
-    return ProblemData(
-        name=name,
-        bbox=(0.0, 1.0, 0.0, 1.0),
-        c=1.0,
-        f=None,
-        g_d=u if dirichlet else None,
-        dt_g_d=v if dirichlet else None,
-        u0=lambda x, y: u(x, y, 0.0),
-        grad_u0=lambda x, y: grad_u(x, y, 0.0),
-        v0=_zero,
-        exact_u=u,
-        exact_v=v,
-        exact_grad_u=grad_u,
-    )
+    return _manufactured(name, u, v, grad_u, dirichlet=dirichlet)
 
 
 def dirichlet_cos():
@@ -223,21 +233,8 @@ def estimator_poly(psi="cos4t"):
         # dtt u - lap u with c = 1
         return ddpsi_f(t) * zeta(x, y) + 2.0 * psi_f(t) * ((1.0 - y ** 2) + (1.0 - x ** 2))
 
-    return ProblemData(
-        name=f"estimator-poly-{key}",
-        bbox=(-1.0, 1.0, -1.0, 1.0),
-        c=1.0,
-        f=f,
-        g_d=None,
-        dt_g_d=None,
-        u0=lambda x, y: u(x, y, 0.0),
-        grad_u0=lambda x, y: grad_u(x, y, 0.0),
-        v0=lambda x, y: v(x, y, 0.0),
-        exact_u=u,
-        exact_v=v,
-        exact_grad_u=grad_u,
-        singular_at_zero=singular,
-    )
+    return _manufactured(f"estimator-poly-{key}", u, v, grad_u, f=f,
+                         bbox=(-1.0, 1.0, -1.0, 1.0), singular_at_zero=singular)
 
 
 def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0)):
@@ -271,20 +268,12 @@ def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0)):
     u_f, v_f, f_f = lam3(u_sym), lam3(v_sym), lam3(f_sym)
     ux_f, uy_f = lam3(ux_sym), lam3(uy_sym)
 
-    return ProblemData(
-        name="inline",
-        bbox=tuple(map(float, bbox)),
-        c=c,
-        f=None if f_sym == 0 else f_f,
-        g_d=u_f,
-        dt_g_d=v_f,
-        u0=lambda xx, yy: u_f(xx, yy, 0.0),
-        grad_u0=lambda xx, yy: (ux_f(xx, yy, 0.0), uy_f(xx, yy, 0.0)),
-        v0=lambda xx, yy: v_f(xx, yy, 0.0),
-        exact_u=u_f,
-        exact_v=v_f,
-        exact_grad_u=lambda xx, yy, tt: (ux_f(xx, yy, tt), uy_f(xx, yy, tt)),
-    )
+
+    def grad_u(xx, yy, tt):
+        return ux_f(xx, yy, tt), uy_f(xx, yy, tt)
+
+    return _manufactured("inline", u_f, v_f, grad_u, f=None if f_sym == 0 else f_f,
+                         dirichlet=True, bbox=tuple(map(float, bbox)), c=c)
 
 
 PRESETS = {

@@ -105,6 +105,11 @@ def build_lifting(problem, space, partition, q, bc_mode):
                    project(q, traj(problem.dt_g_d), partition))
 
 
+#: Largest gap between boundary data and the state it meets (the initial
+#: data at t = 0, each slab's starting state), relative to 1 + their size.
+DATA_MATCH_TOL = 1e-10
+
+
 def discrete_initial_data(problem, space, lifting=None, initial_mode="projection"):
     """Coefficient vectors (u0h, v0h) of initial fields compatible with the lifting.
 
@@ -129,7 +134,7 @@ def discrete_initial_data(problem, space, lifting=None, initial_mode="projection
     for boundary, initial in (("g_d(.,0)", "u0"), ("dt_g_d(.,0)", "v0")):
         if boundary in data:
             gap = np.max(np.abs(data[boundary] - data[initial]))
-            if gap > 1e-8 * (1.0 + np.max(np.abs(data[initial]))):
+            if gap > DATA_MATCH_TOL * (1.0 + np.max(np.abs(data[initial]))):
                 raise ConfigurationError(f"initial/boundary data incompatible: |{boundary} - "
                                          f"{initial}| = {gap:.3e} on the boundary")
 
@@ -266,7 +271,7 @@ def solve_slab(prev_u, prev_v, n, workspace, lifting, loads):
     VB = lifting.v_trial[n] if lifting is not None else np.zeros((q + 1, nB))
     for prev, traj, label in ((prev_u, UB, "u"), (prev_v, VB, "v")):
         scale = 1.0 + max(np.abs(traj[0]).max(initial=0.0), np.abs(prev).max(initial=0.0))
-        if np.abs(prev[B] - traj[0]).max(initial=0.0) > 1e-10 * scale:
+        if np.abs(prev[B] - traj[0]).max(initial=0.0) > DATA_MATCH_TOL * scale:
             raise ConfigurationError(
                 f"slab {n + 1}: previous {label} state disagrees with the "
                 "lifting at the left endpoint")

@@ -48,18 +48,28 @@ def test_preset_satisfies_the_pde(name, psi):
 
 
 def test_preset_initial_and_boundary_consistency():
-    for name, psi in (("dirichlet-cos", None), ("estimator-poly", "t2.25")):
-        prob = make_preset(name, psi)
+    # initial data are the exact fields at t = 0, Dirichlet data the exact
+    # u and v, or None for homogeneous data
+    dirichlet = {"dirichlet-cos": True, "standing-wave": False, "estimator-poly-cos4t": False,
+                 "estimator-poly-t2.25": False, "inline": True}
+    problems = [make_preset("dirichlet-cos"), make_preset("standing-wave"),
+                make_preset("estimator-poly", "cos4t"), make_preset("estimator-poly", "t2.25"),
+                wx.inline_problem("x*y*t**2 + sin(x + 2*t)*cos(y)", c=1.5)]
+    assert sorted(prob.name for prob in problems) == sorted(dirichlet)
+    for prob in problems:
         x = np.linspace(prob.bbox[0], prob.bbox[1], 7)
-        y = np.linspace(prob.bbox[2], prob.bbox[3], 7)
-        assert np.abs(prob.u0(x, y) - prob.exact_u(x, y, 0.0)).max() <= 1e-14
-        assert np.abs(prob.v0(x, y) - prob.exact_v(x, y, 0.0)).max() <= 1e-14
-        if prob.g_d is not None:
-            xb = np.full(5, prob.bbox[0])
-            yb = np.linspace(prob.bbox[2], prob.bbox[3], 5)
-            ts = np.linspace(0, 1, 5)
-            assert np.abs(prob.g_d(xb, yb, ts) -
-                          prob.exact_u(xb, yb, ts)).max() <= 1e-14
+        y = np.linspace(prob.bbox[2], prob.bbox[3], 7)[:, None]
+        assert np.array_equal(prob.u0(x, y), prob.exact_u(x, y, 0.0)), prob.name
+        assert np.array_equal(prob.grad_u0(x, y), prob.exact_grad_u(x, y, 0.0)), prob.name
+        assert np.array_equal(prob.v0(x, y), prob.exact_v(x, y, 0.0)), prob.name
+        if not dirichlet[prob.name]:
+            assert prob.g_d is None and prob.dt_g_d is None, prob.name
+            continue
+        xb = np.full(5, prob.bbox[0])
+        yb = np.linspace(prob.bbox[2], prob.bbox[3], 5)
+        ts = np.linspace(0, 1, 5)
+        assert np.array_equal(prob.g_d(xb, yb, ts), prob.exact_u(xb, yb, ts)), prob.name
+        assert np.array_equal(prob.dt_g_d(xb, yb, ts), prob.exact_v(xb, yb, ts)), prob.name
 
 
 def test_homogeneous_presets_vanish_on_boundary():

@@ -52,14 +52,27 @@ def test_incompatible_data_rejected():
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
     with pytest.raises(wx.ConfigurationError, match=r"\|g_d\(\.,0\) - u0\|"):
         wx.discrete_initial_data(bad, space)
-    # v0 vanishes on the boundary, so its bound is 1e-8 * (1 + 0)
+    # v0 vanishes on the boundary, so its bound is DATA_MATCH_TOL * (1 + 0) = 1e-10
     for shift, message in ((1e-4, r"\|dt_g_d\(\.,0\) - v0\| = 1\.000e-04"),
-                           (2e-8, r"\|dt_g_d\(\.,0\) - v0\| = 2\.000e-08")):
+                           (5e-9, r"\|dt_g_d\(\.,0\) - v0\| = 5\.000e-09")):
         bad_v = replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + shift)
         with pytest.raises(wx.ConfigurationError, match=message):
             wx.discrete_initial_data(bad_v, space)
-    wx.discrete_initial_data(replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + 5e-9),
+    wx.discrete_initial_data(replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + 5e-11),
                              space)
+
+
+def test_solve_reports_boundary_data_off_the_initial_data():
+    # the initial data once allowed a 1e-8 gap to the lifting and the first
+    # slab only 1e-10, so a 5e-9 gap failed as a slab 1 state disagreement
+    prob = wx.dirichlet_cos()
+    space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
+    disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 2), q=2)
+    for shift in (5e-9, 5e-7):
+        shifted = replace(prob, dt_g_d=lambda x, y, t: prob.dt_g_d(x, y, t) + shift)
+        with pytest.raises(wx.ConfigurationError, match="initial/boundary data incompatible"):
+            wx.solve(shifted, disc)
+    wx.solve(replace(prob, dt_g_d=lambda x, y, t: prob.dt_g_d(x, y, t) + 5e-11), disc)
 
 
 def test_lifting_zero_and_polynomial_data():
