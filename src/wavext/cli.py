@@ -317,71 +317,58 @@ def _write_results(rows, out_dir):
     return path
 
 
-def _groups(rows):
-    """(p, q, rows) of each (p, q) group, in run order: the unit that rates,
-    effectivity ratios and their checks are taken over."""
-    for (p, q), group in itertools.groupby(rows, key=lambda r: (r["p"], r["q"])):
-        yield p, q, list(group)
-
-
-def _rates_report(cfg, rows):
+def _report(cfg, rows):
+    """The text of rates.txt and the study's --check failures, from one pass
+    over the rows: each (p, q) group's rates and effectivity ratio feed both."""
     study = STUDIES[cfg.experiment]
     res, quantities = study.sweep, study.quantities
     lines = [f"experiment: {cfg.experiment}", ""]
+    failures = [f"p={r['p']} q={r['q']} tau={r['tau']}: error exceeds eta + osc_f"
+                for r in rows if study.estimator and r["err_u"] is not None
+                and r["err_u"] > r["eta"] + r["osc_f"]]
     if res in ("h", "tau"):
-        for p, q, group in _groups(rows):
+        # the interpolated lifting's per-slab defect spoils the rates in tau
+        targets = study.targets if res == "h" or cfg.bc_mode == "projection" else None
+        for (p, q), group in itertools.groupby(rows, key=lambda r: (r["p"], r["q"])):
+            group = list(group)
             lines.append(f"p = {p}, q = {q} (rates in {res})")
             lines += [f"  {res}={_fmt(r[res])} "
                       + " ".join(f"{k}={_fmt(r[k])}" for k in quantities) for r in group]
+            rates = {}
             for k in quantities:
                 errs = [r[k] for r in group]
                 if len(group) >= 2 and None not in errs:
-                    rates = convergence_rates([r[res] for r in group], errs)
-                    lines.append(f"  rates[{k}]: "
-                                 + " ".join("n/a" if v is None else f"{v:.3f}" for v in rates))
+                    rates[k] = convergence_rates([r[res] for r in group], errs)
+                    lines.append(f"  rates[{k}]: " + " ".join(
+                        "n/a" if v is None else f"{v:.3f}" for v in rates[k]))
             lines.append("")
             effs = [r["effectivity"] for r in group if r["effectivity"]]
             if effs:
+                ratio = max(effs) / min(effs)
                 lines.append(f"  effectivity min {min(effs):.3f} "
-                             f"max {max(effs):.3f} ratio {max(effs)/min(effs):.3f}")
+                             f"max {max(effs):.3f} ratio {ratio:.3f}")
+                if ratio > 3.0:
+                    failures.append(f"p={p} q={q}: effectivity ratio {ratio:.2f} > 3")
+            for k, target in (targets(p, q).items() if targets and len(group) >= 2 else ()):
+                rate = rates.get(k, [None])[-1]
+                if rate is None or abs(rate - target) > study.tol:
+                    failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
+                                    f"within {target}+-{study.tol}")
     elif study.max_drift is not None:
-        lines.append(f"energy drift: {_fmt(rows[0]['energy_drift'])}")
+        drift = rows[0]["energy_drift"]
+        lines.append(f"energy drift: {_fmt(drift)}")
+        if drift is None or drift > study.max_drift:
+            failures.append(f"energy drift {drift} exceeds {study.max_drift:g}")
     else:
         if res:
             lines.append("p = q sweep at fixed mesh and time step (errors vs DOFs)")
+            errs = [r["err_u"] for r in rows]
+            if any(b >= a for a, b in zip(errs, errs[1:])):
+                failures.append("err_u not strictly decreasing in p = q")
         for r in rows:
             head = f"p=q={r['p']:2d} dofs={r['dofs']:8d} " if res else ""
             lines.append("  " + head + " ".join(f"{k}={_fmt(r[k])}" for k in quantities))
-    return "\n".join(lines) + "\n"
-
-
-def _check(cfg, rows):
-    """The study's sanity thresholds used by --check."""
-    study = STUDIES[cfg.experiment]
-    failures = []
-    if study.estimator:
-        failures += [f"p={r['p']} q={r['q']} tau={r['tau']}: error exceeds eta + osc_f"
-                     for r in rows if r["err_u"] is not None and r["err_u"] > r["eta"] + r["osc_f"]]
-    # the interpolated lifting's per-slab defect spoils the rates in tau
-    targets = study.targets if study.sweep == "h" or cfg.bc_mode == "projection" else None
-    for p, q, group in _groups(rows):
-        effs = [r["effectivity"] for r in group if r["effectivity"]]
-        if effs and max(effs) / min(effs) > 3.0:
-            failures.append(f"p={p} q={q}: effectivity ratio {max(effs)/min(effs):.2f} > 3")
-        for k, target in (targets(p, q).items() if targets and len(group) >= 2 else ()):
-            rate = convergence_rates([r[study.sweep] for r in group], [r[k] for r in group])[-1]
-            if rate is None or abs(rate - target) > study.tol:
-                failures.append(f"p={p} q={q}: {k} last-pair rate {rate} not "
-                                f"within {target}+-{study.tol}")
-    if study.max_drift is not None:
-        drift = rows[0]["energy_drift"]
-        if drift is None or drift > study.max_drift:
-            failures.append(f"energy drift {drift} exceeds {study.max_drift:g}")
-    if study.sweep == "pq":
-        errs = [r["err_u"] for r in rows]
-        if any(b >= a for a, b in zip(errs, errs[1:])):
-            failures.append("err_u not strictly decreasing in p = q")
-    return failures
+    return "\n".join(lines) + "\n", failures
 
 
 def _run_cells(cfg, cells):
@@ -427,9 +414,10 @@ def run_experiment(cfg, jobs=1, check=False):
                   for c, (_, secs) in zip(cells, done)]
     try:  # a directory or a read-only file where an output goes
         csv_path = _write_results(rows, out_dir)
-        (out_dir / "rates.txt").write_text(_rates_report(cfg, rows))
+        text, failures = _report(cfg, rows)
+        (out_dir / "rates.txt").write_text(text)
         log_lines.append(f"total {time.time() - start:.2f}s -> {csv_path}")
-        failures = _check(cfg, rows) if check else []
+        failures = failures if check else []
         log_lines += [f"CHECK FAIL: {msg}" for msg in failures]
         (out_dir / "run.log").write_text("\n".join(log_lines) + "\n")
     except OSError as exc:

@@ -77,7 +77,7 @@ class LagrangeSpace:
         # behind the stiffness of a callable wavespeed
         rs, w = reference.triangle_rule(norm_degree(p))
         val, gref, href = reference.tabulate(p, rs, order=2)
-        rule = {"rs": rs, "w": w, "pts": pts[:, 0, None] + np.einsum("ckm,qm->cqk", jac, rs),
+        rule = {"pts": pts[:, 0, None] + np.einsum("ckm,qm->cqk", jac, rs),
                 "wdet": np.outer(self.detjac, w), "val": val, "gref": gref, "href": href}
         for array in (self.metric, *rule.values()):
             array.flags.writeable = False

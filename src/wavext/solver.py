@@ -79,7 +79,8 @@ def build_lifting(problem, space, partition, q, bc_mode):
     "interpolation" interpolates each trajectory at q+1 uniform nodes per
     slab.  Either is a fixed matrix per degree that takes one call of g_d (or
     dt g_d) at all slabs' nodes straight to trial coefficients (see
-    :mod:`wavext.timebasis`).  Returns None for homogeneous data.
+    :mod:`wavext.timebasis`).  Homogeneous data is the zero lifting.  Data
+    that is not finite at a sample time raises ConfigurationError.
 
     The lifting reaches the reconstruction u(0) + int v through the slab
     means of the v-lifting.  The projection keeps those means exactly for
@@ -88,21 +89,30 @@ def build_lifting(problem, space, partition, q, bc_mode):
     order at odd q (q+1 instead of q+2) and nothing at even q; u, v and
     grad u keep their order q+1 under either mode.
     """
-    if problem.g_d is None:
-        return None
+    B = space.boundary_dofs
+    if problem.g_d is None:  # read-only zeros that take no memory
+        zero = np.broadcast_to(0.0, (partition.n_slabs, q + 1, len(B)))
+        return Lifting(zero, zero)
     if problem.dt_g_d is None:
         raise ConfigurationError("nonhomogeneous data needs dt_g_d for the v-lifting")
-    B = space.boundary_dofs
     xb = space.dof_coords[B, 0]
     yb = space.dof_coords[B, 1]
 
-    def traj(g):
-        return lambda ts: np.asarray(g(xb[None, :], yb[None, :],
-                                       np.asarray(ts, dtype=float)[:, None]))
+    def traj(name, g):
+        def sample(ts):
+            ts = np.asarray(ts, dtype=float)[:, None]
+            values = np.asarray(g(xb[None, :], yb[None, :], ts))
+            bad = ~np.isfinite(values)
+            if bad.any():
+                i, k = np.argwhere(np.broadcast_to(bad, (ts.size, xb.size)))[0]
+                raise ConfigurationError(f"{name} is not finite at t = {ts[i, 0]:g} at "
+                                         f"the boundary node ({xb[k]:g}, {yb[k]:g})")
+            return values
+        return sample
 
     project = endpoint_exact_project if bc_mode == "projection" else lagrange_time_interp
-    return Lifting(project(q, traj(problem.g_d), partition),
-                   project(q, traj(problem.dt_g_d), partition))
+    return Lifting(project(q, traj("g_d", problem.g_d), partition),
+                   project(q, traj("dt_g_d", problem.dt_g_d), partition))
 
 
 #: Largest gap between boundary data and the state it meets (the initial
@@ -110,41 +120,38 @@ def build_lifting(problem, space, partition, q, bc_mode):
 DATA_MATCH_TOL = 1e-10
 
 
-def discrete_initial_data(problem, space, lifting=None, initial_mode="projection"):
-    """Coefficient vectors (u0h, v0h) of initial fields compatible with the lifting.
+def discrete_initial_data(problem, space, lifting, initial_mode="projection"):
+    """Coefficient vectors (u0h, v0h) of initial fields compatible with the
+    lifting, the run's :func:`build_lifting`.
 
     In projection mode u0h is the space's read-only Ritz projection of u0,
     and v0h has nodal boundary values of v0 and the interior L2 projection
     of v0 minus the lifting velocity at t = 0.  Interpolation mode takes
-    plain nodal interpolants of both.  Data that is not finite at a boundary
-    node, or boundary data that disagrees with the initial data at t = 0,
-    raises ConfigurationError.
+    plain nodal interpolants of both.  Initial data that is not finite at a
+    boundary node, or that disagrees with the lifting's first row, raises
+    ConfigurationError.
     """
     B = space.boundary_dofs
     xb, yb = space.dof_coords[B, 0], space.dof_coords[B, 1]
     data = {"u0": problem.u0(xb, yb), "v0": problem.v0(xb, yb)}
-    if problem.g_d is not None:
-        data.update({"g_d(.,0)": problem.g_d(xb, yb, 0.0),
-                     "dt_g_d(.,0)": problem.dt_g_d(xb, yb, 0.0)})
     for name, values in data.items():
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ConfigurationError(f"{name} is not finite at the boundary node "
                                      f"({xb[bad[0]]:g}, {yb[bad[0]]:g})")
-    for boundary, initial in (("g_d(.,0)", "u0"), ("dt_g_d(.,0)", "v0")):
-        if boundary in data:
-            gap = np.max(np.abs(data[boundary] - data[initial]))
-            if gap > DATA_MATCH_TOL * (1.0 + np.max(np.abs(data[initial]))):
-                raise ConfigurationError(f"initial/boundary data incompatible: |{boundary} - "
-                                         f"{initial}| = {gap:.3e} on the boundary")
+    for boundary, initial, trial in (("g_d(.,0)", "u0", lifting.u_trial),
+                                     ("dt_g_d(.,0)", "v0", lifting.v_trial)):
+        gap = np.max(np.abs(trial[0, 0] - data[initial]))
+        if gap > DATA_MATCH_TOL * (1.0 + np.max(np.abs(data[initial]))):
+            raise ConfigurationError(f"initial/boundary data incompatible: |{boundary} - "
+                                     f"{initial}| = {gap:.3e} on the boundary")
 
     if initial_mode == "interpolation":
         return interpolate_nodal(space, problem.u0), interpolate_nodal(space, problem.v0)
 
     u0h = ritz_project(space, problem.u0, problem.grad_u0, problem.c)
     lift_v0 = np.zeros(space.n_dofs)
-    if lifting is not None:
-        lift_v0[B] = lifting.v_trial[0, 0]
+    lift_v0[B] = lifting.v_trial[0, 0]
     v0h = np.zeros(space.n_dofs)
     v0h[B] = data["v0"]
     # interior L2 projection of (v0 - lifting velocity at t = 0)
@@ -171,9 +178,9 @@ def _block(C, M, K, N, U, V):
 
 class SlabWorkspace:
     """The slab system of a run (see the module docstring): the space's
-    operators, their interior blocks, the interior factorization of C, and
-    the modes of one slab length only, so memory stays bounded on a graded
-    partition."""
+    operators, their interior blocks, the interior factorization of C, the
+    run's ``lifting`` (:func:`build_lifting`), and the modes of one slab
+    length only, so memory stays bounded on a graded partition."""
 
     def __init__(self, problem, disc):
         space = disc.space
@@ -182,6 +189,7 @@ class SlabWorkspace:
         self.partition = disc.partition
         self.q = disc.q
         self.I, self.B = space.interior_dofs, space.boundary_dofs
+        self.lifting = build_lifting(problem, space, self.partition, self.q, disc.bc_mode)
         self.M, self.M_II = assemble(space, "mass"), interior_block(space, "mass")
         self.K = assemble(space, "stiffness", problem.c)
         self.K_II = interior_block(space, "stiffness", problem.c)
@@ -253,22 +261,19 @@ class SlabWorkspace:
         return (tst * ws[:, None, :]) @ loads
 
 
-def solve_slab(prev_u, prev_v, n, workspace, lifting, loads):
+def solve_slab(prev_u, prev_v, n, workspace, loads):
     """Advance one slab from the endpoint state (prev_u, prev_v) at t_{n-1}.
 
     Returns the full trial-coefficient tensors (q+1, n_dofs) for u and v on
-    slab n.  The previous state must agree with the lifting on the boundary
-    (``lifting`` is the run's :func:`build_lifting`, None for zero data);
-    ``loads`` is its row of :meth:`SlabWorkspace.load_moments`, None for zero f.
+    slab n.  The previous state must agree with the workspace's lifting on
+    the boundary; ``loads`` is its row of
+    :meth:`SlabWorkspace.load_moments`, None for zero f.
     """
     if not 0 <= n < workspace.partition.n_slabs:
         raise IndexError(f"slab {n} outside 0..{workspace.partition.n_slabs - 1}")
     q, I, B = workspace.q, workspace.I, workspace.B
     workspace.system(float(workspace.partition.lengths[n]))
-
-    nB = len(B)
-    UB = lifting.u_trial[n] if lifting is not None else np.zeros((q + 1, nB))
-    VB = lifting.v_trial[n] if lifting is not None else np.zeros((q + 1, nB))
+    UB, VB = workspace.lifting.u_trial[n], workspace.lifting.v_trial[n]
     for prev, traj, label in ((prev_u, UB, "u"), (prev_v, VB, "v")):
         scale = 1.0 + max(np.abs(traj[0]).max(initial=0.0), np.abs(prev).max(initial=0.0))
         if np.abs(prev[B] - traj[0]).max(initial=0.0) > DATA_MATCH_TOL * scale:
@@ -299,15 +304,14 @@ def solve(problem, disc):
     """March all slabs and return the space-time solution."""
     space, partition, q = disc.space, disc.partition, disc.q
     ws = SlabWorkspace(problem, disc)
-    lifting = build_lifting(problem, space, partition, q, disc.bc_mode)
-    prev_u, prev_v = discrete_initial_data(problem, space, lifting, disc.initial_mode)
+    prev_u, prev_v = discrete_initial_data(problem, space, ws.lifting, disc.initial_mode)
     N = partition.n_slabs
     U = np.zeros((N, q + 1, space.n_dofs))
     V = np.zeros((N, q + 1, space.n_dofs))
     for block in ws.load_blocks:
         F = ws.load_moments(block)
         for n in block:
-            U[n], V[n] = solve_slab(prev_u, prev_v, n, ws, lifting,
+            U[n], V[n] = solve_slab(prev_u, prev_v, n, ws,
                                     None if F is None else F[n - block.start])
             prev_u = U[n, 0] + U[n, 1]
             prev_v = V[n, 0] + V[n, 1]

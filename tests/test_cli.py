@@ -1,6 +1,7 @@
 import csv
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ import wavext.fem as fem
 import wavext.linalg as linalg
 import wavext.solver as solver
 import wavext.timebasis as timebasis
-from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _check, _make_problem,
+from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _make_problem, _report,
                         _run_cells, default_config, main, parse_config,
                         run_cell)
 from wavext.errors import ConfigurationError
@@ -280,13 +281,31 @@ def test_estimate_degree_checked_before_any_output(tmp_path, capsys):
 
 
 def test_nonfinite_boundary_data_exit_2(tmp_path, capsys):
-    # log(0) * 0 is NaN at the x = 0 side; the solve must not start
+    # log(0) * 0 is NaN at the x = 0 side; the solve must not start, and the
+    # lifting, built before the initial data, names g_d
     path = write(tmp_path, "log.cfg",
                  "problem = inline\nu = log(x)*t\np = 1\nq = 1\nmesh = 2\ntau = 0.5\n")
     with np.errstate(divide="ignore", invalid="ignore"):
         code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "u0 is not finite at the boundary node (0, 0)" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("configuration error: g_d is not finite at t = 0 "
+                                       "at the boundary node (0, 0)\n")
+
+
+def test_boundary_data_checked_at_every_sample_time(tmp_path, capsys):
+    # finite until t = 0.5, the end of slab 2: once, the solve started and
+    # failed there with exit 3, after numpy warnings from the slab products
+    path = write(tmp_path, "pole.cfg", "problem = inline\nu = x*y/(t - 0.5)\np = 2\nq = 2\n"
+                 "mesh = 2\ntau = 0.25\n")
+    with np.errstate(divide="warn", invalid="warn"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: g_d is not finite at t = 0.5 "
+                                       "at the boundary node (0, 0)\n")
+    # the data's own division warns; nothing in wavext does
+    assert caught and not [w for w in caught if "wavext" in w.filename]
 
 
 _KNOWN_KEYS = ("experiment", "problem", "psi", "p", "q", "mesh", "tau", "method",
@@ -631,12 +650,36 @@ def _estimate_rows(effectivities):
 def test_estimate_check_takes_effectivity_ratios_per_p_and_q():
     cfg = replace(default_config("estimate"), p=[2, 6], q=[1])
     # ratios 2 and 1.25 per group, 5 pooled
-    assert _check(cfg, _estimate_rows([(2, 1, 1.0), (2, 1, 2.0), (6, 1, 4.0), (6, 1, 5.0)])) == []
-    failures = _check(cfg, _estimate_rows([(2, 1, 1.0), (2, 1, 3.5), (6, 1, 1.0), (6, 1, 1.5)]))
+    rows = _estimate_rows([(2, 1, 1.0), (2, 1, 2.0), (6, 1, 4.0), (6, 1, 5.0)])
+    assert _report(cfg, rows)[1] == []
+    text, failures = _report(cfg, _estimate_rows([(2, 1, 1.0), (2, 1, 3.5), (6, 1, 1.0),
+                                                  (6, 1, 1.5)]))
     assert failures == ["p=2 q=1: effectivity ratio 3.50 > 3"]
+    # the ratio that fails is the one rates.txt prints
+    assert "  effectivity min 1.000 max 3.500 ratio 3.500\n" in text
     rows = _estimate_rows([(6, 1, 1.0)])
     rows[0]["err_u"] = 2.0
-    assert _check(cfg, rows) == ["p=6 q=1 tau=1.0: error exceeds eta + osc_f"]
+    assert _report(cfg, rows)[1] == ["p=6 q=1 tau=1.0: error exceeds eta + osc_f"]
+
+
+def test_pq_check_needs_err_u_strictly_decreasing():
+    cfg = replace(default_config("converge-pq"), p=[1, 2, 3])
+
+    def rows(*errs):
+        return [dict(p=p, q=p, dofs=100 * p, err_u=e, err_ustar=e, err_v=e, err_gradu=e)
+                for p, e in enumerate(errs, start=1)]
+
+    assert _report(cfg, rows(1e-1, 1e-2, 1e-3))[1] == []
+    text, failures = _report(cfg, rows(1e-1, 1e-2, 1e-2))
+    assert failures == ["err_u not strictly decreasing in p = q"]
+    assert text.splitlines()[2:] == [
+        "p = q sweep at fixed mesh and time step (errors vs DOFs)",
+        "  p=q= 1 dofs=     100 err_u=1.00000000000e-01 err_ustar=1.00000000000e-01 "
+        "err_v=1.00000000000e-01 err_gradu=1.00000000000e-01",
+        "  p=q= 2 dofs=     200 err_u=1.00000000000e-02 err_ustar=1.00000000000e-02 "
+        "err_v=1.00000000000e-02 err_gradu=1.00000000000e-02",
+        "  p=q= 3 dofs=     300 err_u=1.00000000000e-02 err_ustar=1.00000000000e-02 "
+        "err_v=1.00000000000e-02 err_gradu=1.00000000000e-02"]
 
 
 @pytest.mark.parametrize("experiment, text", [

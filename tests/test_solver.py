@@ -29,7 +29,8 @@ def test_initial_data_reproduces_interior_members():
         u0=lambda x, y: x * (1 - x) * y * (1 - y),
         grad_u0=lambda x, y: ((1 - 2 * x) * y * (1 - y), x * (1 - x) * (1 - 2 * y)),
         v0=lambda x, y: x * (1 - x) * y * (1 - y))
-    u0h, v0h = wx.discrete_initial_data(shaped, space)
+    zero = wx.build_lifting(shaped, space, wx.uniform_time_partition(1.0, 1), 1, "projection")
+    u0h, v0h = wx.discrete_initial_data(shaped, space, zero)
     assert np.abs(u0h - member).max() <= 1e-11
     assert np.abs(v0h - member).max() <= 1e-11
 
@@ -50,16 +51,18 @@ def test_incompatible_data_rejected():
         u0=lambda x, y: prob.u0(x, y) + 1e-4,
         grad_u0=prob.grad_u0, v0=prob.v0)
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
+    # the initial data meet the lifting's first row, the boundary data at t = 0
+    lifting = wx.build_lifting(prob, space, wx.uniform_time_partition(1.0, 2), 2, "projection")
     with pytest.raises(wx.ConfigurationError, match=r"\|g_d\(\.,0\) - u0\|"):
-        wx.discrete_initial_data(bad, space)
+        wx.discrete_initial_data(bad, space, lifting)
     # v0 vanishes on the boundary, so its bound is DATA_MATCH_TOL * (1 + 0) = 1e-10
     for shift, message in ((1e-4, r"\|dt_g_d\(\.,0\) - v0\| = 1\.000e-04"),
                            (5e-9, r"\|dt_g_d\(\.,0\) - v0\| = 5\.000e-09")):
         bad_v = replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + shift)
         with pytest.raises(wx.ConfigurationError, match=message):
-            wx.discrete_initial_data(bad_v, space)
+            wx.discrete_initial_data(bad_v, space, lifting)
     wx.discrete_initial_data(replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + 5e-11),
-                             space)
+                             space, lifting)
 
 
 def test_solve_reports_boundary_data_off_the_initial_data():
@@ -79,7 +82,10 @@ def test_lifting_zero_and_polynomial_data():
     prob = txy_problem()
     space = wx.build_space(wx.build_structured_mesh(3, 3), 2)
     part = wx.uniform_time_partition(1.0, 4)
-    assert wx.build_lifting(wx.standing_wave(), space, part, 2, "projection") is None
+    # homogeneous data is the zero lifting
+    zero = wx.build_lifting(wx.standing_wave(), space, part, 2, "projection")
+    for trial in (zero.u_trial, zero.v_trial):
+        assert trial.shape == (4, 3, len(space.boundary_dofs)) and not trial.any()
     # g linear in t: both modes exact and identical
     lp = wx.build_lifting(prob, space, part, 2, "projection")
     ln = wx.build_lifting(prob, space, part, 2, "interpolation")
@@ -120,6 +126,32 @@ def test_lifting_requires_velocity_datum():
 
 
 @pytest.mark.parametrize("mode", ["projection", "interpolation"])
+def test_lifting_rejects_boundary_data_not_finite_at_a_sample_time(mode):
+    # finite at t = 0, so only the lifting's samples from t = 0.5 on see it
+    shape = lambda *a: np.broadcast(*a).shape
+    prob = wx.ProblemData(g_d=lambda x, y, t: np.where(t < 0.5, 0.0, np.inf)
+                          * np.ones(shape(x, y)),
+                          dt_g_d=lambda x, y, t: np.zeros(shape(x, y, t)))
+    space = wx.build_space(wx.build_structured_mesh(2, 2), 2)
+    with pytest.raises(wx.ConfigurationError, match=r"^g_d is not finite at t = 0\.5 at "
+                                                    r"the boundary node \(0, 0\)$"):
+        wx.build_lifting(prob, space, wx.uniform_time_partition(1.0, 4), 2, mode)
+
+
+def test_initial_velocity_meets_its_definition():
+    # interior rows: (M v0h)_I = (v0, phi)_I, with v0h = v0 at the boundary
+    # nodes; the boundary block M_IB meets v0 only through the lifting's
+    # velocity at t = 0, which once defaulted to zero (off by 0.75 here)
+    prob = wx.inline_problem("x*y*t**2 + sin(x + 2*t)*cos(y)")
+    space = wx.build_space(wx.build_structured_mesh(4, 4, prob.bbox), 3)
+    ws = SlabWorkspace(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
+    _, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
+    load = wx.load_vector(space, prob.v0)
+    defect = (wx.assemble(space, "mass") @ v0h - load)[space.interior_dofs]
+    assert np.abs(defect).max() <= 1e-12 * np.abs(load).max()
+
+
+@pytest.mark.parametrize("mode", ["projection", "interpolation"])
 def test_lifting_calls_each_boundary_callback_once(mode):
     # each trajectory is sampled at all slabs' nodes in one call
     prob = wx.dirichlet_cos()
@@ -155,9 +187,9 @@ def test_single_slab_equals_solve():
     part = wx.uniform_time_partition(1.0, 1)
     disc = wx.Discretization(space, part, q=2)
     sol = wx.solve(prob, disc)
-    u0h, v0h = wx.discrete_initial_data(prob, space)
-    lifting = wx.build_lifting(prob, space, part, 2, disc.bc_mode)
-    U, V = wx.solve_slab(u0h, v0h, 0, SlabWorkspace(prob, disc), lifting, None)
+    ws = SlabWorkspace(prob, disc)
+    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
+    U, V = wx.solve_slab(u0h, v0h, 0, ws, None)
     assert np.abs(U - sol.u[0]).max() <= 1e-12
     assert np.abs(V - sol.v[0]).max() <= 1e-12
 
@@ -218,13 +250,12 @@ def test_previous_state_must_match_lifting():
     prob = wx.dirichlet_cos()
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
     part = wx.uniform_time_partition(1.0, 2)
-    disc = wx.Discretization(space, part, q=1)
-    lifting = wx.build_lifting(prob, space, part, 1, "projection")
-    u0h, v0h = wx.discrete_initial_data(prob, space, lifting)
+    ws = SlabWorkspace(prob, wx.Discretization(space, part, q=1))
+    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
     bad = u0h.copy()
     bad[space.boundary_dofs[0]] += 1e-3
     with pytest.raises(wx.ConfigurationError):
-        wx.solve_slab(bad, v0h, 0, SlabWorkspace(prob, disc), lifting, None)
+        wx.solve_slab(bad, v0h, 0, ws, None)
 
 
 def _smooth_random_problem(rng):
@@ -484,13 +515,13 @@ def test_slab_cache_bounded_on_graded_partition(monkeypatch):
     part = wx.TimePartition(np.concatenate([[0.0], 0.8 ** np.arange(12)[::-1]]))
     disc = wx.Discretization(space, part, q=2)
     ws = SlabWorkspace(prob, disc)
-    u0h, v0h = wx.discrete_initial_data(prob, space)
+    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
     U = np.zeros((part.n_slabs, 3, space.n_dofs))
     V = np.zeros_like(U)
     prev_u, prev_v = u0h, v0h
     for n in range(part.n_slabs):
         held = len(modes)
-        U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, ws, None, None)
+        U[n], V[n] = wx.solve_slab(prev_u, prev_v, n, ws, None)
         # new modes for each slab, and only the newest ones are held
         assert len(modes) > held
         assert [ref() is not None for ref in modes] == \
@@ -585,10 +616,9 @@ def test_solve_equals_march_on_per_time_loads(psi):
     ws = _eleven_slab_workspace(prob)
     disc = wx.Discretization(ws.space, ws.partition, q=ws.q)
     sol = wx.solve(prob, disc)
-    lifting = wx.build_lifting(prob, ws.space, ws.partition, ws.q, disc.bc_mode)
-    prev_u, prev_v = wx.discrete_initial_data(prob, ws.space, lifting, disc.initial_mode)
+    prev_u, prev_v = wx.discrete_initial_data(prob, ws.space, ws.lifting, disc.initial_mode)
     for n in range(ws.partition.n_slabs):
-        U, V = wx.solve_slab(prev_u, prev_v, n, ws, lifting, _load_moments_per_time(ws, n))
+        U, V = wx.solve_slab(prev_u, prev_v, n, ws, _load_moments_per_time(ws, n))
         assert np.array_equal(sol.u[n], U) and np.array_equal(sol.v[n], V)
         prev_u, prev_v = U[0] + U[1], V[0] + V[1]
 
@@ -759,10 +789,10 @@ def test_solve_slab_rejects_slabs_outside_the_partition():
     prob = wx.standing_wave()
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
     ws = SlabWorkspace(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 3), q=2))
-    u0h, v0h = wx.discrete_initial_data(prob, space)
+    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
     for n in (-1, 3):
         with pytest.raises(IndexError, match=r"slab %d outside 0\.\.2" % n):
-            wx.solve_slab(u0h, v0h, n, ws, None, None)
+            wx.solve_slab(u0h, v0h, n, ws, None)
     assert ws.Nm is None  # no slab system was made
 
 
@@ -774,7 +804,7 @@ def test_slab_lengths_keyed_to_significant_digits():
     disc = wx.Discretization(space, wx.TimePartition(np.array([0.0, 2e-15, 6e-15])), q=2)
     sol = wx.solve(prob, disc)
     U, V = wx.solve_slab(endpoint(sol, 1, "u"), endpoint(sol, 1, "v"), 1,
-                         SlabWorkspace(prob, disc), None, None)
+                         SlabWorkspace(prob, disc), None)
     assert np.array_equal(sol.u[1], U) and np.array_equal(sol.v[1], V)
 
 
