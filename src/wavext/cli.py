@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,7 @@ from .fem import MAX_SPATIAL_DEGREE, build_space, norm_degree
 from .mesh import build_structured_mesh, mesh_size
 from .postprocess import (compute_error_report, convergence_rates,
                           energy_trace)
-from .problem import (MAX_TEMPORAL_DEGREE, Discretization, inline_problem,
-                      make_preset)
+from .problem import Discretization, check_choices, inline_problem, make_preset
 from .reference import triangle_rule
 from .solver import solve
 from .timebasis import uniform_time_partition
@@ -50,24 +49,26 @@ CSV_COLUMNS = ("run_id", "experiment", "method", "bc_mode", "p", "q", "h",
 @dataclass
 class ExperimentConfig:
     """A study's run matrix and settings, with defaults from its ``STUDIES``
-    record.  An empty psi keeps the preset's profile."""
+    record.  Each field is the config key of its name, which repeats to form
+    a list exactly when its default is one.  An empty psi keeps the preset's
+    profile; u, c and bbox shape an inline problem."""
 
     experiment: str
-    problem: str = ""
+    problem: str
+    p: list
+    q: list
+    mesh: list
+    tau: list
     psi: str = ""
-    p: list = field(default_factory=list)
-    q: list = field(default_factory=list)
-    mesh: list = field(default_factory=list)
-    tau: list = field(default_factory=list)
     method: str = "gradient"
     bc_mode: str = "projection"
     initial_mode: str = "projection"
     samples_per_slab: int = 11
-    t_final: float = 1.0
+    T: float = 1.0
     out: str = "results"
-    inline_u: str = ""
-    inline_c: float = 1.0
-    inline_bbox: tuple = (0.0, 1.0, 0.0, 1.0)
+    u: str = ""
+    c: float = 1.0
+    bbox: tuple = (0.0, 1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,11 @@ STUDIES = {
 
 EXPERIMENTS = tuple(STUDIES)
 
-_METHOD_ALIASES = {"gradient": "gradient", "gradientcoupling": "gradient",
-                   "i": "gradient", "mass": "mass", "masscoupling": "mass",
-                   "ii": "mass"}
-_BC_ALIASES = {"projection": "projection", "ptau": "projection",
-               "ptaulifting": "projection", "interpolation": "interpolation",
-               "lagrange": "interpolation",
-               "naivelagrangeintime": "interpolation"}
+#: Other spellings of the method and bc_mode names, matched in lower case.
+_SPELLINGS = {"method": {"gradientcoupling": "gradient", "i": "gradient",
+                         "masscoupling": "mass", "ii": "mass"},
+              "bc_mode": {"ptau": "projection", "ptaulifting": "projection",
+                          "lagrange": "interpolation", "naivelagrangeintime": "interpolation"}}
 
 
 def _bbox(value):
@@ -125,32 +124,17 @@ def _bbox(value):
     return tuple(float(v) for v in parts)
 
 
-#: Config key -> (ExperimentConfig field, parser of one value).
-_KEYS = {
-    "experiment": ("experiment", str),
-    "problem": ("problem", str),
-    "psi": ("psi", str),
-    "p": ("p", int),
-    "q": ("q", int),
-    "mesh": ("mesh", int),
-    "tau": ("tau", float),
-    "method": ("method", lambda v: _METHOD_ALIASES[v.lower()]),
-    "bc_mode": ("bc_mode", lambda v: _BC_ALIASES[v.lower()]),
-    "initial_mode": ("initial_mode", str),
-    "samples_per_slab": ("samples_per_slab", int),
-    "T": ("t_final", float),
-    "out": ("out", str),
-    "u": ("inline_u", str),
-    "c": ("inline_c", float),
-    "bbox": ("inline_bbox", _bbox),
-}
-#: Keys that form a list by repetition; every other key is given at most once.
-_LIST_KEYS = {"p", "q", "mesh", "tau"}
+#: Parser of one value of each key that is not a plain word.
+_PARSERS = {"p": int, "q": int, "mesh": int, "samples_per_slab": int, "tau": float,
+            "T": float, "c": float, "bbox": _bbox,
+            "method": lambda v: _SPELLINGS["method"].get(v.lower(), v.lower()),
+            "bc_mode": lambda v: _SPELLINGS["bc_mode"].get(v.lower(), v.lower())}
 
 
 def parse_config(path, experiment):
     """The experiment's defaults, overwritten by the keys a ``key = value``
-    config file sets (lists by key repetition)."""
+    config file sets: the ExperimentConfig fields, lists by key repetition."""
+    cfg = default_config(experiment)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -163,24 +147,21 @@ def parse_config(path, experiment):
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYS:
+        if key not in {f.name for f in fields(cfg)}:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw and key not in _LIST_KEYS:
+        if key in raw and not isinstance(getattr(cfg, key), list):
             raise ConfigurationError(f"{path}: key {key!r} given more than once")
         raw.setdefault(key, []).append(value)
     if raw.get("experiment", [experiment]) != [experiment]:
         raise ConfigurationError(
             f"config names experiment {raw['experiment'][0]!r}, "
             f"but {experiment!r} was requested")
-
-    cfg = default_config(experiment)
     for key, values in raw.items():
-        name, parse = _KEYS[key]
         try:
-            parsed = [parse(v) for v in values]
-        except (KeyError, ValueError) as exc:
+            parsed = [_PARSERS.get(key, str)(v) for v in values]
+        except ValueError as exc:
             raise ConfigurationError(f"{path}: invalid {key} value: {exc}") from exc
-        setattr(cfg, name, parsed if key in _LIST_KEYS else parsed[0])
+        setattr(cfg, key, parsed if isinstance(getattr(cfg, key), list) else parsed[0])
     stray = raw.keys() & ({"psi"} if cfg.problem == "inline" else {"u", "c", "bbox"})
     if stray:
         raise ConfigurationError(f"{path}: problem {cfg.problem!r} takes no "
@@ -197,23 +178,21 @@ def default_config(experiment):
 
 def _validate(cfg):
     study = STUDIES[cfg.experiment]
-    if study.sweep != "pq":  # a pq sweep runs q = p
-        if not cfg.q:
-            raise ConfigurationError("q list must not be empty")
-        if not all(1 <= v <= MAX_TEMPORAL_DEGREE for v in cfg.q):
-            raise ConfigurationError(f"q values must be in [1, {MAX_TEMPORAL_DEGREE}]")
-    for name, values in (("p", cfg.p), ("mesh", cfg.mesh), ("tau", cfg.tau)):
+    qs = cfg.p if study.sweep == "pq" else cfg.q  # a pq sweep runs q = p
+    for name, values in (("p", cfg.p), ("q", qs), ("mesh", cfg.mesh), ("tau", cfg.tau)):
         if not values:
             raise ConfigurationError(f"{name} list must not be empty")
+    for q in qs:
+        check_choices(q, cfg.method, cfg.bc_mode, cfg.initial_mode)
     if len(set(cfg.p)) < len(cfg.p) or len(set(cfg.q)) < len(cfg.q):
         raise ConfigurationError("p and q values must not repeat")
-    if not all(0 < v < math.inf for v in cfg.tau + [cfg.t_final]):
+    if not all(0 < v < math.inf for v in cfg.tau + [cfg.T]):
         raise ConfigurationError("tau and T values must be positive and finite")
     for tau in cfg.tau:
-        n_slabs = cfg.t_final / tau  # inf when tau is tiny
+        n_slabs = cfg.T / tau  # inf when tau is tiny
         if not (math.isfinite(n_slabs) and round(n_slabs) >= 1
-                and abs(round(n_slabs) * tau - cfg.t_final) <= 1e-9 * cfg.t_final):
-            raise ConfigurationError(f"tau = {tau} does not divide the final time {cfg.t_final}")
+                and abs(round(n_slabs) * tau - cfg.T) <= 1e-9 * cfg.T):
+            raise ConfigurationError(f"tau = {tau} does not divide the final time {cfg.T}")
     if any(v < 1 for v in cfg.mesh):
         raise ConfigurationError("mesh values must be >= 1")
     res = {"h": [-n for n in cfg.mesh], "tau": cfg.tau}.get(study.sweep, [])
@@ -224,17 +203,17 @@ def _validate(cfg):
         raise ConfigurationError(f"p values must be in [{p_min}, {MAX_SPATIAL_DEGREE}]")
     if cfg.samples_per_slab < 3:
         raise ConfigurationError("samples_per_slab must be >= 3")
-    if cfg.initial_mode not in ("projection", "interpolation"):
-        raise ConfigurationError(f"unknown initial_mode {cfg.initial_mode!r}")
-    x_min, x_max, y_min, y_max = cfg.inline_bbox
-    if not (all(map(math.isfinite, cfg.inline_bbox)) and x_min < x_max and y_min < y_max):
-        raise ConfigurationError(f"bbox {cfg.inline_bbox} is not a finite nondegenerate box")
-    if cfg.problem == "inline" and not cfg.inline_u:
+    if not cfg.out:
+        raise ConfigurationError("out must name an output directory")
+    x_min, x_max, y_min, y_max = cfg.bbox
+    if not (all(map(math.isfinite, cfg.bbox)) and x_min < x_max and y_min < y_max):
+        raise ConfigurationError(f"bbox {cfg.bbox} is not a finite nondegenerate box")
+    if cfg.problem == "inline" and not cfg.u:
         raise ConfigurationError("inline problems need a u = <expression> line")
     _make_problem(cfg)  # an unknown preset or psi, an unusable u or c
     for cell in _cells(cfg):
         label = f"cell p={cell['p']} q={cell['q']} mesh={cell['nx']} tau={cell['tau']}"
-        floats = 2 * round(cfg.t_final / cell["tau"]) * (cell["q"] + 1) \
+        floats = 2 * round(cfg.T / cell["tau"]) * (cell["q"] + 1) \
             * (cell["nx"] * cell["p"] + 1) ** 2
         if floats > MAX_SOLUTION_FLOATS:
             raise ConfigurationError(f"{label}: U and V would hold more than "
@@ -248,7 +227,7 @@ def _validate(cfg):
 
 def _make_problem(cfg):
     if cfg.problem == "inline":
-        return inline_problem(cfg.inline_u, c=cfg.inline_c, bbox=cfg.inline_bbox)
+        return inline_problem(cfg.u, c=cfg.c, bbox=cfg.bbox)
     return make_preset(cfg.problem, cfg.psi or None)
 
 
@@ -267,8 +246,8 @@ def _cells(cfg):
 def run_cell(cfg, cell, problem, space):
     """Solve one run-matrix cell on its degree-p space over the nx-by-nx
     mesh and return its CSV row values."""
-    n_slabs = round(cfg.t_final / cell["tau"])
-    partition = uniform_time_partition(cfg.t_final, n_slabs)
+    n_slabs = round(cfg.T / cell["tau"])
+    partition = uniform_time_partition(cfg.T, n_slabs)
     disc = Discretization(space, partition, cell["q"], method=cfg.method,
                           bc_mode=cfg.bc_mode, initial_mode=cfg.initial_mode)
     try:

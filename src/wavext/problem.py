@@ -99,17 +99,19 @@ class Discretization:
     initial_mode: str = "projection"
 
     def __post_init__(self):
-        if self.space.degree < 1 or self.q < 1:
-            raise ConfigurationError("spatial and temporal degrees must be >= 1")
-        if self.q > MAX_TEMPORAL_DEGREE:
-            raise ConfigurationError(
-                f"temporal degree must be <= {MAX_TEMPORAL_DEGREE}, got {self.q}")
-        if self.method not in ("gradient", "mass"):
-            raise ConfigurationError(f"unknown coupling method {self.method!r}")
-        if self.bc_mode not in ("projection", "interpolation"):
-            raise ConfigurationError(f"unknown bc_mode {self.bc_mode!r}")
-        if self.initial_mode not in ("projection", "interpolation"):
-            raise ConfigurationError(f"unknown initial_mode {self.initial_mode!r}")
+        check_choices(self.q, self.method, self.bc_mode, self.initial_mode)
+
+
+def check_choices(q, method, bc_mode, initial_mode):
+    """Reject a temporal degree q outside [1, MAX_TEMPORAL_DEGREE] or a mode
+    name that Discretization does not define."""
+    if not 1 <= q <= MAX_TEMPORAL_DEGREE:
+        raise ConfigurationError(f"temporal degree {q} is not in [1, {MAX_TEMPORAL_DEGREE}]")
+    for what, name, names in (("coupling method", method, ("gradient", "mass")),
+                              ("bc_mode", bc_mode, ("projection", "interpolation")),
+                              ("initial_mode", initial_mode, ("projection", "interpolation"))):
+        if name not in names:
+            raise ConfigurationError(f"unknown {what} {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,9 @@ def _nodal_transform(p):
     """Inverse of the Bernstein collocation matrix at the lattice nodes."""
     nodes = lattice_points(p)
     vals, _, _ = _bernstein_tables(p, nodes, order=0)
-    return np.linalg.inv(vals)
+    A = np.linalg.inv(vals)
+    A.flags.writeable = False
+    return A
 
 
 def tabulate(p, rs, order=1):

@@ -102,6 +102,7 @@ def trial_to_legendre(q):
     for j in range(2, q + 1):
         T[j, j] = 0.5
         T[j - 2, j] = -0.5
+    T.flags.writeable = False  # shared by every caller
     return T
 
 
@@ -245,7 +246,9 @@ def temporal_eigensplit(q):
     Tinv = np.linalg.inv(np.concatenate([S.real, S.imag[:, pairs]], axis=1))
     Sinv = Tinv[:m].astype(complex)
     Sinv[pairs] -= 1j * Tinv[m:]
-    return nu[keep] ** 2, S, Sinv, pairs
+    lam = nu[keep] ** 2
+    lam.flags.writeable = S.flags.writeable = Sinv.flags.writeable = pairs.flags.writeable = False
+    return lam, S, Sinv, pairs
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -16,8 +17,8 @@ import wavext.fem as fem
 import wavext.linalg as linalg
 import wavext.solver as solver
 import wavext.timebasis as timebasis
-from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, _cells, _make_problem, _report,
-                        _run_cells, default_config, main, parse_config,
+from wavext.cli import (CSV_COLUMNS, EXPERIMENTS, ExperimentConfig, _cells, _make_problem,
+                        _report, _run_cells, default_config, main, parse_config,
                         run_cell)
 from wavext.errors import ConfigurationError
 from wavext.fem import assemble, build_space, interior_factorization
@@ -107,6 +108,8 @@ def test_main_exit_codes(tmp_path):
     "problem = estimator-poly\npsi = t1e200\n",
     "p = 1\np = 1\n",
     "q = 1\nq = 1\n",
+    "method = ptau\n",  # a bc_mode spelling
+    "bc_mode = II\n",  # a method spelling
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     # every value is checked before the output directory is made
@@ -128,6 +131,52 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
     assert f"cannot read config {path}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, choices", [
+    ("q = 0\n", dict(q=0)),
+    ("q = 13\n", dict(q=13)),
+    ("q = 1\nq = 13\n", dict(q=13)),  # solve runs only q = 1, yet all q are checked
+    ("initial_mode = sideways\n", dict(q=2, initial_mode="sideways")),
+])
+def test_run_choices_have_one_owner(tmp_path, capsys, text, choices):
+    # the CLI rejects a q or a mode name with the text Discretization raises
+    path = write(tmp_path, "c.cfg", "mesh = 2\n" + text)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    space = build_space(build_structured_mesh(2, 2, (0.0, 1.0, 0.0, 1.0)), 1)
+    with pytest.raises(ConfigurationError) as raised:
+        Discretization(space, uniform_time_partition(1.0, 2), **choices)
+    assert capsys.readouterr().err == f"configuration error: {raised.value}\n"
+
+
+def _complaint(tmp_path, text):
+    """What parse_config says of a solve config, or "" when it accepts it."""
+    try:
+        parse_config(write(tmp_path, "k.cfg", text), "solve")
+    except ConfigurationError as exc:
+        return str(exc)
+    return ""
+
+
+def test_config_keys_are_the_config_fields(tmp_path):
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    candidates = names | {"t_final", "inline_u", "inline_c", "inline_bbox", "T", "u", "c", "bbox"}
+    accepted = {key for key in candidates
+                if "unknown key" not in _complaint(tmp_path, f"{key} = 1\n")}
+    assert accepted == names
+    repeatable = {key for key in names
+                  if "more than once" not in _complaint(tmp_path, f"{key} = 1\n{key} = 1\n")}
+    assert repeatable == {"p", "q", "mesh", "tau"}
+
+
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # an empty out once wrote results.csv, rates.txt and run.log into the
+    # current directory; an empty psi keeps the preset's profile
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "o.cfg", "p = 1\nq = 1\nmesh = 2\ntau = 0.5\npsi =\nout =\n")
+    assert main(["solve", "--config", "o.cfg"]) == 2
+    assert capsys.readouterr().err == "configuration error: out must name an output directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["o.cfg"]
 
 
 def test_default_config_rejects_an_unknown_experiment():
@@ -308,9 +357,7 @@ def test_boundary_data_checked_at_every_sample_time(tmp_path, capsys):
     assert caught and not [w for w in caught if "wavext" in w.filename]
 
 
-_KNOWN_KEYS = ("experiment", "problem", "psi", "p", "q", "mesh", "tau", "method",
-               "bc_mode", "initial_mode", "samples_per_slab", "T", "out", "u",
-               "c", "bbox")
+_KNOWN_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 _NUMBERS = st.one_of(st.integers(-3, 40).map(str),
                      st.floats(allow_nan=True, allow_infinity=True).map(str),
                      st.sampled_from(["1e999", "-inf", "nan", "0x10", ""]))

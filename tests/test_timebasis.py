@@ -7,6 +7,7 @@ from numpy.polynomial import legendre as npleg
 from conftest import (containing_slab, eval_slab, gauss_rules_per_slab,
                       legendre_derivative_matrix, legendre_matrix_per_degree, slab_ends,
                       to_normalized, trial_matrix_by_cases)
+from wavext import reference
 from wavext.problem import MAX_TEMPORAL_DEGREE
 from wavext.timebasis import (TimePartition, _endpoint_exact_map, _lagrange_map,
                               _reference_rule, abs_legendre_integral,
@@ -511,6 +512,16 @@ def test_trial_legendre_roundtrip():
         v1 = np.tensordot(trial_matrix(q, xs), s, axes=(0, 0))
         v2 = np.tensordot(legendre_matrix(q, xs), c, axes=(0, 0))
         assert np.abs(v1 - v2).max() <= 1e-13
+
+
+def test_cached_tables_are_read_only():
+    # every caller shares one cached array: a write through one of them once
+    # changed the slab matrices of every later caller in the process
+    tables = [trial_to_legendre(3), *temporal_eigensplit(3), reference._nodal_transform(2)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 5.0
+    assert np.array_equal(slab_temporal_matrices(3, (0.0, 1.0))[0], [1.0, 0.5, -0.5, 0.0])
 
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
