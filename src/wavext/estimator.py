@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fem import BrokenField, _wavespeed_sq, assemble
+from .fem import BrokenField, assemble
 from .timebasis import abs_legendre_integral, gauss_rule, legendre_table, sup_legendre_integral
 
 
@@ -91,8 +91,8 @@ def _source_defects(sol, f, singular_at_zero):
     return out
 
 
-def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
-    """Evaluate the a posteriori bound on a computed solution.
+def compute_estimator(sol, problem):
+    """Evaluate the a posteriori bound on a computed solution of ``problem``.
 
     The peak slab m* maximizes the L2 gap between u and u* = u(0) + int v,
     taken in closed form: for ``sol`` from :func:`~wavext.solver.solve`,
@@ -102,13 +102,14 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
     Parameters
     ----------
     sol : solution with both fields, homogeneous Dirichlet data.
-    f : source callback f(x, y, t) or None for a zero source.
-    c : constant wavespeed, positive with a finite square (else ValueError).
+    problem : the ProblemData ``sol`` solves: the bound reads its source f
+        (None for zero), its wavespeed c, which must be a constant, and
+        ``singular_at_zero``, which grades the first slab's time rules.
 
     Returns an :class:`EstimatorBreakdown`; its ``total`` bounds the
     max-in-time L2 error of u (up to spatial resolution).
     """
-    if np.ndim(c) != 0 or callable(c):
+    if callable(problem.c):
         raise ConfigurationError("the estimator requires a constant wavespeed")
     if sol.space.degree < 2:
         raise ConfigurationError("the estimator needs spatial degree >= 2")
@@ -121,7 +122,7 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
     partition = sol.partition
     q = sol.degree
     N = partition.n_slabs
-    csq = _wavespeed_sq(c, None)
+    csq = float(problem.c) ** 2  # ProblemData checked that c > 0 and c^2 is finite
     M = assemble(space, "mass")
 
     lengths = partition.lengths
@@ -139,7 +140,8 @@ def compute_estimator(sol, f=None, c=1.0, singular_at_zero=False):
     lap_u = BrokenField(space, u_top).l2_norm() * wgt
     lap_v = BrokenField(space, v_top).l2_norm() * wgt
 
-    f_defect = _source_defects(sol, f, singular_at_zero) if f is not None else np.zeros(N)
+    f_defect = np.zeros(N) if problem.f is None else \
+        _source_defects(sol, problem.f, problem.singular_at_zero)
 
     cpi = best_approx_constant(q - 1)
     term_post = float(np.max(np.sqrt(gap_constant(q) * lengths) * v_defect))

@@ -34,10 +34,9 @@ def compute_error_report(sol, problem, samples_per_slab=11):
     trial rows are its left-endpoint value, summed slab after slab, and the
     rise (tau_n/(2j+1)) (T v_n)_j, T = trial_to_legendre(q).
     """
-    if not problem.has_exact():
-        raise ConfigurationError(f"problem {problem.name!r} carries no exact solution")
-    if problem.exact_grad_u is None or problem.exact_v is None:
-        raise ConfigurationError("the error report needs exact_grad_u and exact_v")
+    if None in (problem.exact_u, problem.exact_v, problem.exact_grad_u):
+        raise ConfigurationError(f"problem {problem.name!r} lacks one of exact_u, exact_v "
+                                 "and exact_grad_u, which the error report needs")
     if samples_per_slab < 3:
         raise ConfigurationError("samples_per_slab must be at least 3")
     space, nodes, q = sol.space, sol.partition.nodes, sol.degree
@@ -67,10 +66,11 @@ def compute_error_report(sol, problem, samples_per_slab=11):
     return ErrorReport(*map(float, err))
 
 
-def energy_trace(sol, c=1.0):
-    """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes."""
+def energy_trace(sol, problem):
+    """Discrete energies E(t_n) = (|v|^2 + |c grad u|^2)/2 at the time nodes,
+    with c the wavespeed of ``problem``, the ProblemData ``sol`` solves."""
     M = assemble(sol.space, "mass")
-    K = assemble(sol.space, "stiffness", c)
+    K = assemble(sol.space, "stiffness", problem.c)
     energy = 0.0
     for A, tensor in ((M, sol.v), (K, sol.u)):
         # all N+1 node states, one sparse product; the stacked dot products

@@ -6,6 +6,7 @@ error studies; the solver itself only consumes data fields.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,8 +24,8 @@ MAX_TEMPORAL_DEGREE = 12
 
 
 def _checked_wavespeed(c):
-    """c itself, if callable or a positive scalar whose square is finite."""
-    if not callable(c) and not (c > 0 and math.isfinite(c * c)):
+    """c itself, if callable or a positive real number whose square is finite."""
+    if not callable(c) and not (isinstance(c, numbers.Real) and c > 0 and math.isfinite(c * c)):
         raise ConfigurationError(f"wavespeed c must be positive and c^2 finite, got {c}")
     return c
 
@@ -38,12 +39,14 @@ def _zero_grad(x, y):
     return z, z
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemData:
     """Wave problem data on a rectangle: wavespeed, source, boundary and
-    initial data, plus optional exact solution for error studies.  A scalar
-    wavespeed c must be positive with c^2 finite; a callable c is checked
-    where assembly and the norms evaluate it.
+    initial data, plus optional exact solution for error studies.  A
+    wavespeed c that is not callable must be a positive real number with c^2
+    finite; a callable c is checked where assembly and the norms evaluate
+    it.  Frozen, so the check holds for the record's life:
+    ``dataclasses.replace`` checks a changed copy.
 
     The Dirichlet datum g_d and its time derivative dt_g_d are callbacks of
     (x, y, t) evaluated at boundary nodes; g_d = None means homogeneous.
@@ -73,13 +76,10 @@ class ProblemData:
     def __post_init__(self):
         _checked_wavespeed(self.c)
 
-    def has_exact(self):
-        return self.exact_u is not None
 
-
-@dataclass
+@dataclass(frozen=True)
 class Discretization:
-    """Space-time discretization choices.
+    """Space-time discretization choices, frozen like ProblemData.
 
     method: "gradient" couples the two fields through the stiffness inner
     product; "mass" uses the L2 inner product (equivalent only for

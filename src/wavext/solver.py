@@ -71,11 +71,11 @@ class Lifting:
     v_trial: np.ndarray
 
 
-def build_lifting(problem, space, partition, q, bc_mode):
+def build_lifting(problem, disc):
     """Dirichlet lifting trajectories for u and v at the boundary DOFs.
 
-    "projection" runs the endpoint-exact temporal projection on each
-    boundary-node trajectory of g_d (and of dt g_d for the v-lifting);
+    disc.bc_mode "projection" runs the endpoint-exact temporal projection on
+    each boundary-node trajectory of g_d (and of dt g_d for the v-lifting);
     "interpolation" interpolates each trajectory at q+1 uniform nodes per
     slab.  Either is a fixed matrix per degree that takes one call of g_d (or
     dt g_d) at all slabs' nodes straight to trial coefficients (see
@@ -89,6 +89,7 @@ def build_lifting(problem, space, partition, q, bc_mode):
     order at odd q (q+1 instead of q+2) and nothing at even q; u, v and
     grad u keep their order q+1 under either mode.
     """
+    space, partition, q = disc.space, disc.partition, disc.q
     B = space.boundary_dofs
     if problem.g_d is None:  # read-only zeros that take no memory
         zero = np.broadcast_to(0.0, (partition.n_slabs, q + 1, len(B)))
@@ -110,7 +111,7 @@ def build_lifting(problem, space, partition, q, bc_mode):
             return values
         return sample
 
-    project = endpoint_exact_project if bc_mode == "projection" else lagrange_time_interp
+    project = endpoint_exact_project if disc.bc_mode == "projection" else lagrange_time_interp
     return Lifting(project(q, traj("g_d", problem.g_d), partition),
                    project(q, traj("dt_g_d", problem.dt_g_d), partition))
 
@@ -120,18 +121,18 @@ def build_lifting(problem, space, partition, q, bc_mode):
 DATA_MATCH_TOL = 1e-10
 
 
-def discrete_initial_data(problem, space, lifting, initial_mode="projection"):
+def discrete_initial_data(problem, disc, lifting):
     """Coefficient vectors (u0h, v0h) of initial fields compatible with the
     lifting, the run's :func:`build_lifting`.
 
-    In projection mode u0h is the space's read-only Ritz projection of u0,
-    and v0h has nodal boundary values of v0 and the interior L2 projection
-    of v0 minus the lifting velocity at t = 0.  Interpolation mode takes
-    plain nodal interpolants of both.  Initial data that is not finite at a
-    boundary node, or that disagrees with the lifting's first row, raises
-    ConfigurationError.
+    Under disc.initial_mode "projection" u0h is the space's read-only Ritz
+    projection of u0, and v0h has nodal boundary values of v0 and the
+    interior L2 projection of v0 minus the lifting velocity at t = 0.
+    "interpolation" takes plain nodal interpolants of both.  Initial data
+    that is not finite at a boundary node, or that disagrees with the
+    lifting's first row, raises ConfigurationError.
     """
-    B = space.boundary_dofs
+    space, B = disc.space, disc.space.boundary_dofs
     xb, yb = space.dof_coords[B, 0], space.dof_coords[B, 1]
     data = {"u0": problem.u0(xb, yb), "v0": problem.v0(xb, yb)}
     for name, values in data.items():
@@ -146,7 +147,7 @@ def discrete_initial_data(problem, space, lifting, initial_mode="projection"):
             raise ConfigurationError(f"initial/boundary data incompatible: |{boundary} - "
                                      f"{initial}| = {gap:.3e} on the boundary")
 
-    if initial_mode == "interpolation":
+    if disc.initial_mode == "interpolation":
         return interpolate_nodal(space, problem.u0), interpolate_nodal(space, problem.v0)
 
     u0h = ritz_project(space, problem.u0, problem.grad_u0, problem.c)
@@ -189,7 +190,7 @@ class SlabWorkspace:
         self.partition = disc.partition
         self.q = disc.q
         self.I, self.B = space.interior_dofs, space.boundary_dofs
-        self.lifting = build_lifting(problem, space, self.partition, self.q, disc.bc_mode)
+        self.lifting = build_lifting(problem, disc)
         self.M, self.M_II = assemble(space, "mass"), interior_block(space, "mass")
         self.K = assemble(space, "stiffness", problem.c)
         self.K_II = interior_block(space, "stiffness", problem.c)
@@ -304,7 +305,7 @@ def solve(problem, disc):
     """March all slabs and return the space-time solution."""
     space, partition, q = disc.space, disc.partition, disc.q
     ws = SlabWorkspace(problem, disc)
-    prev_u, prev_v = discrete_initial_data(problem, space, ws.lifting, disc.initial_mode)
+    prev_u, prev_v = discrete_initial_data(problem, disc, ws.lifting)
     N = partition.n_slabs
     U = np.zeros((N, q + 1, space.n_dofs))
     V = np.zeros((N, q + 1, space.n_dofs))

@@ -91,7 +91,7 @@ def test_criterion_1_energy_conservation():
     disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 32), q=2,
                              initial_mode="interpolation")
     sol = wx.solve(prob, disc)
-    E = wx.energy_trace(sol, prob.c)
+    E = wx.energy_trace(sol, prob)
     drift = float(np.abs(E - E[0]).max() / E[0])
     ok = drift <= 1e-10
     assert report(1, ok, f"energy drift {drift:.3e} (tolerance 1e-10)")
@@ -286,7 +286,7 @@ def estimator_smooth_study():
             disc = wx.Discretization(space, wx.uniform_time_partition(1.0, n_slabs), q=q)
             sol = wx.solve(prob, disc)
             err, _ = error_C0(sol, prob.exact_u, "l2", 11)
-            br = wx.compute_estimator(sol, prob.f, prob.c)
+            br = wx.compute_estimator(sol, prob)
             out[(q, n_slabs)] = (err, br)
     return out
 
@@ -320,8 +320,7 @@ def test_criterion_9_estimator_rate_tracking():
         disc = wx.Discretization(space, wx.uniform_time_partition(1.0, n_slabs), q=2)
         sol = wx.solve(prob, disc)
         err, _ = error_C0(sol, prob.exact_u, "l2", 11)
-        br = wx.compute_estimator(sol, prob.f, prob.c,
-                                  singular_at_zero=prob.singular_at_zero)
+        br = wx.compute_estimator(sol, prob)
         errs.append(err)
         etas.append(br.eta)
     err_rate = last_rate(taus, errs)

@@ -7,7 +7,6 @@ import pytest
 import wavext as wx
 from conftest import (error_C0, estimator_constants, sampled_gap, slab_ends,
                       small_homogeneous_run)
-from wavext import estimator
 from wavext.estimator import (_source_defects, best_approx_constant,
                               compute_estimator, effectivity_index, gap_constant)
 from wavext.fem import BrokenField
@@ -60,7 +59,7 @@ def _fabricated_low_degree_solution(q=2):
 def test_annihilation_on_low_degree_data():
     sol = _fabricated_low_degree_solution(q=2)
     f = lambda x, y, t: (1.0 + 2.0 * t) * np.ones(np.broadcast(x, y, t).shape)
-    br = compute_estimator(sol, f, 1.0)
+    br = compute_estimator(sol, wx.ProblemData(f=f))
     scale = np.abs(sol.u).max()
     assert br.term_post <= 1e-13 * scale
     assert br.eta <= 1e-12 * scale
@@ -73,12 +72,12 @@ def test_estimator_scaling_linearity():
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 4)
     disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2)
     sol = wx.solve(prob, disc)
-    br1 = compute_estimator(sol, prob.f, prob.c)
+    br1 = compute_estimator(sol, prob)
     lam = -2.5
     scaled = SpaceTimeSolution(sol.space, sol.partition, sol.degree,
                                lam * sol.u, lam * sol.v)
     f_scaled = lambda x, y, t: lam * prob.f(x, y, t)
-    br2 = compute_estimator(scaled, f_scaled, prob.c)
+    br2 = compute_estimator(scaled, dataclasses.replace(prob, f=f_scaled))
     for name in ("term_post", "term_lap_v", "term_lap_u", "eta", "osc_f", "total"):
         assert getattr(br2, name) == pytest.approx(abs(lam) * getattr(br1, name),
                                                    rel=1e-10)
@@ -88,35 +87,44 @@ def test_estimator_scaling_linearity():
 def test_estimator_preconditions():
     prob, sol = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=1)
     with pytest.raises(wx.ConfigurationError):
-        compute_estimator(sol, None, 1.0)  # p = 1
+        compute_estimator(sol, prob)  # p = 1
     prob2, sol2 = small_homogeneous_run(q=1, n_slabs=2, nx=2, p=2)
-    with pytest.raises(wx.ConfigurationError):
-        compute_estimator(sol2, None, lambda x, y: 1.0 + 0 * x)
+    with pytest.raises(wx.ConfigurationError, match="constant wavespeed"):
+        compute_estimator(sol2, dataclasses.replace(prob2, c=lambda x, y: 1.0 + 0 * x))
     dirty = SpaceTimeSolution(sol2.space, sol2.partition, sol2.degree,
                               sol2.u.copy(), sol2.v.copy())
     dirty.u[0, 0, sol2.space.boundary_dofs[0]] = 0.1
     with pytest.raises(wx.ConfigurationError):
-        compute_estimator(dirty, None, 1.0)
+        compute_estimator(dirty, prob2)
 
 
-def test_estimator_checks_its_wavespeed(monkeypatch):
+#: compute_estimator's terms for estimator_poly("cos4t"), p = 2 on the 2x2
+#: mesh, q = 1 and 4 slabs, at c = 1 and c = 1.5 (m* = 3 for both), as the
+#: estimator gave them when it checked its own wavespeed argument
+_PINNED_TERMS = {
+    1.0: dict(term_post="0x1.314889bbeec83p-3", term_lap_v="0x1.aa0b36ca96a10p-1",
+              term_lap_u="0x1.6ef85a648d03ap-3", eta="0x1.290db7e95aca0p+0",
+              osc_f="0x1.1ea7a5a8cb295p-1", total="0x1.b8618abdc05eap+0"),
+    1.5: dict(term_post="0x1.314889bbeec83p-3", term_lap_v="0x1.df4c9da3e9751p+0",
+              term_lap_u="0x1.9cd765b11ea42p-2", eta="0x1.3655c423d77b9p+1",
+              osc_f="0x1.1ea7a5a8cb295p-1", total="0x1.7dffad8e0a45ep+1"),
+}
+
+
+def test_estimator_checks_its_wavespeed():
     # c = 1e200 once raised a bare OverflowError, c = -1 gave the total of
-    # c = 1, c = 0 a smaller total and c = nan a nan total
+    # c = 1, c = 0 a smaller total and c = nan a nan total; the problem
+    # record now refuses each before the estimator can see it
     prob = wx.estimator_poly("cos4t")
+    for c in (1e200, -1.0, 0.0, np.nan):
+        with pytest.raises(wx.ConfigurationError, match="positive and c\\^2 finite"):
+            dataclasses.replace(prob, c=c)
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
     sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=1))
-    for c in (1e200, -1.0, 0.0, np.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            compute_estimator(sol, prob.f, c)
-    checked = [compute_estimator(sol, prob.f, c) for c in (1.0, 1.5)]
-    # the check keeps the arithmetic of the unchecked square float(c) ** 2
-    monkeypatch.setattr(estimator, "_wavespeed_sq", lambda c, pts: float(c) ** 2)
-    for c, br in zip((1.0, 1.5), checked):
-        unchecked = compute_estimator(sol, prob.f, c)
-        for name in (f.name for f in dataclasses.fields(br) if f.name != "per_slab"):
-            assert getattr(br, name) == getattr(unchecked, name), (c, name)
-        for name, values in br.per_slab.items():
-            assert values.tobytes() == unchecked.per_slab[name].tobytes(), (c, name)
+    for c, terms in _PINNED_TERMS.items():
+        br = compute_estimator(sol, dataclasses.replace(prob, c=c))
+        assert br.m_star == 3
+        assert {name: float(getattr(br, name)).hex() for name in terms} == terms, c
 
 
 def _extremal_nodes(q):
@@ -134,7 +142,7 @@ GAP_RTOL = 1e-8
 def test_gap_equals_per_slab_loop(q):
     for method in ("gradient", "mass"):
         prob, sol = small_homogeneous_run(q=q, n_slabs=6, p=3, method=method)
-        gap = compute_estimator(sol, None, prob.c).per_slab["gap"]
+        gap = compute_estimator(sol, prob).per_slab["gap"]
         np.testing.assert_allclose(gap, sampled_gap(sol, _extremal_nodes(q)),
                                    rtol=GAP_RTOL, atol=0.0, err_msg=method)
 
@@ -151,7 +159,7 @@ def test_reliability_single_cell():
     disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 16), q=1)
     sol = wx.solve(prob, disc)
     err, _ = error_C0(sol, prob.exact_u, "l2", 11)
-    br = compute_estimator(sol, prob.f, prob.c)
+    br = compute_estimator(sol, prob)
     assert err <= br.total
     eff = effectivity_index(br.eta, err)
     assert 1.0 <= eff <= 20.0
@@ -164,7 +172,7 @@ def test_reliability_on_nonuniform_partition():
     disc = wx.Discretization(space, part, q=2)
     sol = wx.solve(prob, disc)
     err, _ = error_C0(sol, prob.exact_u, "l2", 11)
-    br = compute_estimator(sol, prob.f, prob.c)
+    br = compute_estimator(sol, prob)
     assert err <= br.total
     assert br.total == br.eta + br.osc_f
 
@@ -180,7 +188,7 @@ def test_reliability_with_a_long_slab_after_the_peak():
     for method in ("gradient", "mass"):
         sol = wx.solve(prob, wx.Discretization(space, part, q=1, method=method))
         pairs.append((compute_error_report(sol, prob, 101).err_u,
-                      compute_estimator(sol, prob.f, prob.c).total))
+                      compute_estimator(sol, prob).total))
     assert all(err <= total for err, total in pairs), pairs
 
 
@@ -295,7 +303,7 @@ def test_estimator_equals_per_slab_loop(q, psi, nodes):
     part = wx.uniform_time_partition(1.0, 6) if nodes is None else wx.TimePartition(np.array(nodes))
     for method in ("gradient", "mass"):
         sol = wx.solve(prob, wx.Discretization(space, part, q=q, method=method))
-        br = compute_estimator(sol, prob.f, prob.c, singular_at_zero=prob.singular_at_zero)
+        br = compute_estimator(sol, prob)
         expect = _estimator_per_slab(sol, prob.f, prob.c, prob.singular_at_zero)
         assert br.m_star == expect["m_star"], method
         for name in ("v_defect", "lap_u", "lap_v", "f_defect"):

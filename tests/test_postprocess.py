@@ -131,15 +131,19 @@ def test_energy_trace_values():
     zero = SpaceTimeSolution(space, part, 1,
                              np.zeros((2, 2, space.n_dofs)),
                              np.zeros((2, 2, space.n_dofs)))
-    assert np.abs(wx.energy_trace(zero)).max() == 0.0
+    assert np.abs(wx.energy_trace(zero, wx.ProblemData())).max() == 0.0
 
     prob, sol = small_homogeneous_run(q=2, n_slabs=4)
     M = wx.assemble(sol.space, "mass")
     K = wx.assemble(sol.space, "stiffness", 1.0)
-    E = wx.energy_trace(sol, 1.0)
+    E = wx.energy_trace(sol, prob)
     u0, v0 = endpoint(sol, 0), endpoint(sol, 0, "v")
     assert E[0] == pytest.approx(0.5 * (v0 @ (M @ v0) + u0 @ (K @ u0)), rel=1e-13)
     assert np.abs(E - E[0]).max() <= 1e-10 * E[0]
+    # the stiffness energy carries the problem's c^2 (a default c = 1 once
+    # gave a c = 2 problem a quarter of it)
+    E2 = wx.energy_trace(sol, replace(prob, c=2.0))
+    assert E2[0] == pytest.approx(0.5 * (v0 @ (M @ v0) + 4.0 * u0 @ (K @ u0)), rel=1e-13)
 
 
 def _energy_trace_per_node(sol, c):
@@ -156,12 +160,12 @@ def _energy_trace_per_node(sol, c):
 @pytest.mark.parametrize("q, method", [(1, "gradient"), (2, "mass"), (3, "gradient")])
 def test_energy_trace_equals_per_node_loop(q, method):
     prob, sol = small_homogeneous_run(q=q, n_slabs=5, nx=3, p=3, method=method)
-    assert np.array_equal(wx.energy_trace(sol, prob.c), _energy_trace_per_node(sol, prob.c))
+    assert np.array_equal(wx.energy_trace(sol, prob), _energy_trace_per_node(sol, prob.c))
     prob = wx.dirichlet_cos()
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
     sol = wx.solve(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 6), q=q,
                                            method=method))
-    assert np.array_equal(wx.energy_trace(sol, prob.c), _energy_trace_per_node(sol, prob.c))
+    assert np.array_equal(wx.energy_trace(sol, prob), _energy_trace_per_node(sol, prob.c))
 
 
 def test_convergence_rates_basics():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -186,8 +186,30 @@ def test_scalar_wavespeed_is_checked_where_it_enters(c):
         replace(wx.standing_wave(), c=c)
 
 
+@pytest.mark.parametrize("c", [np.array(2.0), np.array([2.0]), np.array([1.0, 2.0]), "2", None],
+                         ids=["0-d", "1-element", "2-element", "str", "None"])
+def test_wavespeed_is_a_real_number_or_a_callable(c):
+    # each once raised a bare TypeError or ValueError, in the check itself or
+    # (the 0-d array) when assembly keyed its memo on c
+    with pytest.raises(ConfigurationError, match="wavespeed c must be positive"):
+        wx.ProblemData(c=c)
+
+
 def test_positive_and_callable_wavespeeds_are_accepted():
     assert wx.inline_problem("x*y*t", c=2).c == 2.0
     assert replace(wx.standing_wave(), c=1e150).c == 1e150
     speed = lambda x, y: 1.0 + x  # checked pointwise where it is evaluated
     assert replace(wx.dirichlet_cos(), c=speed).c is speed
+
+
+def test_run_records_are_frozen():
+    # a field assigned after construction would skip the record's check: a
+    # bc_mode "bogus" once reached build_lifting, which made it interpolation
+    prob = wx.standing_wave()
+    disc = wx.Discretization(wx.build_space(wx.build_structured_mesh(2, 2), 1),
+                             wx.uniform_time_partition(1.0, 2), q=1)
+    for record in (prob, disc):
+        for field in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, None)
+    assert (prob.c, disc.q, disc.bc_mode) == (1.0, 1, "projection")

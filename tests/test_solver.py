@@ -29,8 +29,8 @@ def test_initial_data_reproduces_interior_members():
         u0=lambda x, y: x * (1 - x) * y * (1 - y),
         grad_u0=lambda x, y: ((1 - 2 * x) * y * (1 - y), x * (1 - x) * (1 - 2 * y)),
         v0=lambda x, y: x * (1 - x) * y * (1 - y))
-    zero = wx.build_lifting(shaped, space, wx.uniform_time_partition(1.0, 1), 1, "projection")
-    u0h, v0h = wx.discrete_initial_data(shaped, space, zero)
+    disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 1), q=1)
+    u0h, v0h = wx.discrete_initial_data(shaped, disc, wx.build_lifting(shaped, disc))
     assert np.abs(u0h - member).max() <= 1e-11
     assert np.abs(v0h - member).max() <= 1e-11
 
@@ -38,9 +38,8 @@ def test_initial_data_reproduces_interior_members():
 def test_initial_data_dirichlet_cos_velocity_vanishes():
     prob = wx.dirichlet_cos()
     space = wx.build_space(wx.build_structured_mesh(4, 4, prob.bbox), 2)
-    part = wx.uniform_time_partition(1.0, 4)
-    lifting = wx.build_lifting(prob, space, part, 2, "projection")
-    _, v0h = wx.discrete_initial_data(prob, space, lifting)
+    disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2)
+    _, v0h = wx.discrete_initial_data(prob, disc, wx.build_lifting(prob, disc))
     assert np.abs(v0h).max() <= 1e-12
 
 
@@ -52,17 +51,18 @@ def test_incompatible_data_rejected():
         grad_u0=prob.grad_u0, v0=prob.v0)
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
     # the initial data meet the lifting's first row, the boundary data at t = 0
-    lifting = wx.build_lifting(prob, space, wx.uniform_time_partition(1.0, 2), 2, "projection")
+    disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 2), q=2)
+    lifting = wx.build_lifting(prob, disc)
     with pytest.raises(wx.ConfigurationError, match=r"\|g_d\(\.,0\) - u0\|"):
-        wx.discrete_initial_data(bad, space, lifting)
+        wx.discrete_initial_data(bad, disc, lifting)
     # v0 vanishes on the boundary, so its bound is DATA_MATCH_TOL * (1 + 0) = 1e-10
     for shift, message in ((1e-4, r"\|dt_g_d\(\.,0\) - v0\| = 1\.000e-04"),
                            (5e-9, r"\|dt_g_d\(\.,0\) - v0\| = 5\.000e-09")):
         bad_v = replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + shift)
         with pytest.raises(wx.ConfigurationError, match=message):
-            wx.discrete_initial_data(bad_v, space, lifting)
+            wx.discrete_initial_data(bad_v, disc, lifting)
     wx.discrete_initial_data(replace(bad, u0=prob.u0, v0=lambda x, y: prob.v0(x, y) + 5e-11),
-                             space, lifting)
+                             disc, lifting)
 
 
 def test_solve_reports_boundary_data_off_the_initial_data():
@@ -82,13 +82,14 @@ def test_lifting_zero_and_polynomial_data():
     prob = txy_problem()
     space = wx.build_space(wx.build_structured_mesh(3, 3), 2)
     part = wx.uniform_time_partition(1.0, 4)
+    disc = wx.Discretization(space, part, q=2)
     # homogeneous data is the zero lifting
-    zero = wx.build_lifting(wx.standing_wave(), space, part, 2, "projection")
+    zero = wx.build_lifting(wx.standing_wave(), disc)
     for trial in (zero.u_trial, zero.v_trial):
         assert trial.shape == (4, 3, len(space.boundary_dofs)) and not trial.any()
     # g linear in t: both modes exact and identical
-    lp = wx.build_lifting(prob, space, part, 2, "projection")
-    ln = wx.build_lifting(prob, space, part, 2, "interpolation")
+    lp = wx.build_lifting(prob, disc)
+    ln = wx.build_lifting(prob, replace(disc, bc_mode="interpolation"))
     assert np.abs(lp.u_trial - ln.u_trial).max() <= 1e-12
     assert np.abs(lp.v_trial - ln.v_trial).max() <= 1e-12
     B = space.boundary_dofs
@@ -104,7 +105,7 @@ def test_lifting_matches_boundary_values_at_nodes():
     prob = wx.dirichlet_cos()
     space = wx.build_space(wx.build_structured_mesh(4, 4, prob.bbox), 3)
     part = wx.uniform_time_partition(1.0, 5)
-    lift = wx.build_lifting(prob, space, part, 3, "projection")
+    lift = wx.build_lifting(prob, wx.Discretization(space, part, q=3))
     B = space.boundary_dofs
     xb, yb = space.dof_coords[B, 0], space.dof_coords[B, 1]
     for n in range(part.n_slabs):
@@ -121,8 +122,7 @@ def test_lifting_requires_velocity_datum():
                             u0=prob.u0, grad_u0=prob.grad_u0, v0=prob.v0)
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
     with pytest.raises(wx.ConfigurationError):
-        wx.build_lifting(broken, space, wx.uniform_time_partition(1.0, 2), 2,
-                         "projection")
+        wx.build_lifting(broken, wx.Discretization(space, wx.uniform_time_partition(1.0, 2), 2))
 
 
 @pytest.mark.parametrize("mode", ["projection", "interpolation"])
@@ -135,7 +135,8 @@ def test_lifting_rejects_boundary_data_not_finite_at_a_sample_time(mode):
     space = wx.build_space(wx.build_structured_mesh(2, 2), 2)
     with pytest.raises(wx.ConfigurationError, match=r"^g_d is not finite at t = 0\.5 at "
                                                     r"the boundary node \(0, 0\)$"):
-        wx.build_lifting(prob, space, wx.uniform_time_partition(1.0, 4), 2, mode)
+        wx.build_lifting(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2,
+                                                 bc_mode=mode))
 
 
 def test_initial_velocity_meets_its_definition():
@@ -144,8 +145,8 @@ def test_initial_velocity_meets_its_definition():
     # velocity at t = 0, which once defaulted to zero (off by 0.75 here)
     prob = wx.inline_problem("x*y*t**2 + sin(x + 2*t)*cos(y)")
     space = wx.build_space(wx.build_structured_mesh(4, 4, prob.bbox), 3)
-    ws = SlabWorkspace(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2))
-    _, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
+    disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 4), q=2)
+    _, v0h = wx.discrete_initial_data(prob, disc, SlabWorkspace(prob, disc).lifting)
     load = wx.load_vector(space, prob.v0)
     defect = (wx.assemble(space, "mass") @ v0h - load)[space.interior_dofs]
     assert np.abs(defect).max() <= 1e-12 * np.abs(load).max()
@@ -167,7 +168,7 @@ def test_lifting_calls_each_boundary_callback_once(mode):
                       dt_g_d=counted("dt_g_d", prob.dt_g_d))
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
     part = wx.TimePartition(np.array([0.0, 0.1, 0.3, 0.7, 0.75, 1.0]))
-    lift = wx.build_lifting(wrapped, space, part, 3, mode)
+    lift = wx.build_lifting(wrapped, wx.Discretization(space, part, q=3, bc_mode=mode))
     assert sorted(calls) == ["dt_g_d", "g_d"]
     assert lift.u_trial.shape == lift.v_trial.shape == (5, 4, len(space.boundary_dofs))
 
@@ -188,10 +189,30 @@ def test_single_slab_equals_solve():
     disc = wx.Discretization(space, part, q=2)
     sol = wx.solve(prob, disc)
     ws = SlabWorkspace(prob, disc)
-    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
+    u0h, v0h = wx.discrete_initial_data(prob, disc, ws.lifting)
     U, V = wx.solve_slab(u0h, v0h, 0, ws, None)
     assert np.abs(U - sol.u[0]).max() <= 1e-12
     assert np.abs(V - sol.v[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("initial_mode", ["projection", "interpolation"])
+@pytest.mark.parametrize("bc_mode", ["projection", "interpolation"])
+@pytest.mark.parametrize("method", ["gradient", "mass"])
+def test_march_by_hand_equals_solve(method, bc_mode, initial_mode):
+    # the lifting and the initial data read their modes from the
+    # discretization: a default initial_mode once made a march by hand on an
+    # interpolation run differ from solve by 5.7e-3
+    prob = wx.dirichlet_cos()
+    space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
+    disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 3), q=2, method=method,
+                             bc_mode=bc_mode, initial_mode=initial_mode)
+    sol = wx.solve(prob, disc)
+    ws = SlabWorkspace(prob, disc)
+    prev_u, prev_v = wx.discrete_initial_data(prob, disc, ws.lifting)
+    for n in range(disc.partition.n_slabs):
+        U, V = wx.solve_slab(prev_u, prev_v, n, ws, None)  # dirichlet-cos has f = 0
+        assert np.array_equal(sol.u[n], U) and np.array_equal(sol.v[n], V), n
+        prev_u, prev_v = U[0] + U[1], V[0] + V[1]
 
 
 def test_interface_continuity_exact():
@@ -234,7 +255,7 @@ def test_energy_conservation_nonuniform_partition():
     part = wx.TimePartition(np.array([0.0, 0.15, 0.4, 0.5, 0.85, 1.0]))
     disc = wx.Discretization(space, part, q=2)
     sol = wx.solve(prob, disc)
-    E = wx.energy_trace(sol, prob.c)
+    E = wx.energy_trace(sol, prob)
     assert np.abs(E - E[0]).max() <= 1e-12 * E[0]
 
 
@@ -250,8 +271,9 @@ def test_previous_state_must_match_lifting():
     prob = wx.dirichlet_cos()
     space = wx.build_space(wx.build_structured_mesh(3, 3, prob.bbox), 2)
     part = wx.uniform_time_partition(1.0, 2)
-    ws = SlabWorkspace(prob, wx.Discretization(space, part, q=1))
-    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
+    disc = wx.Discretization(space, part, q=1)
+    ws = SlabWorkspace(prob, disc)
+    u0h, v0h = wx.discrete_initial_data(prob, disc, ws.lifting)
     bad = u0h.copy()
     bad[space.boundary_dofs[0]] += 1e-3
     with pytest.raises(wx.ConfigurationError):
@@ -299,7 +321,7 @@ def test_unconditional_stability_sanity():
                 disc = wx.Discretization(
                     space, wx.uniform_time_partition(1.0, n_slabs), q=q)
                 sol = wx.solve(prob, disc)
-                E = wx.energy_trace(sol, prob.c)
+                E = wx.energy_trace(sol, prob)
                 assert E.max() <= 20.0 * bound, (trial, q, n_slabs, E.max(), bound)
 
 
@@ -343,8 +365,8 @@ def _monolithic_march(prob, disc):
     C = K if disc.method == "gradient" else M
     C_IB = C[np.ix_(I, B)]
     K_IB, M_IB = K[np.ix_(I, B)], M[np.ix_(I, B)]
-    lifting = wx.build_lifting(prob, disc.space, disc.partition, q, disc.bc_mode)
-    u0h, v0h = wx.discrete_initial_data(prob, disc.space, lifting, disc.initial_mode)
+    lifting = wx.build_lifting(prob, disc)
+    u0h, v0h = wx.discrete_initial_data(prob, disc, lifting)
     tau = float(disc.partition.lengths[0])
     Nm = slab_temporal_matrices(q, (0.0, tau))
     Dm = np.eye(q, q + 1, 1)
@@ -515,7 +537,7 @@ def test_slab_cache_bounded_on_graded_partition(monkeypatch):
     part = wx.TimePartition(np.concatenate([[0.0], 0.8 ** np.arange(12)[::-1]]))
     disc = wx.Discretization(space, part, q=2)
     ws = SlabWorkspace(prob, disc)
-    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
+    u0h, v0h = wx.discrete_initial_data(prob, disc, ws.lifting)
     U = np.zeros((part.n_slabs, 3, space.n_dofs))
     V = np.zeros_like(U)
     prev_u, prev_v = u0h, v0h
@@ -529,7 +551,7 @@ def test_slab_cache_bounded_on_graded_partition(monkeypatch):
         prev_u, prev_v = U[n, 0] + U[n, 1], V[n, 0] + V[n, 1]
     sol = wx.solve(prob, disc)
     assert np.array_equal(sol.u, U) and np.array_equal(sol.v, V)
-    E = wx.energy_trace(sol, prob.c)
+    E = wx.energy_trace(sol, prob)
     assert np.abs(E - E[0]).max() <= 1e-12 * E[0]
 
 
@@ -568,7 +590,7 @@ def test_zero_callback_lifting_is_zero():
     space = wx.build_space(wx.build_structured_mesh(2, 2), 2)
     part = wx.uniform_time_partition(1.0, 3)
     for mode in ("projection", "interpolation"):
-        lift = wx.build_lifting(prob, space, part, 2, mode)
+        lift = wx.build_lifting(prob, wx.Discretization(space, part, q=2, bc_mode=mode))
         assert np.abs(lift.u_trial).max() == 0.0
         assert np.abs(lift.v_trial).max() == 0.0
 
@@ -616,7 +638,7 @@ def test_solve_equals_march_on_per_time_loads(psi):
     ws = _eleven_slab_workspace(prob)
     disc = wx.Discretization(ws.space, ws.partition, q=ws.q)
     sol = wx.solve(prob, disc)
-    prev_u, prev_v = wx.discrete_initial_data(prob, ws.space, ws.lifting, disc.initial_mode)
+    prev_u, prev_v = wx.discrete_initial_data(prob, disc, ws.lifting)
     for n in range(ws.partition.n_slabs):
         U, V = wx.solve_slab(prev_u, prev_v, n, ws, _load_moments_per_time(ws, n))
         assert np.array_equal(sol.u[n], U) and np.array_equal(sol.v[n], V)
@@ -646,7 +668,7 @@ def test_solve_evaluates_the_source_once_per_block(monkeypatch, psi):
 def _work_defect(sol, ws, scale=None):
     """max_n |E(t_n) - E(t_{n-1}) - sum_{i<q} (T v_n)_i . F_{n,i}| / max E,
     with F_n the slab's row of load_moments, optionally multiplied by scale[n]."""
-    E = wx.energy_trace(sol, ws.problem.c)
+    E = wx.energy_trace(sol, ws.problem)
     T = trial_to_legendre(sol.degree)[:-1]
     F = np.concatenate([ws.load_moments(block) for block in ws.load_blocks])
     work = np.array([np.sum((T @ sol.v[n][:, ws.I]) * F[n])
@@ -715,7 +737,7 @@ def _energy_balance(sol, ws, bump=None):
         if bump is not None and bump[0] == n:
             rows[n, bump[1]] *= 1.0 + bump[2]
         balance[n] = (0.0 if F is None else np.sum(a[:, I] * F[n])) + rows[n].sum() + X
-    E = wx.energy_trace(sol, ws.problem.c)
+    E = wx.energy_trace(sol, ws.problem)
     return np.abs(np.diff(E) - balance).max() / E.max(), rows
 
 
@@ -788,8 +810,9 @@ def test_solve_slab_rejects_slabs_outside_the_partition():
     # n = N raised a bare numpy IndexError
     prob = wx.standing_wave()
     space = wx.build_space(wx.build_structured_mesh(2, 2, prob.bbox), 2)
-    ws = SlabWorkspace(prob, wx.Discretization(space, wx.uniform_time_partition(1.0, 3), q=2))
-    u0h, v0h = wx.discrete_initial_data(prob, space, ws.lifting)
+    disc = wx.Discretization(space, wx.uniform_time_partition(1.0, 3), q=2)
+    ws = SlabWorkspace(prob, disc)
+    u0h, v0h = wx.discrete_initial_data(prob, disc, ws.lifting)
     for n in (-1, 3):
         with pytest.raises(IndexError, match=r"slab %d outside 0\.\.2" % n):
             wx.solve_slab(u0h, v0h, n, ws, None)
@@ -843,5 +866,5 @@ def test_fine_uniform_partition_factorizes_its_modes_once(monkeypatch):
     assert len({f"{tau:.12e}" for tau in part.lengths}) > 1
     sol = wx.solve(prob, wx.Discretization(space, part, q=2))
     assert len(built) == 1  # one conjugate pair of modes at q = 2
-    E = wx.energy_trace(sol, prob.c)
+    E = wx.energy_trace(sol, prob)
     assert np.abs(E - E[0]).max() <= 1e-12 * E[0]
