@@ -20,12 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverFailure
-from .estimator import compute_estimator, effectivity_index
+from .errors import ConfigurationError, SolverFailure, check_integer
+from .estimator import MIN_ESTIMATOR_DEGREE, compute_estimator, effectivity_index
 from .fem import MAX_SPATIAL_DEGREE, build_space, norm_degree
 from .mesh import build_structured_mesh, mesh_size
-from .postprocess import (compute_error_report, convergence_rates,
-                          energy_trace)
+from .postprocess import MIN_SAMPLES, compute_error_report, convergence_rates, energy_trace
 from .problem import Discretization, check_choices, inline_problem, make_preset
 from .reference import triangle_rule
 from .solver import solve
@@ -117,16 +116,9 @@ _SPELLINGS = {"method": {"gradientcoupling": "gradient", "i": "gradient",
                           "lagrange": "interpolation", "naivelagrangeintime": "interpolation"}}
 
 
-def _bbox(value):
-    parts = value.split()
-    if len(parts) != 4:
-        raise ConfigurationError("bbox needs four numbers: x_min x_max y_min y_max")
-    return tuple(float(v) for v in parts)
-
-
 #: Parser of one value of each key that is not a plain word.
 _PARSERS = {"p": int, "q": int, "mesh": int, "samples_per_slab": int, "tau": float,
-            "T": float, "c": float, "bbox": _bbox,
+            "T": float, "c": float, "bbox": lambda v: tuple(map(float, v.split())),
             "method": lambda v: _SPELLINGS["method"].get(v.lower(), v.lower()),
             "bc_mode": lambda v: _SPELLINGS["bc_mode"].get(v.lower(), v.lower())}
 
@@ -193,24 +185,19 @@ def _validate(cfg):
         if not (math.isfinite(n_slabs) and round(n_slabs) >= 1
                 and abs(round(n_slabs) * tau - cfg.T) <= 1e-9 * cfg.T):
             raise ConfigurationError(f"tau = {tau} does not divide the final time {cfg.T}")
-    if any(v < 1 for v in cfg.mesh):
-        raise ConfigurationError("mesh values must be >= 1")
+    for nx in cfg.mesh:
+        check_integer("mesh", nx, 1)
     res = {"h": [-n for n in cfg.mesh], "tau": cfg.tau}.get(study.sweep, [])
     if any(a <= b for a, b in zip(res, res[1:])):  # rates run coarse to fine
         raise ConfigurationError("rates need tau strictly decreasing, mesh strictly increasing")
-    p_min = 2 if study.estimator else 1
-    if not all(p_min <= v <= MAX_SPATIAL_DEGREE for v in cfg.p):
-        raise ConfigurationError(f"p values must be in [{p_min}, {MAX_SPATIAL_DEGREE}]")
-    if cfg.samples_per_slab < 3:
-        raise ConfigurationError("samples_per_slab must be >= 3")
+    for p in cfg.p:
+        check_integer("p", p, MIN_ESTIMATOR_DEGREE if study.estimator else 1, MAX_SPATIAL_DEGREE)
+    check_integer("samples_per_slab", cfg.samples_per_slab, MIN_SAMPLES)
     if not cfg.out:
         raise ConfigurationError("out must name an output directory")
-    x_min, x_max, y_min, y_max = cfg.bbox
-    if not (all(map(math.isfinite, cfg.bbox)) and x_min < x_max and y_min < y_max):
-        raise ConfigurationError(f"bbox {cfg.bbox} is not a finite nondegenerate box")
     if cfg.problem == "inline" and not cfg.u:
         raise ConfigurationError("inline problems need a u = <expression> line")
-    _make_problem(cfg)  # an unknown preset or psi, an unusable u or c
+    _make_problem(cfg)  # an unknown preset or psi, an unusable u, c or bbox
     for cell in _cells(cfg):
         label = f"cell p={cell['p']} q={cell['q']} mesh={cell['nx']} tau={cell['tau']}"
         floats = 2 * round(cfg.T / cell["tau"]) * (cell["q"] + 1) \

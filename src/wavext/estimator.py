@@ -15,24 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .fem import BrokenField, assemble
 from .timebasis import abs_legendre_integral, gauss_rule, legendre_table, sup_legendre_integral
+
+MIN_ESTIMATOR_DEGREE = 2  #: a degree-1 space's elementwise Laplacians vanish
 
 
 def gap_constant(q):
     """Constant in the slabwise gap bound between the reconstruction and u:
     1/pi for q = 1, 1/(2 sqrt((q-1) q)) for q > 1."""
-    if q < 1:
-        raise ValueError("temporal degree must be >= 1")
+    q = check_integer("temporal degree q", q, 1)
     return 1.0 / math.pi if q == 1 else 1.0 / (2.0 * math.sqrt((q - 1) * q))
 
 
 def best_approx_constant(s):
     """Best-uniform-approximation constant: 1/sqrt(pi) for s <= 2, else
     1/((s-2) pi)."""
-    if s < 0:
-        raise ValueError("degree must be >= 0")
+    s = check_integer("polynomial degree s", s, 0)
     return math.pi ** -0.5 if s in (0, 1, 2) else 1.0 / ((s - 2) * math.pi)
 
 
@@ -111,8 +111,7 @@ def compute_estimator(sol, problem):
     """
     if callable(problem.c):
         raise ConfigurationError("the estimator requires a constant wavespeed")
-    if sol.space.degree < 2:
-        raise ConfigurationError("the estimator needs spatial degree >= 2")
+    check_integer("spatial degree p of the estimator", sol.space.degree, MIN_ESTIMATOR_DEGREE)
     B = sol.space.boundary_dofs
     bscale = 1.0 + np.abs(sol.u).max()
     if max(np.abs(sol.u[:, :, B]).max(), np.abs(sol.v[:, :, B]).max()) > 1e-9 * bscale:

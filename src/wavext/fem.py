@@ -13,6 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from . import reference
+from .errors import check_integer
 from .linalg import Factorization, compressed
 
 #: Largest polynomial degree of a Lagrange space.
@@ -29,11 +30,8 @@ class LagrangeSpace:
     """Continuous degree-p Lagrange space on a structured mesh."""
 
     def __init__(self, mesh, degree):
-        if not 1 <= degree <= MAX_SPATIAL_DEGREE:
-            raise ValueError(f"polynomial degree must be in [1, {MAX_SPATIAL_DEGREE}], "
-                             f"got {degree}")
         self.mesh = mesh
-        self.degree = int(degree)
+        self.degree = check_integer("spatial degree p", degree, 1, MAX_SPATIAL_DEGREE)
 
         p = self.degree
         nx, ny = mesh.nx, mesh.ny

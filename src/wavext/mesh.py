@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError, check_integer
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -34,21 +36,25 @@ class Mesh:
         return self.cells.shape[0]
 
 
+def checked_bbox(bbox):
+    """bbox as a tuple of floats, if four finite ones with x_min < x_max, y_min < y_max."""
+    box = tuple(map(float, bbox))
+    if not (len(box) == 4 and np.isfinite(box).all() and box[0] < box[1] and box[2] < box[3]):
+        raise ConfigurationError(f"bbox {bbox} is not a finite nondegenerate box "
+                                 "(x_min, x_max, y_min, y_max)")
+    return box
+
+
 def build_structured_mesh(nx, ny, bbox=(0.0, 1.0, 0.0, 1.0)):
     """Triangulate the rectangle ``bbox`` with a 2*nx*ny-cell grid.
 
     Parameters
     ----------
-    nx, ny : number of grid squares per direction (>= 1).
-    bbox : (x_min, x_max, y_min, y_max) with x_min < x_max, y_min < y_max.
+    nx, ny : number of grid squares per direction, integers >= 1.
+    bbox : finite (x_min, x_max, y_min, y_max) with x_min < x_max, y_min < y_max.
     """
-    if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
-        raise ValueError("nx and ny must be integers")
-    if nx < 1 or ny < 1:
-        raise ValueError(f"grid resolution must be >= 1, got nx={nx}, ny={ny}")
-    x_min, x_max, y_min, y_max = map(float, bbox)
-    if not (x_min < x_max and y_min < y_max):
-        raise ValueError(f"degenerate bounding box {bbox}")
+    nx, ny = check_integer("grid resolution nx", nx, 1), check_integer("grid resolution ny", ny, 1)
+    x_min, x_max, y_min, y_max = box = checked_bbox(bbox)
 
     xs = np.linspace(x_min, x_max, nx + 1)
     ys = np.linspace(y_min, y_max, ny + 1)
@@ -62,7 +68,7 @@ def build_structured_mesh(nx, ny, bbox=(0.0, 1.0, 0.0, 1.0)):
                       v00, v00 + nx + 2, v00 + nx + 1],    # above the diagonal
                      axis=1).reshape(-1, 3)
 
-    return Mesh(vertices, cells, (x_min, x_max, y_min, y_max), int(nx), int(ny))
+    return Mesh(vertices, cells, box, nx, ny)
 
 
 def mesh_size(mesh):

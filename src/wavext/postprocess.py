@@ -4,9 +4,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .fem import assemble, spatial_norm
 from .timebasis import trial_matrix, trial_to_legendre
+
+MIN_SAMPLES = 3  #: per slab: both slab ends and one time between
 
 
 def _at(callback, ts):
@@ -37,8 +39,7 @@ def compute_error_report(sol, problem, samples_per_slab=11):
     if None in (problem.exact_u, problem.exact_v, problem.exact_grad_u):
         raise ConfigurationError(f"problem {problem.name!r} lacks one of exact_u, exact_v "
                                  "and exact_grad_u, which the error report needs")
-    if samples_per_slab < 3:
-        raise ConfigurationError("samples_per_slab must be at least 3")
+    check_integer("samples_per_slab", samples_per_slab, MIN_SAMPLES)
     space, nodes, q = sol.space, sol.partition.nodes, sol.degree
     xs = np.linspace(-1.0, 1.0, samples_per_slab)
     sig, sig_star = trial_matrix(q, xs).T, trial_matrix(q + 1, xs).T

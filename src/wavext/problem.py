@@ -12,8 +12,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .fem import LagrangeSpace
+from .mesh import checked_bbox
 from .timebasis import TimePartition
 
 #: Largest temporal degree.  The slab solve's eigen-split of the temporal
@@ -24,8 +25,9 @@ MAX_TEMPORAL_DEGREE = 12
 
 
 def _checked_wavespeed(c):
-    """c itself, if callable or a positive real number whose square is finite."""
-    if not callable(c) and not (isinstance(c, numbers.Real) and c > 0 and math.isfinite(c * c)):
+    """c itself, if callable or a real number in (0, 2^512), where c^2 is a finite float;
+    the comparison is exact, so no int or Fraction is converted to an overflowing float."""
+    if not callable(c) and not (isinstance(c, numbers.Real) and 0 < c < 2.0 ** 512):
         raise ConfigurationError(f"wavespeed c must be positive and c^2 finite, got {c}")
     return c
 
@@ -103,10 +105,9 @@ class Discretization:
 
 
 def check_choices(q, method, bc_mode, initial_mode):
-    """Reject a temporal degree q outside [1, MAX_TEMPORAL_DEGREE] or a mode
-    name that Discretization does not define."""
-    if not 1 <= q <= MAX_TEMPORAL_DEGREE:
-        raise ConfigurationError(f"temporal degree {q} is not in [1, {MAX_TEMPORAL_DEGREE}]")
+    """Reject a temporal degree q that is not an integer in [1,
+    MAX_TEMPORAL_DEGREE] or a mode name that Discretization does not define."""
+    check_integer("temporal degree q", q, 1, MAX_TEMPORAL_DEGREE)
     for what, name, names in (("coupling method", method, ("gradient", "mass")),
                               ("bc_mode", bc_mode, ("projection", "interpolation")),
                               ("initial_mode", initial_mode, ("projection", "interpolation"))):
@@ -275,7 +276,7 @@ def inline_problem(u_expr, c=1.0, bbox=(0.0, 1.0, 0.0, 1.0)):
         return ux_f(xx, yy, tt), uy_f(xx, yy, tt)
 
     return _manufactured("inline", u_f, v_f, grad_u, f=None if f_sym == 0 else f_f,
-                         dirichlet=True, bbox=tuple(map(float, bbox)), c=c)
+                         dirichlet=True, bbox=checked_bbox(bbox), c=c)
 
 
 PRESETS = {

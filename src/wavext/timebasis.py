@@ -29,6 +29,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from .errors import check_integer
+
 
 #: Point values (callback values at space-time points) that a blocked
 #: evaluation over several slabs holds in one array: 2^13 floats, 64 KB.
@@ -73,7 +75,8 @@ class TimePartition:
 
 
 def uniform_time_partition(t_final, n_slabs):
-    return TimePartition(np.linspace(0.0, float(t_final), int(n_slabs) + 1))
+    n_slabs = check_integer("n_slabs", n_slabs, 1)
+    return TimePartition(np.linspace(0.0, float(t_final), n_slabs + 1))
 
 
 def legendre_matrix(deg, x):
@@ -132,10 +135,8 @@ def gauss_rule(npts, slab, graded=False):
     the left endpoint, for data with an algebraic singularity there.  For a
     block of slabs, a and b are columns (B, 1) of slab ends and the nodes and
     weights come back as (B, nt), one row per slab."""
-    if not 1 <= npts <= 30:
-        raise ValueError(f"gauss_rule supports 1..30 points, got {npts}")
     a, b = slab
-    x, w = (_graded_rule if graded else _reference_rule)(int(npts))
+    x, w = (_graded_rule if graded else _reference_rule)(check_integer("npts", npts, 1, 30))
     return a + (x + 1.0) * (b - a) / 2.0, w * (b - a) / 2.0
 
 
@@ -153,8 +154,6 @@ def _endpoint_exact_map(q):
     """(x_ref, E): the nodes -1, the q+6 Gauss nodes and 1, and the matrix
     taking samples there to the trial coefficients of
     :func:`endpoint_exact_project`; read-only."""
-    if q < 1:
-        raise ValueError("temporal degree must be >= 1")
     x, w = _reference_rule(q + 6)
     x_ref = np.concatenate([[-1.0], x, [1.0]])
     # Legendre coefficients, one column per sample: the degree-(q-2) L2
@@ -175,8 +174,6 @@ def _endpoint_exact_map(q):
 @lru_cache(maxsize=None)
 def _lagrange_map(q):
     """(x_ref, E): q+1 uniform nodes and their interpolation matrix; read-only."""
-    if q < 1:
-        raise ValueError("temporal degree must be >= 1")
     x_ref = np.linspace(-1.0, 1.0, q + 1)
     E = np.linalg.inv(trial_matrix(q, x_ref).T)
     x_ref.flags.writeable = E.flags.writeable = False
@@ -200,20 +197,19 @@ def endpoint_exact_project(q, f, partition):
     on each slab the degree-(q-2) L2 projection of f plus corrections along
     L_{q-1} and L_q fixed by the two endpoint conditions (nodal interpolation
     at q = 1), as trial coefficients of shape (n_slabs, q+1) + channels."""
-    return _apply_map(*_endpoint_exact_map(q), f, partition)
+    return _apply_map(*_endpoint_exact_map(check_integer("temporal degree q", q, 1)), f, partition)
 
 
 def lagrange_time_interp(q, f, partition):
     """Slabwise interpolation of f at q+1 uniformly spaced nodes (endpoints
     included), as trial coefficients of shape (n_slabs, q+1) + channels."""
-    return _apply_map(*_lagrange_map(q), f, partition)
+    return _apply_map(*_lagrange_map(check_integer("temporal degree q", q, 1)), f, partition)
 
 
 def slab_temporal_matrices(q, slab):
     """N[i,j] = int sigma_j L_i dt (i < q, j <= q) in closed form, see the
     module docstring; the solver applies D = [0 | I] as a row selection."""
-    if q < 1:
-        raise ValueError("temporal degree must be >= 1")
+    q = check_integer("temporal degree q", q, 1)
     a, b = slab
     return ((b - a) / (2.0 * np.arange(q) + 1.0))[:, None] * trial_to_legendre(q)[:q]
 

@@ -85,6 +85,9 @@ def test_main_exit_codes(tmp_path):
     "p = 11\n",
     "problem = inline\nu = t*x\nbbox = a b c d\n",
     "problem = inline\nu = t*x\nbbox = 1 0 0 1\n",
+    "problem = inline\nu = t*x\nbbox = 0 inf 0 1\n",
+    "problem = inline\nu = t*x\nbbox = 0 1 0\n",
+    "mesh = 0\n",
     "problem = inline\nu = t*x\nc = -1\n",
     "problem = inline\nu = t*x\nc = inf\n",
     "problem = inline\nu = t*x\nc = 1e200\n",
@@ -325,7 +328,8 @@ def test_estimate_degree_checked_before_any_output(tmp_path, capsys):
                  "problem = estimator-poly\np = 1\nq = 1\nmesh = 2\ntau = 0.5\n")
     out = tmp_path / "out"
     assert main(["estimate", "--config", path, "--out", str(out)]) == 2
-    assert f"p values must be in [2, {cli.MAX_SPATIAL_DEGREE}]" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("configuration error: p must be an integer in "
+                                       f"[2, {cli.MAX_SPATIAL_DEGREE}], got 1\n")
     assert not out.exists()
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from wavext.errors import ConfigurationError
 from wavext.fem import build_space
 from wavext.mesh import build_structured_mesh, mesh_size
+from wavext.problem import inline_problem
 
 
 def _boundary_edges(mesh):
@@ -87,6 +89,18 @@ def test_invalid_arguments():
         build_structured_mesh(2, 2, (0.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         build_structured_mesh(2.5, 2)
+
+
+@pytest.mark.parametrize("bbox", [(0.0, np.inf, 0.0, 1.0), (-np.inf, 1.0, 0.0, 1.0),
+                                  (0.0, 1.0, np.nan, 1.0), (0.0, 1.0, 0.0), (0, 1, 0, 1, 2)],
+                         ids=["inf", "-inf", "nan", "three", "five"])
+def test_bbox_must_be_four_finite_numbers(bbox):
+    # the infinite box once gave vertices (nan, 0) and (inf, 0) with only a
+    # numpy RuntimeWarning; an inline problem checks its box the same way
+    with pytest.raises(ConfigurationError, match="not a finite nondegenerate box"):
+        build_structured_mesh(2, 2, bbox)
+    with pytest.raises(ConfigurationError, match="not a finite nondegenerate box"):
+        inline_problem("x*y*t", bbox=bbox)
 
 
 def cells_loops(nx, ny):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,16 @@ def test_wavespeed_is_a_real_number_or_a_callable(c):
     # (the 0-d array) when assembly keyed its memo on c
     with pytest.raises(ConfigurationError, match="wavespeed c must be positive"):
         wx.ProblemData(c=c)
+
+
+@pytest.mark.parametrize("c", [10 ** 200, Fraction(10 ** 400, 3)], ids=["int", "Fraction"])
+def test_wavespeed_beyond_the_floats_is_rejected_not_overflowed(c):
+    # each once raised a bare OverflowError, when its exact square was
+    # converted to a float
+    with pytest.raises(ConfigurationError, match="wavespeed c must be positive"):
+        wx.ProblemData(c=c)
+    with pytest.raises(ConfigurationError, match="wavespeed c must be positive"):
+        replace(wx.standing_wave(), c=c)
 
 
 def test_positive_and_callable_wavespeeds_are_accepted():
